@@ -13,11 +13,9 @@
 //! adds a `serve` section measured against a loopback `ccv serve`
 //! daemon over real TCP: cached vs uncached request latency, and
 //! uncached throughput at 1, 4 and 8 concurrent clients. Schema v4
-//! adds `sym-par/t{1,2,4}` rows (the mutant sweep through the
-//! fork-join symbolic engine at fixed worker counts) and a `spill`
-//! row (Illinois n=12 through the spill-backed visited table). The
-//! checked-in `BENCH_PR7.json` at the repository root is the current
-//! reference snapshot (`BENCH_PR6.json` is the previous one).
+//! adds a `spill` row (Illinois n=12 through the spill-backed visited
+//! table). The checked-in `BENCH_PR7.json` at the repository root is
+//! the reference snapshot.
 //!
 //! Because absolute rates vary wildly across machines, every snapshot
 //! also measures a *reference workload* (sequential Illinois `n = 12`,
@@ -45,7 +43,7 @@
 //!   beats the naive reference engine by at least `F`× *in this run*
 //!   (same process, same machine — no normalisation needed).
 
-use ccv_core::{reference_expand, run_expansion, Batch, Options};
+use ccv_core::{reference_expand, Batch, Options};
 use ccv_enum::{enumerate, enumerate_parallel, EnumOptions, EnumResult, SpillConfig};
 use ccv_model::mutate::single_mutants;
 use ccv_model::{protocols, ProtocolSpec};
@@ -239,22 +237,6 @@ fn measure_symbolic() -> (Vec<SymRow>, f64) {
     let speedup = sweep.visits_per_sec / reference.visits_per_sec;
     rows.push(sweep);
     rows.push(reference);
-
-    // The same mutant sweep through the fork-join engine at fixed
-    // worker counts. Results are bit-identical across t (the engine's
-    // contract), so the unstable-result assertion inside
-    // `time_symbolic` doubles as a determinism check.
-    for t in [1usize, 2, 4] {
-        let key = format!("sym-par/t{t}");
-        let par_opts = opts.clone().threads(t);
-        rows.push(time_symbolic(&key, || {
-            let mut visits = 0;
-            for m in &mutants {
-                visits += run_expansion(&m.spec, &par_opts).visits;
-            }
-            (mutants.len(), visits)
-        }));
-    }
     (rows, speedup)
 }
 

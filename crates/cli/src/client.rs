@@ -59,7 +59,7 @@ const CLIENT_SPEC: ArgSpec = ArgSpec {
         Flag {
             name: "--threads",
             value: Some("T"),
-            help: "worker threads requested of the server",
+            help: "enumeration worker threads requested of the server",
         },
         Flag {
             name: "--deadline",

@@ -36,7 +36,7 @@ usage:
   ccv check-all                             verify the whole library (CI gate)
   ccv verify     <protocol> [--trace] [--equality] [--dot FILE]
                  [--metrics FILE] [--progress] [--deadline SECS]
-                 [--max-bytes BYTES] [--threads T]
+                 [--max-bytes BYTES]
   ccv graph      <protocol>                 print the global diagram as DOT
   ccv export     <protocol>                 print the protocol as .ccv source
   ccv compare    <protocol-a> <protocol-b>  diff the global diagrams
@@ -47,7 +47,7 @@ usage:
                  [--deadline SECS] [--max-bytes BYTES]
                  [--checkpoint-out FILE] [--resume FILE]
                  [--spill-dir DIR] [--spill-threshold BYTES]
-  ccv crosscheck <protocol> -n N [--stop-at-first-error] [--threads T]
+  ccv crosscheck <protocol> -n N [--stop-at-first-error]
                                             Theorem 1 check at size N
   ccv serve      [--addr ADDR] [--workers N] [--queue N]
                  [--cache-capacity N] [--cache-dir DIR] [--max-n N]
@@ -432,12 +432,6 @@ const VERIFY_SPEC: ArgSpec = ArgSpec {
             value: Some("BYTES"),
             help: "stop with an inconclusive verdict past this approximate footprint",
         },
-        Flag {
-            name: "--threads",
-            value: Some("T"),
-            help: "symbolic expansion workers; 0 = one per available core (default 0); \
-                   the result is bit-identical for every setting",
-        },
         METRICS_OUT_FLAG,
         TRACE_OUT_FLAG,
         FLIGHT_FLAG,
@@ -447,7 +441,7 @@ const VERIFY_SPEC: ArgSpec = ArgSpec {
 
 /// `ccv verify <protocol> [--trace] [--equality] [--dot FILE]
 /// [--metrics FILE] [--progress] [--essential-out FILE]
-/// [--threads T] [--metrics-out FILE] [--trace-out FILE]
+/// [--metrics-out FILE] [--trace-out FILE]
 /// [--flight-recorder[=N]] [--rule-stats]`
 pub fn verify(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&VERIFY_SPEC, args)? else {
@@ -477,8 +471,6 @@ pub fn verify(args: &[String]) -> CmdResult {
         req.options.deadline = Some(std::time::Duration::from_secs_f64(secs));
     }
     req.options.max_bytes = p.value::<u64>("--max-bytes")?;
-    // 0 = auto. Safe default: parallel expansion is bit-identical.
-    req.options.threads = p.value_or("--threads", 0)?;
     let mut extra: Vec<Arc<dyn EventSink>> = Vec::new();
     if let Some(m) = &metrics {
         extra.push(m.clone());
@@ -923,11 +915,6 @@ const CROSSCHECK_SPEC: ArgSpec = ArgSpec {
             value: None,
             help: "skip the coverage scan if the enumeration reaches a violation",
         },
-        Flag {
-            name: "--threads",
-            value: Some("T"),
-            help: "symbolic expansion workers; 0 = one per available core (default 0)",
-        },
         METRICS_OUT_FLAG,
         TRACE_OUT_FLAG,
         FLIGHT_FLAG,
@@ -935,8 +922,7 @@ const CROSSCHECK_SPEC: ArgSpec = ArgSpec {
 };
 
 /// `ccv crosscheck <protocol> -n N [--stop-at-first-error]
-/// [--threads T] [--metrics-out FILE] [--trace-out FILE]
-/// [--flight-recorder[=N]]`
+/// [--metrics-out FILE] [--trace-out FILE] [--flight-recorder[=N]]`
 pub fn crosscheck(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&CROSSCHECK_SPEC, args)? else {
         return Ok(CmdStatus::Success);
@@ -946,7 +932,6 @@ pub fn crosscheck(args: &[String]) -> CmdResult {
     let n: usize = p.value_or("-n", 4)?;
     let mut req = Request::crosscheck(ProtocolSource::Spec(spec), n);
     req.options.stop_at_first_error = p.flag("--stop-at-first-error");
-    req.options.threads = p.value_or("--threads", 0)?;
     let ctx = RunContext::new(CancelToken::global(), obs.handle(Vec::new()));
     let c = match Session::run_with(&req, &ctx).result {
         Ok(Payload::Crosscheck(c)) => c,

@@ -168,9 +168,9 @@ pub struct RequestOptions {
     pub n: usize,
     /// Exact-duplicate pruning instead of counting equivalence.
     pub exact: bool,
-    /// Worker threads for enumeration and for the symbolic engine
-    /// behind verify / crosscheck; 0 = one per available core. The
-    /// symbolic result is bit-identical for every setting.
+    /// Worker threads for enumerate; 0 = one per available core.
+    /// Verify and crosscheck accept the field but ignore it: the
+    /// symbolic engine is sequential.
     pub threads: usize,
     /// Distinct-state cap for enumerate (also the concrete-state
     /// budget of the crosscheck's enumeration leg).
@@ -1258,7 +1258,6 @@ impl SessionRunner {
                 }
                 Some(backend) => {
                     let opts = Options::default()
-                        .threads(req.options.threads)
                         .sink(ctx.sink.clone())
                         .cancel(ctx.cancel.clone());
                     let mut report = verify_with_scratch(&spec, &opts, &mut self.scratch);
@@ -1287,7 +1286,6 @@ impl SessionRunner {
             .record_trace(o.record_trace)
             .rule_stats(o.rule_stats)
             .stop_at_first_error(o.stop_at_first_error)
-            .threads(o.threads)
             .cancel(ctx.cancel.clone());
         if let Some(budget) = o.budget {
             opts = opts.max_visits(budget);

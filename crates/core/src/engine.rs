@@ -44,8 +44,7 @@ use crate::index::ContainmentIndex;
 use crate::intern::{CompositeArena, CompositeId};
 use ccv_model::ProtocolSpec;
 use ccv_observe::{
-    CommonOptions, Counter, Gauge, Governor, Phase, RuleStat, SinkHandle, SpanKind, StopCause,
-    StopInfo, Track,
+    CommonOptions, Counter, Gauge, Phase, RuleStat, SpanKind, StopCause, StopInfo, Track,
 };
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -78,11 +77,6 @@ pub struct Options {
     /// Record a [`VisitRecord`] for every generated successor
     /// (Appendix A.2 reproduction).
     pub record_trace: bool,
-    /// Expansion worker threads: 1 (the default) runs the sequential
-    /// loop, 0 resolves to one worker per available core, and any other
-    /// value forks that many workers per batch. Output is bit-identical
-    /// for every setting (see the module docs of the parallel driver).
-    pub threads: usize,
 }
 
 impl Default for Options {
@@ -91,7 +85,6 @@ impl Default for Options {
             common: CommonOptions::default().budget(1_000_000),
             pruning: Pruning::Containment,
             record_trace: false,
-            threads: 1,
         }
     }
 }
@@ -121,10 +114,10 @@ impl Options {
         self
     }
 
-    /// Sets the expansion worker count (0 = one per available core,
-    /// 1 = sequential).
-    pub fn threads(mut self, threads: usize) -> Options {
-        self.threads = threads;
+    /// Ignored: the engine is sequential. Kept for `perfbench/src/serve.rs`.
+    #[doc(hidden)]
+    #[deprecated(note = "the symbolic engine is sequential; this setting is ignored")]
+    pub fn threads(self, _threads: usize) -> Options {
         self
     }
 
@@ -330,314 +323,6 @@ impl EngineScratch {
     }
 }
 
-/// Mutable state of one expansion run, shared by the sequential and
-/// parallel drivers. [`EngineCore::absorb`] is the single merge point:
-/// every successor — wherever it was computed — passes through it in
-/// worklist order, so both drivers make identical admit/prune/intern
-/// decisions by construction.
-struct EngineCore<'a> {
-    spec: &'a ProtocolSpec,
-    opts: &'a Options,
-    sink: &'a SinkHandle,
-    events: bool,
-    rules_on: bool,
-    rule_stats: Vec<RuleStat>,
-    arena: CompositeArena,
-    index: &'a mut ContainmentIndex,
-    fired: &'a mut Vec<Label>,
-    nodes: Vec<Node>,
-    work: VecDeque<NodeId>,
-    history: Vec<NodeId>,
-    errors: Vec<ErrorFinding>,
-    trace: Vec<VisitRecord>,
-    visits: usize,
-    successors_generated: usize,
-    expanded: usize,
-    truncated: bool,
-    containment_checks: u64,
-    index_probes: u64,
-    prunes: u64,
-    gov: Governor,
-}
-
-impl EngineCore<'_> {
-    /// Merges the successors of `current` into the run — the exact
-    /// per-successor body of the Figure 3 loop. Returns `true` when the
-    /// run must stop (budget exhaustion, cancellation, or
-    /// stop-at-first-error); `truncated` is set for the inconclusive
-    /// causes.
-    fn absorb(&mut self, current: NodeId, current_state: &Composite, succ: &[Transition]) -> bool {
-        let EngineCore {
-            spec,
-            opts,
-            sink,
-            events,
-            rules_on,
-            rule_stats,
-            arena,
-            index,
-            fired,
-            nodes,
-            work,
-            errors,
-            trace,
-            visits,
-            successors_generated,
-            truncated,
-            containment_checks,
-            index_probes,
-            prunes,
-            gov,
-            ..
-        } = self;
-        // One visit per rule firing: the successor categories of a
-        // split firing share their label within this expansion.
-        fired.clear();
-        for t in succ.iter() {
-            *successors_generated += 1;
-            let rid = spec.rule_id(t.label.origin.state, t.label.event);
-            if !fired.contains(&t.label) {
-                fired.push(t.label);
-                *visits += 1;
-                sink.count(Counter::Visits, 1);
-                sink.count(Counter::RuleFirings, 1);
-                if *rules_on {
-                    rule_stats[rid].firings += 1;
-                }
-            }
-            if *rules_on {
-                rule_stats[rid].states += 1;
-            }
-            if *visits >= opts.common.budget {
-                gov.stop(StopCause::BudgetExhausted);
-                *truncated = true;
-                return true;
-            }
-            // Cheap per-firing check; the full (clock + memory) poll
-            // happens once per expansion in the drivers.
-            if gov.cancelled().is_some() {
-                *truncated = true;
-                return true;
-            }
-
-            // Is the successor contained in a surviving state? The
-            // containment queries dominate the engine's cost, so they
-            // are what per-rule wall time attributes.
-            let tid = arena.intern(&t.to);
-            let scan_start = rules_on.then(Instant::now);
-            let container_exists =
-                index.find_container(arena, tid, opts.pruning, containment_checks, index_probes);
-            if let Some(start) = scan_start {
-                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
-            }
-
-            if opts.record_trace {
-                trace.push(VisitRecord {
-                    from: current_state.clone(),
-                    label: t.label,
-                    to: t.to.clone(),
-                    disposition: if container_exists {
-                        Disposition::Contained
-                    } else {
-                        Disposition::New
-                    },
-                });
-            }
-
-            if container_exists {
-                // The state family is already covered; the *transition*
-                // may still carry a stale-access error.
-                *prunes += 1;
-                if *rules_on {
-                    rule_stats[rid].dedup_hits += 1;
-                }
-                if !t.errors.is_empty() {
-                    let id = NodeId(nodes.len());
-                    let violations = check(spec, &t.to);
-                    if *events {
-                        sink.violation(&format!("stale access via {}", t.label.render(spec)));
-                    }
-                    if *rules_on {
-                        rule_stats[rid].violations += 1;
-                    }
-                    nodes.push(Node {
-                        state: tid,
-                        parent: Some((current, t.label)),
-                        violations: violations.clone(),
-                        pruned: true, // not part of the frontier
-                    });
-                    errors.push(ErrorFinding {
-                        node: id,
-                        violations,
-                        step_errors: t.errors.to_vec(),
-                    });
-                    sink.count(Counter::Errors, 1);
-                    if opts.common.stop_at_first_error {
-                        return true;
-                    }
-                }
-                continue;
-            }
-
-            // New state: admit, prune displaced survivors, enqueue.
-            let id = NodeId(nodes.len());
-            let violations = check(spec, &t.to);
-            let scan_start = rules_on.then(Instant::now);
-            index.prune_covered(
-                arena,
-                tid,
-                opts.pruning,
-                containment_checks,
-                index_probes,
-                |displaced| {
-                    nodes[displaced.0].pruned = true;
-                    *prunes += 1;
-                },
-            );
-            if let Some(start) = scan_start {
-                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
-            }
-            nodes.push(Node {
-                state: tid,
-                parent: Some((current, t.label)),
-                violations: violations.clone(),
-                pruned: false,
-            });
-            index.insert(id, tid, &t.to);
-            if !violations.is_empty() || !t.errors.is_empty() {
-                if *events {
-                    sink.violation(&format!(
-                        "erroneous state reached via {}",
-                        t.label.render(spec)
-                    ));
-                }
-                if *rules_on {
-                    rule_stats[rid].violations += 1;
-                }
-                errors.push(ErrorFinding {
-                    node: id,
-                    violations,
-                    step_errors: t.errors.to_vec(),
-                });
-                sink.count(Counter::Errors, 1);
-                if opts.common.stop_at_first_error {
-                    return true;
-                }
-            }
-            work.push_back(id);
-        }
-        false
-    }
-}
-
-/// The deterministic fork-join driver (`threads > 1`).
-///
-/// Each round drains the queue into a batch — one generation of the
-/// sequential FIFO order. Workers speculatively expand disjoint slices
-/// of the batch into per-worker buffers, reading only the immutable
-/// arena; nothing shared is written during the forked phase. The
-/// coordinator then merges the precomputed successor lists strictly in
-/// batch order through [`EngineCore::absorb`] — the same code the
-/// sequential loop runs — recreating every sequential decision: a node
-/// pruned by an earlier merge step is skipped exactly as the
-/// sequential pop would skip it (its speculative expansion is
-/// discarded), interning order and hence [`CompositeId`] assignment
-/// are unchanged, and early stops re-queue the unmerged tail so the
-/// reported frontier matches. Output is therefore bit-identical to the
-/// sequential engine for any worker count; only wall-clock time
-/// differs.
-fn run_parallel(core: &mut EngineCore<'_>, workers: usize) {
-    let mut worker_scratch: Vec<ExpandScratch> = Vec::new();
-    worker_scratch.resize_with(workers, ExpandScratch::default);
-    let mut inline_scratch = ExpandScratch::default();
-    let mut batch: Vec<NodeId> = Vec::new();
-    let mut jobs: Vec<usize> = Vec::new();
-    let mut results: Vec<Vec<Transition>> = Vec::new();
-    'outer: while !core.work.is_empty() {
-        batch.clear();
-        batch.extend(core.work.drain(..));
-        // Nodes already pruned would be skipped by the sequential pop
-        // too (pruning is monotonic), so they are not expanded at all;
-        // nodes pruned *during* this batch's merge are expanded
-        // speculatively and their results discarded below.
-        jobs.clear();
-        jobs.extend((0..batch.len()).filter(|&i| !core.nodes[batch[i].0].pruned));
-        if results.len() < jobs.len() {
-            results.resize_with(jobs.len(), Vec::new);
-        }
-        if jobs.len() > 1 {
-            core.sink.count(Counter::MergeWaits, 1);
-            let spec = core.spec;
-            let arena = &core.arena;
-            let nodes = &core.nodes;
-            let batch = &batch;
-            let chunk = jobs.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for ((job_chunk, res_chunk), scratch) in jobs
-                    .chunks(chunk)
-                    .zip(results.chunks_mut(chunk))
-                    .zip(worker_scratch.iter_mut())
-                {
-                    s.spawn(move || {
-                        for (&bi, out) in job_chunk.iter().zip(res_chunk.iter_mut()) {
-                            let state = arena.get(nodes[batch[bi].0].state);
-                            successors_into(spec, state, scratch, out);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (k, &bi) in jobs.iter().enumerate() {
-                let state = core.arena.get(core.nodes[batch[bi].0].state).clone();
-                successors_into(core.spec, &state, &mut inline_scratch, &mut results[k]);
-            }
-        }
-        // Merge strictly in batch order; `cursor` pairs each unpruned
-        // batch position with its precomputed successor list.
-        let mut cursor = 0usize;
-        for (i, &current) in batch.iter().enumerate() {
-            if core.nodes[current.0].pruned {
-                if cursor < jobs.len() && jobs[cursor] == i {
-                    cursor += 1;
-                }
-                continue;
-            }
-            if core.gov.poll(core.arena.approx_bytes() as u64).is_some() {
-                for &b in batch[i..].iter().rev() {
-                    core.work.push_front(b);
-                }
-                core.truncated = true;
-                break 'outer;
-            }
-            core.expanded += 1;
-            core.sink.count(Counter::Expansions, 1);
-            if core.events {
-                // What the sequential queue would hold right now: the
-                // unmerged tail of this batch plus the states merged
-                // elements already enqueued.
-                let pending = batch.len() - i - 1 + core.work.len();
-                core.sink.sample(Track::Pending, pending as u64);
-                core.sink.sample(Track::Visited, core.nodes.len() as u64);
-            }
-            let current_state = core.arena.get(core.nodes[current.0].state).clone();
-            debug_assert_eq!(jobs[cursor], i);
-            let succ = std::mem::take(&mut results[cursor]);
-            cursor += 1;
-            let stop = core.absorb(current, &current_state, &succ);
-            results[cursor - 1] = succ; // return the buffer for reuse
-            if stop {
-                for &b in batch[i + 1..].iter().rev() {
-                    core.work.push_front(b);
-                }
-                break 'outer;
-            }
-            if !core.nodes[current.0].pruned {
-                core.history.push(current);
-            }
-        }
-    }
-}
-
 /// Runs the essential-states generation algorithm of Figure 3 on
 /// `spec`, starting (per §4.0) from `(Invalid⁺)` with fresh memory.
 pub fn expand(spec: &ProtocolSpec, opts: &Options) -> Expansion {
@@ -664,7 +349,7 @@ pub fn expand_with(
     let rules_on = opts.common.rule_stats && events;
     // Fixed-size attribution table indexed by rule id; reported once
     // at exit so the loop below never allocates for observability.
-    let rule_stats: Vec<RuleStat> = if rules_on {
+    let mut rule_stats: Vec<RuleStat> = if rules_on {
         vec![RuleStat::default(); spec.num_rules()]
     } else {
         Vec::new()
@@ -681,16 +366,23 @@ pub fn expand_with(
     index.clear();
     let mut nodes: Vec<Node> = Vec::new();
     let mut work: VecDeque<NodeId> = VecDeque::new();
+    let mut history: Vec<NodeId> = Vec::new();
     let mut errors: Vec<ErrorFinding> = Vec::new();
+    let mut trace: Vec<VisitRecord> = Vec::new();
+    let mut visits = 0usize;
+    let mut successors_generated = 0usize;
+    let mut expanded = 0usize;
+    let mut truncated = false;
     // Deadline / memory-cap / cancellation arbitration. The cheap
     // token check runs per rule firing; the clock and the memory
     // estimate are only read every `Governor::STRIDE` firings.
     let gov = opts.common.governor();
-    // 0 = auto: one worker per core the scheduler grants us.
-    let workers = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-        t => t,
-    };
+    // Full pairwise containment evaluations and index candidate probes,
+    // accumulated locally and reported in one count at the end — the
+    // query paths are the engine's hot path.
+    let mut containment_checks = 0u64;
+    let mut index_probes = 0u64;
+    let mut prunes = 0u64;
 
     sink.phase_enter(Phase::Expand);
 
@@ -714,87 +406,174 @@ pub fn expand_with(
     }
     work.push_back(NodeId(0));
 
-    let mut core = EngineCore {
-        spec,
-        opts,
-        sink,
-        events,
-        rules_on,
-        rule_stats,
-        arena,
-        index,
-        fired,
-        nodes,
-        work,
-        history: Vec::new(),
-        errors,
-        trace: Vec::new(),
-        visits: 0,
-        successors_generated: 0,
-        expanded: 0,
-        truncated: false,
-        // Full pairwise containment evaluations and index candidate
-        // probes, accumulated locally and reported in one count at the
-        // end — the query paths are the engine's hot path.
-        containment_checks: 0,
-        index_probes: 0,
-        prunes: 0,
-        gov,
-    };
-
     sink.span_begin(SpanKind::WorkerBusy, 0);
-    if workers > 1 {
-        run_parallel(&mut core, workers);
-    } else {
-        while let Some(current) = core.work.pop_front() {
-            if core.nodes[current.0].pruned {
+    'outer: while let Some(current) = work.pop_front() {
+        if nodes[current.0].pruned {
+            continue;
+        }
+        // Full governor poll per expansion: a clock read is noise next
+        // to the containment scans each expansion performs, and it
+        // bounds how stale the deadline / memory checks can get.
+        if gov.poll(arena.approx_bytes() as u64).is_some() {
+            work.push_front(current);
+            truncated = true;
+            break 'outer;
+        }
+        expanded += 1;
+        sink.count(Counter::Expansions, 1);
+        if events {
+            sink.sample(Track::Pending, work.len() as u64);
+            sink.sample(Track::Visited, nodes.len() as u64);
+        }
+        let current_state = arena.get(nodes[current.0].state).clone();
+        successors_into(spec, &current_state, exp_scratch, succ);
+        // One visit per rule firing: the successor categories of a
+        // split firing share their label within this expansion.
+        fired.clear();
+        for t in succ.iter() {
+            successors_generated += 1;
+            let rid = spec.rule_id(t.label.origin.state, t.label.event);
+            if !fired.contains(&t.label) {
+                fired.push(t.label);
+                visits += 1;
+                sink.count(Counter::Visits, 1);
+                sink.count(Counter::RuleFirings, 1);
+                if rules_on {
+                    rule_stats[rid].firings += 1;
+                }
+            }
+            if rules_on {
+                rule_stats[rid].states += 1;
+            }
+            if visits >= opts.common.budget {
+                gov.stop(StopCause::BudgetExhausted);
+                truncated = true;
+                break 'outer;
+            }
+            // Cheap per-firing check; the full (clock + memory) poll
+            // happens once per expansion at the top of the loop.
+            if gov.cancelled().is_some() {
+                truncated = true;
+                break 'outer;
+            }
+
+            // Is the successor contained in a surviving state? The
+            // containment queries dominate the engine's cost, so they
+            // are what per-rule wall time attributes.
+            let tid = arena.intern(&t.to);
+            let scan_start = rules_on.then(Instant::now);
+            let container_exists = index.find_container(
+                &arena,
+                tid,
+                opts.pruning,
+                &mut containment_checks,
+                &mut index_probes,
+            );
+            if let Some(start) = scan_start {
+                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
+            }
+
+            if opts.record_trace {
+                trace.push(VisitRecord {
+                    from: current_state.clone(),
+                    label: t.label,
+                    to: t.to.clone(),
+                    disposition: if container_exists {
+                        Disposition::Contained
+                    } else {
+                        Disposition::New
+                    },
+                });
+            }
+
+            if container_exists {
+                // The state family is already covered; the *transition*
+                // may still carry a stale-access error.
+                prunes += 1;
+                if rules_on {
+                    rule_stats[rid].dedup_hits += 1;
+                }
+                if !t.errors.is_empty() {
+                    let id = NodeId(nodes.len());
+                    let violations = check(spec, &t.to);
+                    if events {
+                        sink.violation(&format!("stale access via {}", t.label.render(spec)));
+                    }
+                    if rules_on {
+                        rule_stats[rid].violations += 1;
+                    }
+                    nodes.push(Node {
+                        state: tid,
+                        parent: Some((current, t.label)),
+                        violations: violations.clone(),
+                        pruned: true, // not part of the frontier
+                    });
+                    errors.push(ErrorFinding {
+                        node: id,
+                        violations,
+                        step_errors: t.errors.to_vec(),
+                    });
+                    sink.count(Counter::Errors, 1);
+                    if opts.common.stop_at_first_error {
+                        break 'outer;
+                    }
+                }
                 continue;
             }
-            // Full governor poll per expansion: a clock read is noise
-            // next to the containment scans each expansion performs,
-            // and it bounds how stale the deadline / memory checks can
-            // get.
-            if core.gov.poll(core.arena.approx_bytes() as u64).is_some() {
-                core.work.push_front(current);
-                core.truncated = true;
-                break;
+
+            // New state: admit, prune displaced survivors, enqueue.
+            let id = NodeId(nodes.len());
+            let violations = check(spec, &t.to);
+            let scan_start = rules_on.then(Instant::now);
+            index.prune_covered(
+                &arena,
+                tid,
+                opts.pruning,
+                &mut containment_checks,
+                &mut index_probes,
+                |displaced| {
+                    nodes[displaced.0].pruned = true;
+                    prunes += 1;
+                },
+            );
+            if let Some(start) = scan_start {
+                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
             }
-            core.expanded += 1;
-            sink.count(Counter::Expansions, 1);
-            if events {
-                sink.sample(Track::Pending, core.work.len() as u64);
-                sink.sample(Track::Visited, core.nodes.len() as u64);
+            nodes.push(Node {
+                state: tid,
+                parent: Some((current, t.label)),
+                violations: violations.clone(),
+                pruned: false,
+            });
+            index.insert(id, tid, &t.to);
+            if !violations.is_empty() || !t.errors.is_empty() {
+                if events {
+                    sink.violation(&format!(
+                        "erroneous state reached via {}",
+                        t.label.render(spec)
+                    ));
+                }
+                if rules_on {
+                    rule_stats[rid].violations += 1;
+                }
+                errors.push(ErrorFinding {
+                    node: id,
+                    violations,
+                    step_errors: t.errors.to_vec(),
+                });
+                sink.count(Counter::Errors, 1);
+                if opts.common.stop_at_first_error {
+                    break 'outer;
+                }
             }
-            let current_state = core.arena.get(core.nodes[current.0].state).clone();
-            successors_into(spec, &current_state, exp_scratch, succ);
-            if core.absorb(current, &current_state, succ) {
-                break;
-            }
-            if !core.nodes[current.0].pruned {
-                core.history.push(current);
-            }
+            work.push_back(id);
+        }
+        if !nodes[current.0].pruned {
+            history.push(current);
         }
     }
-    sink.span_end(SpanKind::WorkerBusy, 0);
 
-    let EngineCore {
-        rule_stats,
-        arena,
-        nodes,
-        work,
-        history,
-        errors,
-        trace,
-        visits,
-        successors_generated,
-        expanded,
-        truncated,
-        containment_checks,
-        index_probes,
-        prunes,
-        gov,
-        ..
-    } = core;
+    sink.span_end(SpanKind::WorkerBusy, 0);
 
     let essential: Vec<NodeId> = history
         .into_iter()
@@ -809,7 +588,6 @@ pub fn expand_with(
     sink.count(Counter::BudgetPolls, gov.polls());
     sink.gauge(Gauge::EssentialStates, essential.len() as u64);
     sink.gauge(Gauge::ArenaBytes, arena.approx_bytes() as u64);
-    sink.gauge(Gauge::SymWorkers, workers as u64);
     if let Some(info) = &stopped {
         sink.count(Counter::BudgetStops, 1);
         sink.stopped(info.cause.name(), info.detail.as_deref());
@@ -1100,94 +878,5 @@ mod tests {
         let exp = expand(&spec, &Options::default());
         assert!(exp.is_clean());
         assert!(exp.stopped.is_none());
-    }
-
-    #[test]
-    fn parallel_expansion_is_bit_identical_to_sequential() {
-        for spec in [illinois(), msi(), illinois_missing_invalidation()] {
-            let seq = expand(&spec, &Options::default().record_trace(true));
-            for t in [0, 2, 4, 8] {
-                let par = expand(&spec, &Options::default().record_trace(true).threads(t));
-                assert_eq!(par.visits, seq.visits, "threads={t}");
-                assert_eq!(par.successors, seq.successors, "threads={t}");
-                assert_eq!(par.expanded, seq.expanded, "threads={t}");
-                assert_eq!(par.essential, seq.essential, "threads={t}");
-                assert_eq!(par.nodes.len(), seq.nodes.len(), "threads={t}");
-                for (a, b) in par.nodes.iter().zip(seq.nodes.iter()) {
-                    assert_eq!(a.state, b.state, "threads={t}");
-                    assert_eq!(a.parent, b.parent, "threads={t}");
-                    assert_eq!(a.pruned, b.pruned, "threads={t}");
-                }
-                assert_eq!(par.errors.len(), seq.errors.len(), "threads={t}");
-                for (a, b) in par.errors.iter().zip(seq.errors.iter()) {
-                    assert_eq!(a.node, b.node, "threads={t}");
-                    assert_eq!(a.step_errors.len(), b.step_errors.len(), "threads={t}");
-                }
-                assert_eq!(par.trace.len(), seq.trace.len(), "threads={t}");
-                for (a, b) in par.trace.iter().zip(seq.trace.iter()) {
-                    assert_eq!(a.disposition, b.disposition, "threads={t}");
-                }
-                let a: Vec<String> = par
-                    .essential_states()
-                    .iter()
-                    .map(|c| c.render(&spec))
-                    .collect();
-                let b: Vec<String> = seq
-                    .essential_states()
-                    .iter()
-                    .map(|c| c.render(&spec))
-                    .collect();
-                assert_eq!(a, b, "threads={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_budget_stop_matches_sequential() {
-        let spec = illinois();
-        let seq = expand(&spec, &Options::default().max_visits(3));
-        let par = expand(&spec, &Options::default().max_visits(3).threads(4));
-        assert!(par.truncated);
-        assert_eq!(par.visits, seq.visits);
-        assert_eq!(par.nodes.len(), seq.nodes.len());
-        let (ps, ss) = (par.stopped.unwrap(), seq.stopped.unwrap());
-        assert_eq!(ps.cause, ss.cause);
-        assert_eq!(ps.frontier, ss.frontier);
-    }
-
-    #[test]
-    fn parallel_stop_at_first_error_matches_sequential() {
-        let spec = illinois_missing_invalidation();
-        let seq = expand(&spec, &Options::default().stop_at_first_error(true));
-        let par = expand(
-            &spec,
-            &Options::default().stop_at_first_error(true).threads(8),
-        );
-        assert_eq!(par.errors.len(), 1);
-        assert_eq!(par.visits, seq.visits);
-        assert_eq!(par.errors[0].node, seq.errors[0].node);
-        assert_eq!(par.nodes.len(), seq.nodes.len());
-    }
-
-    #[test]
-    fn parallel_run_reports_worker_gauge_and_merge_waits() {
-        use ccv_observe::Metrics;
-        use std::sync::Arc;
-
-        let spec = illinois();
-        let metrics = Arc::new(Metrics::new());
-        let exp = expand(
-            &spec,
-            &Options::default()
-                .threads(2)
-                .sink(metrics.clone() as Arc<_>),
-        );
-        assert!(exp.is_clean());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.gauge(Gauge::SymWorkers), Some(2));
-        assert!(
-            snap.counter(Counter::MergeWaits) > 0,
-            "a multi-element batch must fork at least once"
-        );
     }
 }

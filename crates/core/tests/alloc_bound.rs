@@ -12,12 +12,15 @@
 //! * a warm full expansion stays under a small allocation budget per
 //!   generated successor.
 //!
+//! Allocations are counted per thread, so the two tests can run on
+//! parallel test threads without seeing each other's allocations.
+//!
 //! (This lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; implementing `GlobalAlloc` requires
 //! `unsafe` and belongs in a separate compilation unit.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ccv_core::{
     expand_with, run_expansion, successors_into, Composite, EngineScratch, ExpandScratch, Options,
@@ -27,11 +30,25 @@ use ccv_model::protocols;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised, so touching it from inside the allocator
+    // never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -65,7 +82,7 @@ fn warm_successor_kernel_is_allocation_free() {
     }
 
     // Hot phase: repeated full passes over the essential set.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut generated = 0usize;
     for _ in 0..100 {
         for s in &essential {
@@ -73,7 +90,7 @@ fn warm_successor_kernel_is_allocation_free() {
             generated += out.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -96,9 +113,9 @@ fn warm_expansion_stays_under_the_per_step_allocation_budget() {
     let cold = expand_with(&spec, Composite::initial(&spec), &opts, &mut scratch);
     scratch.recycle(cold);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let warm = expand_with(&spec, Composite::initial(&spec), &opts, &mut scratch);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert!(warm.is_clean());
     let steps = warm.successors as u64;

@@ -50,10 +50,10 @@ use ccv_observe::{
     Counter, FaultHandle, FaultKind, Gauge, Governor, Phase, RuleStat, SinkHandle, SpanKind,
     StopCause, Track,
 };
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Most states moved from a worker's public deque to its private
@@ -62,6 +62,23 @@ const REFILL_BATCH: usize = 64;
 
 /// Most states taken from a victim in one steal.
 const STEAL_CAP: usize = 64;
+
+/// Locks `m`, recovering from poisoning. Every critical section leaves
+/// its deque or note valid after each single operation, and a worker
+/// panic (contained by `catch_unwind`) stops the run, so a poisoned
+/// lock's data is still safe to drain and to report.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Non-blocking [`lock`]: `None` while another thread holds `m`.
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// Shared search state, borrowed by every worker.
 struct Shared<'a> {
@@ -125,7 +142,7 @@ struct WorkerStats {
 /// deque (back first — the most recently published, preserving
 /// locality) onto its private stack and pops one.
 fn refill(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>) -> Option<PackedState> {
-    let mut q = sh.queues[w].lock();
+    let mut q = lock(&sh.queues[w]);
     for _ in 0..REFILL_BATCH {
         match q.pop_back() {
             Some(s) => local.push(s),
@@ -148,7 +165,7 @@ fn steal(
     let k = sh.queues.len();
     for off in 1..k {
         let victim = (w + off) % k;
-        let Some(mut q) = sh.queues[victim].try_lock() else {
+        let Some(mut q) = try_lock(&sh.queues[victim]) else {
             continue;
         };
         let take = q.len().div_ceil(2).min(STEAL_CAP);
@@ -270,7 +287,7 @@ fn expand(
     // idle workers have something to steal; only when our own public
     // deque has drained, so publication stays rare on the hot path.
     if local.len() > 1 {
-        if let Some(mut q) = sh.queues[w].try_lock() {
+        if let Some(mut q) = try_lock(&sh.queues[w]) {
             if q.is_empty() {
                 let give = local.len() / 2;
                 for s in local.drain(..give) {
@@ -473,7 +490,7 @@ pub fn enumerate_parallel_resumed(
             }
             if !sh.stop.load(Ordering::Relaxed) {
                 sh.pending.store(1, Ordering::Relaxed);
-                sh.queues[0].lock().push_back(init);
+                lock(&sh.queues[0]).push_back(init);
             }
         }
         Some(seed) => {
@@ -485,7 +502,7 @@ pub fn enumerate_parallel_resumed(
             sink.frontier(0, seed.frontier.len());
             sh.pending.store(seed.frontier.len(), Ordering::Relaxed);
             for (i, s) in seed.frontier.into_iter().enumerate() {
-                sh.queues[i % threads].lock().push_back(s);
+                lock(&sh.queues[i % threads]).push_back(s);
             }
         }
     }
@@ -512,7 +529,7 @@ pub fn enumerate_parallel_resumed(
                             .map(|s| s.to_string())
                             .or_else(|| payload.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "opaque panic payload".to_string());
-                        let mut note = panic_note.lock();
+                        let mut note = lock(panic_note);
                         if note.is_none() {
                             *note = Some(format!("worker {w}: {msg}"));
                         }
@@ -535,7 +552,7 @@ pub fn enumerate_parallel_resumed(
         worker_stats.push(stats);
     }
     for q in &sh.queues {
-        frontier.extend(q.lock().drain(..));
+        frontier.extend(lock(q).drain(..));
     }
 
     // The coordinator's merge of per-worker tallies is the Drain leg
@@ -602,7 +619,9 @@ pub fn enumerate_parallel_resumed(
     let mut stopped = sh.gov.stop_info(frontier.len());
     if let Some(info) = &mut stopped {
         if info.cause == StopCause::WorkerPanic {
-            info.detail = panic_note.into_inner();
+            info.detail = panic_note
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
     let truncated = stopped.is_some();
@@ -854,10 +873,10 @@ mod tests {
         }
         impl EventSink for SpanLedger {
             fn span_begin(&self, _kind: SpanKind, tid: u32) {
-                self.per_tid.lock().entry(tid).or_default().0 += 1;
+                lock(&self.per_tid).entry(tid).or_default().0 += 1;
             }
             fn span_end(&self, _kind: SpanKind, tid: u32) {
-                let mut map = self.per_tid.lock();
+                let mut map = lock(&self.per_tid);
                 let e = map.entry(tid).or_default();
                 e.1 += 1;
                 if e.1 > e.0 {
@@ -873,7 +892,7 @@ mod tests {
         enumerate_parallel(&spec, &opts, threads);
 
         assert!(!ledger.unbalanced.load(Ordering::Relaxed));
-        let map = ledger.per_tid.lock();
+        let map = lock(&ledger.per_tid);
         // Coordinator track (Drain span) plus every worker track.
         assert!(map.contains_key(&0), "coordinator emitted no span");
         for w in 0..threads {

@@ -101,11 +101,6 @@ pub enum Counter {
     /// deadline, memory cap, cancellation or worker panic). 0 or 1
     /// per engine run.
     BudgetStops,
-    /// Fork-join rounds in which the parallel symbolic engine's
-    /// coordinator blocked on worker expansion results before merging
-    /// them in batch order. Deterministic for a given workload and
-    /// thread count (one per parallel batch).
-    MergeWaits,
     /// Visited-table shard segments spilled to disk by the out-of-core
     /// enumerator.
     SpillSegments,
@@ -116,7 +111,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::Visits,
         Counter::Prunes,
         Counter::ContainmentChecks,
@@ -134,7 +129,6 @@ impl Counter {
         Counter::InternHits,
         Counter::BudgetPolls,
         Counter::BudgetStops,
-        Counter::MergeWaits,
         Counter::SpillSegments,
         Counter::SpillBytes,
     ];
@@ -159,7 +153,6 @@ impl Counter {
             Counter::InternHits => "intern_hits",
             Counter::BudgetPolls => "budget_polls",
             Counter::BudgetStops => "budget_stops",
-            Counter::MergeWaits => "merge_waits",
             Counter::SpillSegments => "spill_segments",
             Counter::SpillBytes => "spill_bytes",
         }
@@ -195,14 +188,11 @@ pub enum Gauge {
     /// resident (in-RAM) portion only, so a spilling run can complete
     /// under a budget its in-RAM footprint alone would trip.
     VisitedBytes,
-    /// Worker threads used by the parallel symbolic engine (1 for the
-    /// sequential path).
-    SymWorkers,
 }
 
 impl Gauge {
     /// Every gauge, in declaration order.
-    pub const ALL: [Gauge; 8] = [
+    pub const ALL: [Gauge; 7] = [
         Gauge::EssentialStates,
         Gauge::DistinctStates,
         Gauge::Levels,
@@ -210,7 +200,6 @@ impl Gauge {
         Gauge::PeakPending,
         Gauge::ArenaBytes,
         Gauge::VisitedBytes,
-        Gauge::SymWorkers,
     ];
 
     /// Stable snake_case name used in exported JSON.
@@ -223,7 +212,6 @@ impl Gauge {
             Gauge::PeakPending => "peak_pending",
             Gauge::ArenaBytes => "arena_bytes",
             Gauge::VisitedBytes => "visited_bytes",
-            Gauge::SymWorkers => "sym_workers",
         }
     }
 

@@ -108,10 +108,10 @@ pub struct ServerConfig {
     /// (`bad_request`), because explicit state spaces grow
     /// exponentially in `n`.
     pub max_n: usize,
-    /// Per-request worker-thread clamp. Requests asking for more (or
-    /// for auto-detection via `threads: 0`) get exactly this many —
-    /// except spill-backed runs, where auto stays auto so the engine
-    /// can resolve it to the sequential 1 it requires.
+    /// Per-request enumeration worker-thread clamp. Requests asking
+    /// for more (or for auto-detection via `threads: 0`) get exactly
+    /// this many — except spill-backed runs, where auto stays auto so
+    /// the engine can resolve it to the sequential 1 it requires.
     pub max_threads: usize,
     /// Deadline applied to requests that specify none.
     pub default_deadline: Duration,

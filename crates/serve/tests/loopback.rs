@@ -97,7 +97,7 @@ fn ten_protocols_from_eight_concurrent_clients_match_direct_runs() {
     let mut config = ServerConfig::loopback();
     config.workers = 4;
     config.queue_depth = 32;
-    let expected: Vec<(String, String, String)> = corpus()
+    let mut expected: Vec<(String, String, String)> = corpus()
         .into_iter()
         .map(|(name, dsl)| {
             let req = verify_request(&dsl);
@@ -105,6 +105,32 @@ fn ten_protocols_from_eight_concurrent_clients_match_direct_runs() {
             (name, req.to_json().render_compact(), body)
         })
         .collect();
+    // Wire compatibility: verify and crosscheck still accept
+    // `"threads"`, which only enumerate uses, so carrying it changes
+    // no byte of the body — directly and over the wire.
+    let (_, msi) = corpus().into_iter().find(|(n, _)| n == "msi.ccv").unwrap();
+    for plain in [
+        verify_request(&msi),
+        Request::crosscheck(ProtocolSource::Dsl(msi), 3),
+    ] {
+        let mut threaded = plain.clone();
+        threaded.options.threads = 8;
+        let wire = threaded.to_json().render_compact();
+        assert!(wire.contains("\"threads\":8"), "{wire}");
+        let parsed = Request::parse(&wire).expect("threads still parses");
+        let ctx = RunContext::new(CancelToken::new(), SinkHandle::disabled());
+        let mut runner = SessionRunner::new();
+        let body = runner.run(&plain, &ctx).to_json().render_compact();
+        assert!(!body.contains("\"error\""), "{body}");
+        assert_eq!(
+            runner.run(&parsed, &ctx).to_json().render_compact(),
+            body,
+            "{}: threads changed the body",
+            plain.action.name()
+        );
+        let name = format!("msi.ccv {} threads=8", plain.action.name());
+        expected.push((name, wire, direct_body(&config, &plain)));
+    }
     let server = spawn_server(config);
     let addr = server.addr();
 
@@ -113,8 +139,8 @@ fn ten_protocols_from_eight_concurrent_clients_match_direct_runs() {
     for thread in 0..8 {
         let expected = Arc::clone(&expected);
         joins.push(std::thread::spawn(move || {
-            // Thread t takes protocols t, t+8, t+16, ... so all 10
-            // submissions are in flight across the 8 clients at once.
+            // Thread t takes requests t, t+8, t+16, ... so every
+            // submission is in flight across the 8 clients at once.
             for (name, wire, want) in expected.iter().skip(thread).step_by(8) {
                 let (_cached, body) = ndjson_round_trip(addr, wire);
                 assert_eq!(&body, want, "{name}: wire body differs from direct run");

@@ -195,9 +195,9 @@ fn indexed_engine_matches_the_naive_reference_on_every_protocol() {
 
 #[test]
 fn indexed_engine_matches_the_reference_on_every_buggy_mutant() {
-    // Same differential on the mutants: verdicts, error findings and
-    // the rendered counterexample paths must be byte-identical (both
-    // engines discover states in the same order).
+    // Same differential on the mutants: counts, essential sets, error
+    // findings and the rendered counterexample paths must be
+    // byte-identical (both engines discover states in the same order).
     for (spec, why) in protocols::all_buggy() {
         for pruning in [Pruning::Containment, Pruning::Equality] {
             let opts = Options::default().pruning(pruning);
@@ -205,6 +205,13 @@ fn indexed_engine_matches_the_reference_on_every_buggy_mutant() {
             let naive = reference_expand(&spec, &opts);
             let tag = format!("{} ({pruning:?}, {why})", spec.name());
             assert!(!fast.errors.is_empty(), "{tag}: bug not found");
+            assert_eq!(fast.visits, naive.visits, "{tag}: visits");
+            assert_eq!(fast.successors, naive.successors, "{tag}: successors");
+            assert_eq!(
+                rendered_essential(&spec, &fast),
+                rendered_essential(&spec, &naive),
+                "{tag}: essential sets diverge"
+            );
             assert_eq!(fast.errors.len(), naive.errors.len(), "{tag}: errors");
             for (a, b) in fast.errors.iter().zip(&naive.errors) {
                 assert_eq!(a.node, b.node, "{tag}: error node");
