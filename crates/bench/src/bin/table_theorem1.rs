@@ -10,8 +10,7 @@
 //! Run: `cargo run --release -p ccv-bench --bin table_theorem1 [max_n]`
 
 use ccv_bench::Table;
-use ccv_core::{run_expansion, Options};
-use ccv_enum::crosscheck;
+use ccv_core::{crosscheck, run_expansion, Options};
 use ccv_model::protocols::all_correct;
 
 fn main() {

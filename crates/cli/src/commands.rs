@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use crate::args::{ArgSpec, Flag, ParsedArgs, Positional};
 use ccv_core::{
-    essential_states_json, Batch, Options, Outcome, Payload, ProtocolSource, Pruning, Request,
-    RunContext, Session, Verdict,
+    essential_states_json, verify_with, Batch, Options, Outcome, Payload, ProtocolSource, Pruning,
+    Request, RunContext, SessionRunner, Verdict,
 };
 use ccv_enum::{enumerate as run_enumerate, enumerate_parallel, EnumOptions};
 use ccv_model::{protocols, ProtocolSpec};
@@ -481,7 +481,7 @@ pub fn verify(args: &[String]) -> CmdResult {
     // Ctrl-C flips the process-global token; the engine drains at
     // the next poll and the partial result renders INCONCLUSIVE.
     let ctx = RunContext::new(CancelToken::global(), obs.handle(extra));
-    let v = match Session::run_with(&req, &ctx).result {
+    let v = match SessionRunner::new().run(&req, &ctx).result {
         Ok(Payload::Verify(v)) => v,
         Ok(_) => return Err("unexpected response payload".into()),
         Err(e) => return Err(e.message),
@@ -574,9 +574,9 @@ pub fn graph(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&GRAPH_SPEC, args)? else {
         return Ok(CmdStatus::Success);
     };
-    let session = Session::new(resolve_spec(p.require_pos(0, "protocol name")?)?);
-    let report = session.verify();
-    print!("{}", report.graph.to_dot(session.spec()));
+    let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
+    let report = ccv_core::verify(&spec);
+    print!("{}", report.graph.to_dot(&spec));
     Ok(CmdStatus::Success)
 }
 
@@ -716,9 +716,8 @@ pub fn report(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&REPORT_SPEC, args)? else {
         return Ok(CmdStatus::Success);
     };
-    let session = Session::new(resolve_spec(p.require_pos(0, "protocol name")?)?);
-    let verification = session.verify();
-    let md = crate::report::protocol_report(session.spec(), &verification);
+    let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
+    let md = crate::report::protocol_report(&spec, &ccv_core::verify(&spec));
     match p.value::<String>("-o")? {
         Some(path) => {
             write_out(&path, md.as_bytes())?;
@@ -787,7 +786,7 @@ const ENUMERATE_SPEC: ArgSpec = ArgSpec {
         Flag {
             name: "--inject-panic",
             value: Some("K"),
-            help: "test hook: panic worker 0 after K visits (exercises panic containment)",
+            help: "test hook: panic the worker whose expansion reaches K visits in total",
         },
         Flag {
             name: "--fault-plan",
@@ -838,7 +837,7 @@ pub fn enumerate(args: &[String]) -> CmdResult {
         CancelToken::global(),
         obs.handle(vec![human.clone() as Arc<dyn EventSink>]),
     );
-    let r = match Session::run_with(&req, &ctx).result {
+    let r = match SessionRunner::new().run(&req, &ctx).result {
         Ok(Payload::Enumerate(r)) => r,
         Ok(_) => return Err("unexpected response payload".into()),
         Err(e) => return Err(e.message),
@@ -933,7 +932,7 @@ pub fn crosscheck(args: &[String]) -> CmdResult {
     let mut req = Request::crosscheck(ProtocolSource::Spec(spec), n);
     req.options.stop_at_first_error = p.flag("--stop-at-first-error");
     let ctx = RunContext::new(CancelToken::global(), obs.handle(Vec::new()));
-    let c = match Session::run_with(&req, &ctx).result {
+    let c = match SessionRunner::new().run(&req, &ctx).result {
         Ok(Payload::Crosscheck(c)) => c,
         Ok(_) => return Err("unexpected response payload".into()),
         Err(e) => return Err(e.message),
@@ -1240,7 +1239,7 @@ pub fn profile(args: &[String]) -> CmdResult {
 
     let clean = if p.flag("--symbolic") {
         let opts = Options::default().sink(handle).rule_stats(true);
-        let report = Session::new(spec.clone()).options(opts).verify();
+        let report = verify_with(&spec, &opts);
         println!(
             "protocol {} symbolic expansion: {} visits, {} essential states",
             spec.name(),

@@ -59,10 +59,6 @@ fn install_signal_handlers() {}
 
 fn main() -> ExitCode {
     install_signal_handlers();
-    // verify/enumerate/crosscheck (and the serve daemon) all run
-    // through the unified Session API, whose enumeration actions
-    // dispatch to the registered backend.
-    ccv_enum::install_api_backend();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{}", commands::USAGE);

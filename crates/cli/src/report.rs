@@ -8,8 +8,8 @@
 //! counterexample paths and the shortest executable violation
 //! scenario.
 
-use ccv_core::{analyze_recovery, Tolerance, Verdict, VerificationReport};
-use ccv_enum::{find_state_witness, find_violation_witness};
+use ccv_core::{analyze_recovery, find_state_witness, Tolerance, Verdict, VerificationReport};
+use ccv_enum::find_violation_witness;
 use ccv_model::{CData, GlobalCtx, ProcEvent, ProtocolSpec};
 use ccv_observe::{Counter, MetricsSnapshot};
 use std::fmt::Write as _;
@@ -110,7 +110,7 @@ fn format_nanos(nanos: u64) -> String {
 
 /// Renders the full markdown dossier for `spec` from an
 /// already-computed verification report (build one with
-/// [`ccv_core::Session`]).
+/// [`ccv_core::verify()`]).
 pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
     let mut md = String::new();
 
@@ -140,7 +140,7 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
             cc.n,
             cc.covered,
             cc.total_concrete,
-            if cc.complete {
+            if cc.complete() {
                 "complete"
             } else {
                 "INCOMPLETE"
@@ -357,13 +357,11 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccv_core::Session;
+    use ccv_core::verify;
     use ccv_model::protocols;
 
     fn render(spec: ProtocolSpec) -> String {
-        let session = Session::new(spec);
-        let v = session.verify();
-        protocol_report(session.spec(), &v)
+        protocol_report(&spec, &verify(&spec))
     }
 
     #[test]
@@ -396,17 +394,17 @@ mod tests {
 
     #[test]
     fn crosscheck_summary_appears_when_attached() {
-        let session = Session::new(protocols::illinois());
-        let mut v = session.verify();
-        ccv_enum::attach_crosscheck(
-            session.spec(),
+        let spec = protocols::illinois();
+        let mut v = verify(&spec);
+        ccv_core::attach_crosscheck(
+            &spec,
             &mut v,
             3,
             1 << 20,
             false,
             &ccv_observe::SinkHandle::disabled(),
         );
-        let md = protocol_report(session.spec(), &v);
+        let md = protocol_report(&spec, &v);
         assert!(md.contains("Theorem 1 crosscheck (n=3)"), "{md}");
         assert!(md.contains("complete"));
     }

@@ -17,33 +17,36 @@
 //! cancellation token and the observability sink — ride in a
 //! [`RunContext`] beside the request.
 //!
+//! [`SessionRunner::run`] serves every action: verify through this
+//! crate's symbolic engine, enumerate through `ccv-enum`'s sequential
+//! or work-stealing enumerator, and crosscheck through
+//! [`crosscheck`](mod@crate::crosscheck).
+//!
 //! ```
-//! use ccv_core::api::{Request, ProtocolSource, Payload};
-//! use ccv_core::Session;
+//! use ccv_core::api::{Payload, ProtocolSource, Request, RunContext, SessionRunner};
 //!
 //! let req = Request::verify(ProtocolSource::Name("illinois".into()));
-//! let resp = Session::run(&req);
+//! let resp = SessionRunner::new().run(&req, &RunContext::default());
 //! match resp.result {
 //!     Ok(Payload::Verify(v)) => assert_eq!(v.report.num_essential(), 5),
 //!     other => panic!("unexpected: {other:?}"),
 //! }
 //! ```
 //!
-//! ## The enumeration backend
-//!
-//! `ccv-enum` depends on this crate, so the explicit-state engines
-//! cannot be called from here directly. The [`EnumBackend`] trait
-//! inverts the dependency: `ccv-enum` implements it and installs the
-//! implementation through [`install_enum_backend`] (one process-wide
-//! [`OnceLock`]), after which [`SessionRunner::run`] serves
-//! enumerate/crosscheck requests too. Without an installed backend
-//! those actions answer with a well-formed `unsupported` error.
+//! Everything that would *panic* in the enumerators (cache counts
+//! outside the packed encoding, protocols with too many states) is
+//! validated first and reported as a well-formed `bad_request` error —
+//! a daemon serving untrusted requests must never fall over.
 
-use std::sync::{Arc, OnceLock};
+use std::path::Path;
 use std::time::Duration;
 
+use crate::crosscheck::crosscheck_with;
 use crate::engine::{EngineScratch, Options, Pruning};
 use crate::verify::{verify_with_scratch, Outcome, Verdict, VerificationReport};
+use ccv_enum::{
+    enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, SpillConfig, MAX_CACHES,
+};
 use ccv_model::ProtocolSpec;
 use ccv_observe::{CancelToken, Json, SinkHandle, StopInfo};
 
@@ -175,7 +178,8 @@ pub struct RequestOptions {
     /// Distinct-state cap for enumerate (also the concrete-state
     /// budget of the crosscheck's enumeration leg).
     pub max_states: Option<usize>,
-    /// Test hook: panic enumeration worker 0 after this many visits.
+    /// Test hook: panic the enumeration worker whose expansion brings
+    /// the run's total visits to this many.
     pub inject_panic: Option<usize>,
     /// Write a resumable checkpoint here if the run stops early
     /// (server deployments may refuse file-touching options).
@@ -546,8 +550,8 @@ pub enum ErrorCode {
     BadRequest,
     /// The protocol could not be resolved (unknown name, DSL error).
     BadProtocol,
-    /// The request is valid but this endpoint cannot serve it
-    /// (no enumeration backend, file options over a wire…).
+    /// The request is valid but this endpoint cannot serve it (file
+    /// options sent to a daemon that refuses them).
     Unsupported,
     /// The server's admission queue is full; retry later.
     Busy,
@@ -1150,89 +1154,71 @@ pub fn essential_states_json(
     ])
 }
 
-/// The explicit-state engines, seen from below.
-///
-/// `ccv-enum` depends on this crate, so the unified runner reaches
-/// enumeration through this trait instead of a direct call. The
-/// methods mirror the engines' entry points but speak in the neutral
-/// request/response types: implementations resolve thread counts,
-/// load and save checkpoints, and pre-render states.
-pub trait EnumBackend: Send + Sync {
-    /// Runs an explicit-state enumeration for `req`.
-    fn enumerate(
-        &self,
-        spec: &ProtocolSpec,
-        req: &Request,
-        ctx: &RunContext,
-    ) -> Result<EnumerateResponse, ApiError>;
-
-    /// Attaches a Theorem 1 crosscheck to a fresh verification
-    /// `report` of `spec`.
-    fn crosscheck(
-        &self,
-        spec: &ProtocolSpec,
-        report: &mut VerificationReport,
-        req: &Request,
-        ctx: &RunContext,
-    ) -> Result<CrosscheckResponse, ApiError>;
-
-    /// True if this backend's engines understand transient states and
-    /// multi-phase transitions. Defaults to `false`: a backend that
-    /// predates the non-atomic model is never handed a split protocol
-    /// — the session answers `unsupported` instead of risking a panic
-    /// or a silently wrong enumeration.
-    fn supports_non_atomic(&self) -> bool {
-        false
+/// Rejects parameters the packed enumerators would panic on.
+fn check_limits(spec: &ProtocolSpec, n: usize) -> Result<(), ApiError> {
+    if !(1..=MAX_CACHES).contains(&n) {
+        return Err(ApiError::bad_request(format!(
+            "n must be in 1..={MAX_CACHES} (got {n})"
+        )));
     }
+    if spec.num_states() > 16 {
+        return Err(ApiError::bad_request(format!(
+            "protocol '{}' has {} states; the packed encoding supports at most 16",
+            spec.name(),
+            spec.num_states()
+        )));
+    }
+    Ok(())
 }
 
-static ENUM_BACKEND: OnceLock<Arc<dyn EnumBackend>> = OnceLock::new();
-
-/// Installs the process-wide enumeration backend. The first install
-/// wins; later calls are ignored (idempotent by design, so tests and
-/// long-lived processes may call it freely).
-pub fn install_enum_backend(backend: Arc<dyn EnumBackend>) {
-    let _ = ENUM_BACKEND.set(backend);
-}
-
-/// The installed enumeration backend, if any.
-pub fn enum_backend() -> Option<Arc<dyn EnumBackend>> {
-    ENUM_BACKEND.get().cloned()
+/// Builds the enumerator options a request asks for.
+fn enum_options(req: &Request, ctx: &RunContext) -> Result<EnumOptions, ApiError> {
+    let o = &req.options;
+    let mut opts = EnumOptions::new(o.n)
+        .sink(ctx.sink.clone())
+        .rule_stats(o.rule_stats)
+        .stop_at_first_error(o.stop_at_first_error)
+        .cancel(ctx.cancel.clone());
+    if let Some(plan) = &o.fault_plan {
+        let fault = ccv_observe::FaultHandle::from_spec(plan)
+            .map_err(|e| ApiError::bad_request(format!("invalid fault_plan: {e}")))?;
+        opts.common = opts.common.fault(fault);
+    }
+    if o.exact {
+        opts = opts.exact();
+    }
+    if let Some(max) = o.max_states {
+        opts = opts.max_states(max);
+    }
+    if let Some(deadline) = o.deadline {
+        opts = opts.deadline(deadline);
+    }
+    if let Some(max_bytes) = o.max_bytes {
+        opts = opts.max_bytes(max_bytes);
+    }
+    if let Some(k) = o.inject_panic {
+        opts = opts.inject_panic(k);
+    }
+    if o.checkpoint_out.is_some() {
+        opts = opts.capture_snapshot(true);
+    }
+    if let Some(dir) = &o.spill_dir {
+        opts = opts.spill(SpillConfig::new(Path::new(dir), o.spill_threshold));
+    }
+    Ok(opts)
 }
 
 /// The unified runner: owns an [`EngineScratch`] recycled across
-/// requests (a long-lived server worker keeps one) and an optional
-/// explicit [`EnumBackend`] (defaults to the installed one).
-#[derive(Default)]
+/// requests (a long-lived server worker keeps one).
+#[derive(Debug, Default)]
 pub struct SessionRunner {
     scratch: EngineScratch,
-    backend: Option<Arc<dyn EnumBackend>>,
-}
-
-impl std::fmt::Debug for SessionRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionRunner")
-            .field("backend", &self.backend.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl SessionRunner {
-    /// A runner using the globally installed backend (if any).
+    /// A runner with fresh engine scratch.
     pub fn new() -> SessionRunner {
         SessionRunner::default()
-    }
-
-    /// A runner with an explicit enumeration backend.
-    pub fn with_backend(backend: Arc<dyn EnumBackend>) -> SessionRunner {
-        SessionRunner {
-            scratch: EngineScratch::new(),
-            backend: Some(backend),
-        }
-    }
-
-    fn backend(&self) -> Option<Arc<dyn EnumBackend>> {
-        self.backend.clone().or_else(enum_backend)
     }
 
     /// Runs one request to completion and returns the response.
@@ -1245,28 +1231,10 @@ impl SessionRunner {
         };
         let result = match req.action {
             Action::Verify => Ok(Payload::Verify(Box::new(self.run_verify(spec, req, ctx)))),
-            Action::Enumerate => match self.backend() {
-                Some(backend) if !backend_supports(&*backend, &spec) => {
-                    Err(non_atomic_unsupported(&spec))
-                }
-                Some(backend) => backend.enumerate(&spec, req, ctx).map(Payload::Enumerate),
-                None => Err(no_backend()),
-            },
-            Action::Crosscheck => match self.backend() {
-                Some(backend) if !backend_supports(&*backend, &spec) => {
-                    Err(non_atomic_unsupported(&spec))
-                }
-                Some(backend) => {
-                    let opts = Options::default()
-                        .sink(ctx.sink.clone())
-                        .cancel(ctx.cancel.clone());
-                    let mut report = verify_with_scratch(&spec, &opts, &mut self.scratch);
-                    backend
-                        .crosscheck(&spec, &mut report, req, ctx)
-                        .map(Payload::Crosscheck)
-                }
-                None => Err(no_backend()),
-            },
+            Action::Enumerate => self.run_enumerate(&spec, req, ctx).map(Payload::Enumerate),
+            Action::Crosscheck => self
+                .run_crosscheck(&spec, req, ctx)
+                .map(Payload::Crosscheck),
         };
         Response {
             action: req.action,
@@ -1306,90 +1274,159 @@ impl SessionRunner {
             report,
         }
     }
-}
 
-fn no_backend() -> ApiError {
-    ApiError::unsupported(
-        "no enumeration backend installed (call ccv_enum::install_api_backend() first)",
-    )
-}
+    fn run_enumerate(
+        &self,
+        spec: &ProtocolSpec,
+        req: &Request,
+        ctx: &RunContext,
+    ) -> Result<EnumerateResponse, ApiError> {
+        let o = &req.options;
+        check_limits(spec, o.n)?;
+        let opts = enum_options(req, ctx)?;
+        let (seed, resumed) = match &o.resume {
+            Some(path) => {
+                // A checkpoint that fails validation (torn write, bit
+                // rot) is quarantined aside, never silently trusted.
+                let ckpt =
+                    Checkpoint::load_or_quarantine(Path::new(path)).map_err(ApiError::internal)?;
+                ckpt.validate(spec, &opts).map_err(ApiError::internal)?;
+                let info = ResumeInfo {
+                    path: path.clone(),
+                    visited: ckpt.visited.len(),
+                    frontier: ckpt.frontier.len(),
+                    visits: ckpt.visits,
+                };
+                (Some(ckpt.into_seed()), Some(info))
+            }
+            None => (None, None),
+        };
+        let requested = o.threads;
+        // 0 = auto: one worker per core the scheduler grants us. A
+        // spill-backed visited table is owned by the sequential
+        // engine, so spill runs are single-threaded: an explicit
+        // multi-thread request alongside a spill directory is a
+        // contradiction we refuse rather than silently resolve, and
+        // an auto request is resolved to one worker with a warning.
+        let mut warnings: Vec<String> = Vec::new();
+        let threads = if opts.spill.is_some() {
+            if requested > 1 {
+                return Err(ApiError::bad_request(format!(
+                    "--spill-dir runs are sequential (the spill-backed visited \
+                     table is single-owner); drop --threads {requested} or the \
+                     spill directory"
+                )));
+            }
+            if requested == 0 {
+                warnings.push(
+                    "--spill-dir forces a sequential run; --threads auto resolved to 1".to_string(),
+                );
+            }
+            1
+        } else if requested == 0 {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            requested
+        };
+        let r = if threads > 1 {
+            enumerate_parallel_resumed(spec, &opts, threads, seed)
+        } else {
+            enumerate_resumed(spec, &opts, seed)
+        };
+        if let Some(degraded) = &r.spill_degraded {
+            warnings.push(format!(
+                "spill degraded to in-RAM operation: {degraded} — results are \
+                 exact but the memory bound was lost"
+            ));
+        }
+        let checkpoint = match &o.checkpoint_out {
+            Some(path) => {
+                let written = match Checkpoint::of_result(spec, &opts, &r) {
+                    Some(ckpt) => {
+                        ckpt.save_with(Path::new(path), &opts.common.fault)
+                            .map_err(|e| {
+                                ApiError::internal(format!("writing checkpoint {path}: {e}"))
+                            })?;
+                        true
+                    }
+                    None => false,
+                };
+                Some(CheckpointOutcome {
+                    path: path.clone(),
+                    written,
+                })
+            }
+            None => None,
+        };
+        Ok(EnumerateResponse {
+            protocol: spec.name().to_string(),
+            n: o.n,
+            exact: o.exact,
+            threads,
+            auto_threads: requested == 0,
+            distinct: r.distinct,
+            visits: r.visits,
+            truncated: r.truncated,
+            stopped: r.stopped.clone(),
+            errors: r
+                .errors
+                .iter()
+                .map(|e| EnumErrorInfo {
+                    state: e.state.render(o.n, spec),
+                    descriptions: e.descriptions.clone(),
+                })
+                .collect(),
+            resumed,
+            checkpoint,
+            warnings,
+        })
+    }
 
-/// An atomic-only backend is never handed a split protocol.
-fn backend_supports(backend: &dyn EnumBackend, spec: &ProtocolSpec) -> bool {
-    !spec.has_transients() || backend.supports_non_atomic()
-}
-
-fn non_atomic_unsupported(spec: &ProtocolSpec) -> ApiError {
-    ApiError::unsupported(format!(
-        "protocol '{}' has transient states; the installed enumeration \
-         backend only supports atomic protocols",
-        spec.name()
-    ))
+    fn run_crosscheck(
+        &mut self,
+        spec: &ProtocolSpec,
+        req: &Request,
+        ctx: &RunContext,
+    ) -> Result<CrosscheckResponse, ApiError> {
+        let o = &req.options;
+        check_limits(spec, o.n)?;
+        let opts = Options::default()
+            .sink(ctx.sink.clone())
+            .cancel(ctx.cancel.clone());
+        let report = verify_with_scratch(spec, &opts, &mut self.scratch);
+        let essential = report.expansion.essential_states();
+        let budget = o.max_states.unwrap_or(1 << 24);
+        let cc = crosscheck_with(
+            spec,
+            o.n,
+            &essential,
+            budget,
+            o.stop_at_first_error,
+            &ctx.sink,
+        );
+        Ok(CrosscheckResponse {
+            protocol: spec.name().to_string(),
+            n: o.n,
+            essential: essential.len(),
+            total_concrete: cc.total_concrete,
+            covered: cc.covered,
+            complete: cc.complete(),
+            uncovered_examples: cc.uncovered_examples,
+            aborted: cc.aborted,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Session;
-    use ccv_model::protocols::illinois;
+    use crate::crosscheck::crosscheck;
+    use ccv_enum::enumerate;
+    use ccv_model::protocols::{illinois, split_msi};
 
-    /// A backend stuck in the atomic era: it keeps the default
-    /// `supports_non_atomic` and must never see a split protocol.
-    struct AtomicOnlyBackend;
-
-    impl EnumBackend for AtomicOnlyBackend {
-        fn enumerate(
-            &self,
-            spec: &ProtocolSpec,
-            _req: &Request,
-            _ctx: &RunContext,
-        ) -> Result<EnumerateResponse, ApiError> {
-            assert!(
-                !spec.has_transients(),
-                "an atomic-only backend was handed a split protocol"
-            );
-            Err(ApiError::internal("stub"))
-        }
-
-        fn crosscheck(
-            &self,
-            spec: &ProtocolSpec,
-            _report: &mut VerificationReport,
-            _req: &Request,
-            _ctx: &RunContext,
-        ) -> Result<CrosscheckResponse, ApiError> {
-            assert!(
-                !spec.has_transients(),
-                "an atomic-only backend was handed a split protocol"
-            );
-            Err(ApiError::internal("stub"))
-        }
-    }
-
-    #[test]
-    fn atomic_only_backends_never_see_split_protocols() {
-        let split = ccv_model::protocols::split_msi();
-        let mut runner = SessionRunner::with_backend(Arc::new(AtomicOnlyBackend));
-        for req in [
-            Request::enumerate(ProtocolSource::Spec(split.clone()), 2),
-            Request::crosscheck(ProtocolSource::Spec(split.clone()), 2),
-        ] {
-            let resp = runner.run(&req, &RunContext::default());
-            match resp.result {
-                Err(e) => {
-                    assert_eq!(e.code, ErrorCode::Unsupported, "{:?}", req.action);
-                    assert!(e.message.contains("transient"), "{}", e.message);
-                }
-                Ok(_) => panic!("{:?} must be refused", req.action),
-            }
-        }
-        // Verification is in-crate and fully non-atomic-aware; the
-        // backend gate must not block it.
-        let resp = runner.run(
-            &Request::verify(ProtocolSource::Spec(split)),
-            &RunContext::default(),
-        );
-        assert!(resp.result.is_ok(), "verify is backend-independent");
+    /// One request through a bare runner: no install step, no setup.
+    fn run(req: &Request) -> Response {
+        SessionRunner::new().run(req, &RunContext::default())
     }
 
     #[test]
@@ -1441,7 +1478,7 @@ mod tests {
     #[test]
     fn unknown_protocol_is_bad_protocol() {
         let req = Request::verify(ProtocolSource::Name("nonesuch".into()));
-        let resp = Session::run(&req);
+        let resp = run(&req);
         match resp.result {
             Err(e) => {
                 assert_eq!(e.code, ErrorCode::BadProtocol);
@@ -1454,8 +1491,8 @@ mod tests {
     #[test]
     fn run_verify_matches_session_verify() {
         let req = Request::verify(ProtocolSource::Spec(illinois()));
-        let resp = Session::run(&req);
-        let direct = Session::new(illinois()).verify();
+        let resp = run(&req);
+        let direct = crate::verify(&illinois());
         match resp.result {
             Ok(Payload::Verify(v)) => {
                 assert_eq!(v.report.verdict, direct.verdict);
@@ -1464,7 +1501,7 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(Session::run(&req).is_conclusive());
+        assert!(run(&req).is_conclusive());
     }
 
     #[test]
@@ -1495,7 +1532,7 @@ mod tests {
             budget: Some(3),
             ..RequestOptions::default()
         });
-        let resp = Session::run(&req);
+        let resp = run(&req);
         assert!(!resp.is_conclusive());
         let body = resp.to_json();
         assert_eq!(
@@ -1531,5 +1568,250 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert!(ProgressEvent::from_json(&Json::Null).is_none());
+    }
+
+    /// Runs enumerate and crosscheck requests for `spec` at `n` through
+    /// a bare runner and checks them against direct engine calls.
+    fn assert_requests_match_direct_runs(spec: &ProtocolSpec, n: usize) {
+        let req =
+            Request::enumerate(ProtocolSource::Spec(spec.clone()), n).options(RequestOptions {
+                n,
+                threads: 1,
+                ..RequestOptions::default()
+            });
+        let direct = enumerate(spec, &EnumOptions::new(n));
+        match run(&req).result {
+            Ok(Payload::Enumerate(e)) => {
+                assert_eq!(e.distinct, direct.distinct, "{}", spec.name());
+                assert_eq!(e.visits, direct.visits, "{}", spec.name());
+                assert_eq!(e.threads, 1);
+                assert!(!e.auto_threads);
+                assert!(e.errors.is_empty(), "{}", spec.name());
+                assert!(e.stopped.is_none());
+            }
+            other => panic!("{}: unexpected {other:?}", spec.name()),
+        }
+
+        let exp = crate::engine::expand(spec, &Options::default());
+        let direct = crosscheck(spec, n, &exp.essential_states(), 1 << 24);
+        let req = Request::crosscheck(ProtocolSource::Spec(spec.clone()), n);
+        match run(&req).result {
+            Ok(Payload::Crosscheck(c)) => {
+                assert_eq!(c.total_concrete, direct.total_concrete, "{}", spec.name());
+                assert_eq!(c.covered, direct.covered, "{}", spec.name());
+                assert_eq!(c.complete, direct.complete(), "{}", spec.name());
+                assert!(c.complete, "{}: Theorem 1 at n={n}", spec.name());
+            }
+            other => panic!("{}: unexpected {other:?}", spec.name()),
+        }
+    }
+
+    #[test]
+    fn enumerate_request_matches_direct_run() {
+        assert_requests_match_direct_runs(&illinois(), 3);
+    }
+
+    #[test]
+    fn spill_request_routes_to_the_sequential_engine() {
+        let dir = std::env::temp_dir().join(format!("ccv-api-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 4).options(RequestOptions {
+            n: 4,
+            threads: 0, // auto — spill must still force 1
+            exact: true,
+            spill_dir: Some(dir.to_string_lossy().into_owned()),
+            spill_threshold: Some(256),
+            ..RequestOptions::default()
+        });
+        let resp = run(&req);
+        let direct = enumerate(&illinois(), &EnumOptions::new(4).exact());
+        match resp.result {
+            Ok(Payload::Enumerate(e)) => {
+                assert_eq!(e.threads, 1, "spill runs are sequential");
+                assert_eq!(e.distinct, direct.distinct);
+                assert_eq!(e.visits, direct.visits);
+                assert_eq!(e.warnings.len(), 1, "auto threads + spill warns");
+                assert!(e.warnings[0].contains("sequential"), "{:?}", e.warnings);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert!(std::fs::read_dir(&dir).unwrap().count() > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn spill_with_explicit_threads_is_a_bad_request() {
+        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
+            n: 3,
+            threads: 4,
+            spill_dir: Some("/tmp/ccv-never-created".into()),
+            ..RequestOptions::default()
+        });
+        let resp = run(&req);
+        match resp.result {
+            Err(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest);
+                assert!(e.message.contains("sequential"), "{}", e.message);
+            }
+            Ok(_) => panic!("spill + --threads 4 must be rejected"),
+        }
+        assert!(
+            !std::path::Path::new("/tmp/ccv-never-created").exists(),
+            "rejected before the spill directory is created"
+        );
+    }
+
+    #[test]
+    fn spill_with_explicit_single_thread_runs_without_warning() {
+        let dir = std::env::temp_dir().join(format!("ccv-api-spill1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
+            n: 3,
+            threads: 1, // explicitly sequential: nothing to warn about
+            spill_dir: Some(dir.to_string_lossy().into_owned()),
+            spill_threshold: Some(256),
+            ..RequestOptions::default()
+        });
+        let resp = run(&req);
+        match resp.result {
+            Ok(Payload::Enumerate(e)) => {
+                assert_eq!(e.threads, 1);
+                assert!(e.warnings.is_empty(), "{:?}", e.warnings);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn malformed_fault_plan_is_a_bad_request() {
+        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
+            n: 3,
+            threads: 1,
+            fault_plan: Some("spill.flush:unknownkind".into()),
+            ..RequestOptions::default()
+        });
+        let resp = run(&req);
+        match resp.result {
+            Err(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest);
+                assert!(e.message.contains("fault_plan"), "{}", e.message);
+            }
+            Ok(_) => panic!("bad fault plan must be rejected"),
+        }
+    }
+
+    #[test]
+    fn spill_degradation_surfaces_as_a_warning() {
+        let dir = std::env::temp_dir().join(format!("ccv-api-degrade-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 4).options(RequestOptions {
+            n: 4,
+            threads: 1,
+            exact: true,
+            spill_dir: Some(dir.to_string_lossy().into_owned()),
+            spill_threshold: Some(256),
+            fault_plan: Some("spill.flush:io".into()),
+            ..RequestOptions::default()
+        });
+        let resp = run(&req);
+        let direct = enumerate(&illinois(), &EnumOptions::new(4).exact());
+        match resp.result {
+            Ok(Payload::Enumerate(e)) => {
+                // Degraded, but exact: the verdict is unchanged.
+                assert_eq!(e.distinct, direct.distinct);
+                assert!(e.errors.is_empty());
+                assert!(
+                    e.warnings.iter().any(|w| w.contains("spill degraded")),
+                    "{:?}",
+                    e.warnings
+                );
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn injected_worker_panic_yields_a_contained_stop() {
+        for threads in [1usize, 4] {
+            let req =
+                Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
+                    n: 3,
+                    threads,
+                    fault_plan: Some("enum.worker:panic@5".into()),
+                    ..RequestOptions::default()
+                });
+            let resp = run(&req);
+            match resp.result {
+                Ok(Payload::Enumerate(e)) => {
+                    assert!(e.truncated, "threads={threads}");
+                    let stopped = e.stopped.expect("stop info");
+                    assert_eq!(
+                        stopped.cause,
+                        ccv_observe::StopCause::WorkerPanic,
+                        "threads={threads}"
+                    );
+                }
+                other => panic!("threads={threads}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_atomic_protocols_enumerate_through_the_api() {
+        let spec = split_msi();
+        assert_requests_match_direct_runs(&spec, 3);
+        // Verification is transient-aware too.
+        match run(&Request::verify(ProtocolSource::Spec(spec))).result {
+            Ok(Payload::Verify(v)) => assert_eq!(v.report.verdict, Verdict::Verified),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crosscheck_request_reports_theorem_1() {
+        let req = Request::crosscheck(ProtocolSource::Spec(illinois()), 3);
+        let resp = run(&req);
+        match resp.result {
+            Ok(Payload::Crosscheck(c)) => {
+                assert!(c.complete);
+                assert_eq!(c.covered, c.total_concrete);
+                assert_eq!(c.essential, 5);
+                assert!(c.aborted.is_none());
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_n_is_rejected_not_panicked_on() {
+        for n in [0, MAX_CACHES + 1] {
+            let req = Request::enumerate(ProtocolSource::Spec(illinois()), n);
+            let resp = run(&req);
+            match resp.result {
+                Err(e) => assert_eq!(e.code, ErrorCode::BadRequest, "n={n}"),
+                Ok(_) => panic!("n={n} should be rejected"),
+            }
+        }
+    }
+
+    #[test]
+    fn missing_resume_file_is_a_well_formed_error() {
+        let req = Request {
+            action: Action::Enumerate,
+            protocol: ProtocolSource::Spec(illinois()),
+            options: RequestOptions {
+                n: 3,
+                resume: Some("/nonexistent/checkpoint.ccvk".into()),
+                ..RequestOptions::default()
+            },
+            stream: false,
+        };
+        let resp = run(&req);
+        match resp.result {
+            Err(e) => assert_eq!(e.code, ErrorCode::Internal),
+            Ok(_) => panic!("expected an error"),
+        }
     }
 }

@@ -15,6 +15,12 @@
 //! state interpretations, §2.1 of the paper) or in its data aspects
 //! (a load that can return a stale value, Definitions 3–4).
 //!
+//! The crate also sits above `ccv-enum`'s explicit-state
+//! enumerators: [`crosscheck`](mod@crosscheck) checks Theorem 1
+//! against their reachable sets, and [`api::SessionRunner`] serves
+//! verify, enumerate and crosscheck requests by calling either engine
+//! directly.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -51,7 +57,9 @@
 //! | [`reference`](mod@reference) | retained naive engine — differential-test oracle |
 //! | [`graph`] | global transition diagram (Fig. 4) + DOT export |
 //! | [`verify`](mod@verify) | bundled verification reports |
-//! | [`session`] | builder façade + batch verification sessions |
+//! | [`session`] | batch verification sessions |
+//! | [`crosscheck`](mod@crosscheck) | Theorem 1 check against `ccv-enum`'s explicit states |
+//! | [`api`] | versioned request/response API and its runner, [`SessionRunner`] |
 //!
 //! ## Observability
 //!
@@ -62,14 +70,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use ccv_core::Session;
+//! use ccv_core::{verify_with, EventSink, Options};
 //! use ccv_model::protocols;
 //! use ccv_observe::{Counter, Metrics};
 //!
 //! let metrics = Arc::new(Metrics::new());
-//! let report = Session::new(protocols::illinois())
-//!     .sink(metrics.clone())
-//!     .verify();
+//! let opts = Options::default().sink(metrics.clone() as Arc<dyn EventSink>);
+//! let report = verify_with(&protocols::illinois(), &opts);
 //! assert_eq!(metrics.snapshot().counter(Counter::Visits), 22);
 //! ```
 
@@ -81,6 +88,7 @@ pub mod api;
 pub mod check;
 pub mod compare;
 pub mod composite;
+pub mod crosscheck;
 pub mod engine;
 pub mod expand;
 pub mod fval;
@@ -96,14 +104,18 @@ pub mod small;
 pub mod verify;
 
 pub use api::{
-    essential_states_json, install_enum_backend, Action, ApiError, CheckpointOutcome,
-    CrosscheckResponse, EnumBackend, EnumErrorInfo, EnumerateResponse, ErrorCode, Payload,
-    ProgressEvent, ProtocolSource, Request, RequestOptions, Response, ResumeInfo, RunContext,
-    SessionRunner, VerifyResponse, REQUEST_SCHEMA, RESPONSE_SCHEMA,
+    essential_states_json, Action, ApiError, CheckpointOutcome, CrosscheckResponse, EnumErrorInfo,
+    EnumerateResponse, ErrorCode, Payload, ProgressEvent, ProtocolSource, Request, RequestOptions,
+    Response, ResumeInfo, RunContext, SessionRunner, VerifyResponse, REQUEST_SCHEMA,
+    RESPONSE_SCHEMA,
 };
 pub use check::{check as check_state, Violation};
 pub use compare::{compare_protocols, DiffReport, Role};
 pub use composite::{ClassKey, ClassSig, Composite, MAX_INLINE_CLASSES};
+pub use crosscheck::{
+    attach_crosscheck, concrete_covered_by, crosscheck, crosscheck_with, find_state_witness,
+    CrossCheck,
+};
 pub use engine::{
     expand as run_expansion, expand_from, expand_with, EngineScratch, Expansion, NodeId, Options,
     Pruning,
@@ -118,10 +130,9 @@ pub use intern::{CompositeArena, CompositeId};
 pub use recovery::{analyze_recovery, RecoveryCase, RecoveryReport, Tolerance};
 pub use reference::{reference_expand, reference_expand_from};
 pub use rep::{Interval, Rep};
-pub use session::{Batch, RunSummary, Session, Verifier};
+pub use session::{Batch, RunSummary};
 pub use verify::{
-    verify, verify_with, verify_with_scratch, CrosscheckSummary, ErrorReport, Outcome, Verdict,
-    Verification, VerificationReport,
+    verify, verify_with, verify_with_scratch, ErrorReport, Outcome, Verdict, VerificationReport,
 };
 
 // Re-exported so downstream users configure observability without a

@@ -1,17 +1,5 @@
-//! The library façade: one builder for a whole verification run, and
-//! batch sessions that amortise engine state across many runs.
-//!
-//! A [`Session`] owns a protocol spec and the engine options, and
-//! produces a [`VerificationReport`] — the
-//! same result type the CLI renders and the crosscheck annotates.
-//!
-//! ```
-//! use ccv_core::Session;
-//! use ccv_model::protocols::illinois;
-//!
-//! let report = Session::new(illinois()).verify();
-//! assert_eq!(report.num_essential(), 5);
-//! ```
+//! Batch verification sessions that amortise engine state across
+//! many runs.
 //!
 //! A [`Batch`] holds one [`EngineScratch`] — successor buffers, the
 //! containment index, a recycled composite arena — and threads it
@@ -24,92 +12,22 @@
 //! use ccv_model::protocols;
 //!
 //! let mut batch = Batch::new();
-//! let reports = batch.verify_many(&protocols::all_correct());
-//! assert!(reports.iter().all(|r| r.verdict == Verdict::Verified));
+//! for spec in protocols::all_correct() {
+//!     assert_eq!(batch.verify(&spec).verdict, Verdict::Verified);
+//! }
 //! ```
 //!
 //! Callers that only need verdicts and counts use
 //! [`Batch::summarize`], which additionally recycles the run's arena
-//! storage into the scratch pool. The [`Verifier`] trait abstracts
-//! over both entry styles so command implementations and test
-//! harnesses take "anything that can verify a protocol".
-
-use std::sync::Arc;
+//! storage into the scratch pool. One-shot runs call
+//! [`verify`](crate::verify()) or [`verify_with`](crate::verify_with)
+//! instead.
 
 use crate::composite::Composite;
 use crate::engine::{expand_with, EngineScratch, Options};
-use crate::verify::{verify_with, verify_with_scratch, Verdict, VerificationReport};
+use crate::verify::{verify_with_scratch, Verdict, VerificationReport};
 use ccv_model::ProtocolSpec;
-use ccv_observe::{EventSink, SinkHandle, StopInfo};
-
-/// A configured verification run over one protocol.
-#[derive(Clone, Debug)]
-pub struct Session {
-    spec: ProtocolSpec,
-    opts: Options,
-}
-
-impl Session {
-    /// A session over `spec` with default options.
-    pub fn new(spec: ProtocolSpec) -> Session {
-        Session {
-            spec,
-            opts: Options::default(),
-        }
-    }
-
-    /// Replaces the engine options wholesale.
-    pub fn options(mut self, opts: Options) -> Session {
-        self.opts = opts;
-        self
-    }
-
-    /// Attaches an observability sink (e.g. a
-    /// [`Metrics`](ccv_observe::Metrics) collector) to the run.
-    pub fn sink(mut self, sink: Arc<dyn EventSink>) -> Session {
-        self.opts.common.sink = SinkHandle::new(sink);
-        self
-    }
-
-    /// The protocol under verification.
-    pub fn spec(&self) -> &ProtocolSpec {
-        &self.spec
-    }
-
-    /// The effective engine options.
-    pub fn effective_options(&self) -> &Options {
-        &self.opts
-    }
-
-    /// Runs the symbolic verification and returns the report.
-    pub fn verify(&self) -> VerificationReport {
-        verify_with(&self.spec, &self.opts)
-    }
-
-    /// Converts the session into a [`Batch`] carrying its options, for
-    /// verifying further protocols with shared engine state.
-    pub fn into_batch(self) -> Batch {
-        Batch::with_options(self.opts)
-    }
-
-    /// Runs one unified-API request with default runtime context (a
-    /// fresh cancellation token, no sink). The one-shot counterpart of
-    /// [`crate::api::SessionRunner`]; see [`Session::run_with`] to
-    /// attach a token and a sink.
-    pub fn run(req: &crate::api::Request) -> crate::api::Response {
-        Session::run_with(req, &crate::api::RunContext::default())
-    }
-
-    /// Runs one unified-API request under an explicit
-    /// [`RunContext`](crate::api::RunContext) — the entry point the
-    /// CLI subcommands and `ccv serve` share.
-    pub fn run_with(
-        req: &crate::api::Request,
-        ctx: &crate::api::RunContext,
-    ) -> crate::api::Response {
-        crate::api::SessionRunner::new().run(req, ctx)
-    }
-}
+use ccv_observe::StopInfo;
 
 /// Verdict-level result of a summary-only batch run: what a library
 /// sweep needs, without the graph, the error renderings or the arena.
@@ -132,7 +50,8 @@ pub struct RunSummary {
 /// [`EngineScratch`] reused across every run.
 ///
 /// Verifying through a batch is observably identical to fresh
-/// [`Session`] runs — scratch reuse only recycles allocations.
+/// [`verify_with`](crate::verify_with) runs — scratch reuse only
+/// recycles allocations.
 #[derive(Debug, Default)]
 pub struct Batch {
     opts: Options,
@@ -153,24 +72,10 @@ impl Batch {
         }
     }
 
-    /// The engine options applied to every run.
-    pub fn effective_options(&self) -> &Options {
-        &self.opts
-    }
-
     /// Verifies one protocol through the shared scratch, returning the
     /// full report.
     pub fn verify(&mut self, spec: &ProtocolSpec) -> VerificationReport {
         verify_with_scratch(spec, &self.opts, &mut self.scratch)
-    }
-
-    /// Verifies every protocol in `specs`, in order, reusing the
-    /// shared scratch between runs.
-    pub fn verify_many<'s>(
-        &mut self,
-        specs: impl IntoIterator<Item = &'s ProtocolSpec>,
-    ) -> Vec<VerificationReport> {
-        specs.into_iter().map(|s| self.verify(s)).collect()
     }
 
     /// Expands one protocol and reduces the outcome to a
@@ -198,38 +103,17 @@ impl Batch {
     }
 }
 
-/// Anything that can verify a protocol and produce the standard
-/// report — implemented by [`Session`] (fresh engine state per run)
-/// and [`Batch`] (shared scratch). Command implementations, the
-/// crosscheck driver and the test harnesses are written against this
-/// trait so the two styles interchange freely.
-pub trait Verifier {
-    /// Verifies `spec` and returns the full report.
-    fn verify_protocol(&mut self, spec: &ProtocolSpec) -> VerificationReport;
-}
-
-impl Verifier for Session {
-    fn verify_protocol(&mut self, spec: &ProtocolSpec) -> VerificationReport {
-        verify_with(spec, &self.opts)
-    }
-}
-
-impl Verifier for Batch {
-    fn verify_protocol(&mut self, spec: &ProtocolSpec) -> VerificationReport {
-        self.verify(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::Verdict;
+    use crate::verify::{verify, verify_with};
     use ccv_model::protocols::{all_buggy, all_correct, illinois, illinois_missing_invalidation};
     use ccv_observe::{Counter, Gauge, Metrics, Phase};
+    use std::sync::Arc;
 
     #[test]
     fn session_defaults_match_verify() {
-        let report = Session::new(illinois()).verify();
+        let report = verify(&illinois());
         assert_eq!(report.verdict, Verdict::Verified);
         assert_eq!(report.num_essential(), 5);
         assert_eq!(report.visits(), 22);
@@ -239,7 +123,8 @@ mod tests {
     #[test]
     fn session_threads_sink_through_the_run() {
         let metrics = Arc::new(Metrics::new());
-        let report = Session::new(illinois()).sink(metrics.clone()).verify();
+        let opts = Options::default().sink(metrics.clone() as Arc<_>);
+        let report = verify_with(&illinois(), &opts);
         assert_eq!(report.verdict, Verdict::Verified);
 
         let snap = metrics.snapshot();
@@ -256,9 +141,10 @@ mod tests {
 
     #[test]
     fn session_reports_errors_with_options() {
-        let report = Session::new(illinois_missing_invalidation())
-            .options(Options::default().stop_at_first_error(true))
-            .verify();
+        let report = verify_with(
+            &illinois_missing_invalidation(),
+            &Options::default().stop_at_first_error(true),
+        );
         assert_eq!(report.verdict, Verdict::Erroneous);
         assert_eq!(report.reports.len(), 1);
     }
@@ -267,7 +153,7 @@ mod tests {
     fn batch_matches_fresh_sessions_across_the_library() {
         let mut batch = Batch::new();
         for spec in all_correct() {
-            let fresh = Session::new(spec.clone()).verify();
+            let fresh = verify(&spec);
             let batched = batch.verify(&spec);
             assert_eq!(batched.verdict, fresh.verdict, "{}", spec.name());
             assert_eq!(batched.visits(), fresh.visits(), "{}", spec.name());
@@ -281,22 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_many_preserves_order_and_verdicts() {
-        let specs = all_correct();
-        let reports = Batch::new().verify_many(&specs);
-        assert_eq!(reports.len(), specs.len());
-        for (spec, report) in specs.iter().zip(&reports) {
-            assert_eq!(report.protocol, spec.name());
-            assert_eq!(report.verdict, Verdict::Verified);
-        }
-    }
-
-    #[test]
     fn summarize_agrees_with_full_reports_and_recycles() {
         let mut batch = Batch::new();
         for spec in all_correct() {
             let summary = batch.summarize(&spec);
-            let full = Session::new(spec.clone()).verify();
+            let full = verify(&spec);
             assert_eq!(summary.verdict, full.verdict, "{}", spec.name());
             assert_eq!(summary.visits, full.visits(), "{}", spec.name());
             assert_eq!(summary.essential, full.num_essential(), "{}", spec.name());
@@ -304,17 +179,5 @@ mod tests {
         for (spec, _) in all_buggy() {
             assert_eq!(batch.summarize(&spec).verdict, Verdict::Erroneous);
         }
-    }
-
-    #[test]
-    fn verifier_trait_interchanges_session_and_batch() {
-        fn run(v: &mut dyn Verifier, spec: &ProtocolSpec) -> Verdict {
-            v.verify_protocol(spec).verdict
-        }
-        let spec = illinois();
-        let mut session = Session::new(spec.clone());
-        let mut batch = Session::new(spec.clone()).into_batch();
-        assert_eq!(run(&mut session, &spec), Verdict::Verified);
-        assert_eq!(run(&mut batch, &spec), Verdict::Verified);
     }
 }

@@ -6,6 +6,7 @@
 
 use crate::check::Violation;
 use crate::composite::Composite;
+use crate::crosscheck::CrossCheck;
 use crate::engine::{expand_with, EngineScratch, Expansion, Options};
 use crate::expand::StepError;
 use crate::graph::{global_graph, GlobalGraph};
@@ -129,24 +130,6 @@ pub struct ErrorReport {
     pub path: String,
 }
 
-/// Summary of a Theorem 1 crosscheck against the explicit enumeration
-/// at a fixed cache count `n`.
-///
-/// Plain data: the check itself runs in `ccv-enum` (which depends on
-/// this crate), and its helper attaches the summary to a
-/// [`VerificationReport`].
-#[derive(Clone, Debug)]
-pub struct CrosscheckSummary {
-    /// Number of caches enumerated.
-    pub n: usize,
-    /// Distinct concrete states reached by explicit enumeration.
-    pub total_concrete: usize,
-    /// How many of those are covered by some essential state.
-    pub covered: usize,
-    /// True iff every concrete state is covered (Theorem 1 holds).
-    pub complete: bool,
-}
-
 /// A complete verification report — the single result type shared by
 /// `verify`, the crosscheck and the CLI's report rendering.
 #[derive(Clone, Debug)]
@@ -165,11 +148,8 @@ pub struct VerificationReport {
     /// Rendered error findings (empty iff `verdict == Verified`).
     pub reports: Vec<ErrorReport>,
     /// Theorem 1 crosscheck result, when one was run and attached.
-    pub crosscheck: Option<CrosscheckSummary>,
+    pub crosscheck: Option<CrossCheck>,
 }
-
-/// Former name of [`VerificationReport`], kept for compatibility.
-pub type Verification = VerificationReport;
 
 impl VerificationReport {
     /// Number of essential states.

@@ -58,9 +58,10 @@ pub struct EnumOptions {
     /// [`EnumResult::snapshot`] when the run stops early, so it can be
     /// checkpointed and resumed.
     pub capture_snapshot: bool,
-    /// Test-only fault injection: the parallel engine's worker 0
-    /// panics once its visit tally reaches this value. Exercises the
-    /// pool's panic containment; ignored by the sequential engine.
+    /// Test-only fault injection: in the parallel engine, the worker
+    /// whose expansion brings the run's total visits to this value
+    /// panics. Exercises the pool's panic containment; ignored by the
+    /// sequential engine.
     pub panic_after: Option<usize>,
     /// Spill the visited table to disk segments past a resident-byte
     /// budget (out-of-core enumeration). Sequential engine only; the
@@ -144,8 +145,9 @@ impl EnumOptions {
         self
     }
 
-    /// Test hook: makes the parallel engine's worker 0 panic after
-    /// `visits` visits, to exercise panic containment.
+    /// Test hook: makes the parallel engine panic, on whichever worker
+    /// brings the run's total to `visits` visits, to exercise panic
+    /// containment.
     #[doc(hidden)]
     pub fn inject_panic(mut self, visits: usize) -> EnumOptions {
         self.panic_after = Some(visits);

@@ -12,15 +12,19 @@
 //!   parallel search (persistent worker pool + the [`visited`]
 //!   claim-once set) producing identical reachable sets, visit counts
 //!   and violation sets for any thread count;
-//! * [`crosscheck()`](crosscheck::crosscheck) — the Theorem 1 validation harness: every state
-//!   reached explicitly must be covered by a symbolic essential state
-//!   of `ccv-core`.
+//! * [`witness`] — breadth-first searches for the shortest concrete
+//!   scenario that ends in a violation or satisfies any other
+//!   predicate on a step.
 //!
 //! These engines exist to *measure* the state-space explosion the
 //! symbolic method avoids (experiment E4) and to cross-validate the
 //! two implementations against each other (experiment E7). They track
 //! the same augmented data-consistency variables (`cdata`/`mdata`,
 //! Definition 4) and detect the same violations.
+//!
+//! This crate sits below `ccv-core`: it knows nothing of symbolic
+//! states, and the Theorem 1 check that compares the two engines
+//! (`ccv_core::crosscheck`) lives above both.
 //!
 //! ```
 //! use ccv_enum::{enumerate, EnumOptions};
@@ -39,9 +43,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod api;
 pub mod checkpoint;
-pub mod crosscheck;
 pub mod explicit;
 pub mod fxhash;
 pub mod packed;
@@ -51,11 +53,7 @@ pub mod step;
 pub mod visited;
 pub mod witness;
 
-pub use api::{api_backend, install_api_backend};
 pub use checkpoint::{protocol_hash, Checkpoint, CHECKPOINT_SCHEMA};
-pub use crosscheck::{
-    attach_crosscheck, concrete_covered_by, crosscheck, crosscheck_with, CrossCheck,
-};
 pub use explicit::{
     enumerate, enumerate_resumed, naive_visit_estimate, raw_state_space, reachable_states, Dedup,
     EnumError, EnumOptions, EnumResult, EnumSnapshot, ResumeSeed,
@@ -69,4 +67,4 @@ pub use step::{
     ConcreteError, ConcreteStep, ErrorMask,
 };
 pub use visited::{AtomicVisited, ClaimStats};
-pub use witness::{find_state_witness, find_violation_witness, Witness, WitnessStep};
+pub use witness::{bfs_witness, find_violation_witness, Witness, WitnessStep};

@@ -91,9 +91,13 @@ struct Shared<'a> {
     /// The run's resource governor: deadline, memory cap, cancel
     /// token, first-stop-cause arbitration.
     gov: Governor,
-    /// Test-only fault injection: worker 0 panics once its visit count
-    /// reaches this threshold (see [`EnumOptions::inject_panic`]).
+    /// Test-only fault injection: the worker whose expansion brings the
+    /// run's total visits to this threshold panics (see
+    /// [`EnumOptions::inject_panic`]).
     panic_after: Option<usize>,
+    /// Visits counted towards `panic_after`; touched only while the
+    /// hook is armed.
+    hook_visits: AtomicUsize,
     /// Plan-driven fault injection (site `enum.worker`); the injected
     /// panic unwinds into the pool's regular containment.
     fault: FaultHandle,
@@ -355,12 +359,6 @@ fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &
         // checkpoint frontier), never half-expanded. The budget is
         // checked every expansion (one atomic read); the clock and
         // memory estimate only every `Governor::STRIDE`.
-        if let Some(k) = sh.panic_after {
-            if w == 0 && stats.visits >= k {
-                local.push(state);
-                panic!("injected worker fault (test hook, visits >= {k})");
-            }
-        }
         if sh.fault.is_enabled() {
             match sh.fault.fire("enum.worker") {
                 Some(FaultKind::Panic) => {
@@ -398,8 +396,20 @@ fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &
             sh.sink.sample(Track::Visited, sh.visited.len() as u64);
         }
         idle = 0;
+        let seen = stats.visits;
         expand(state, w, sh, local, &mut buf, stats);
         sh.pending.fetch_sub(1, Ordering::AcqRel);
+        if let Some(k) = sh.panic_after {
+            // Exactly one expansion carries the shared total across
+            // `k` (for `k = 0`, the first one). It has finished, so its
+            // successors already sit on the private stack and reach
+            // the frontier drain.
+            let added = stats.visits - seen;
+            let before = sh.hook_visits.fetch_add(added, Ordering::Relaxed);
+            if before < k.max(1) && before + added >= k {
+                panic!("injected worker fault (test hook, visits >= {k})");
+            }
+        }
     }
     if busy {
         spans += 1;
@@ -458,6 +468,7 @@ pub fn enumerate_parallel_resumed(
         visited: AtomicVisited::new(),
         gov: opts.common.governor(),
         panic_after: opts.panic_after,
+        hook_visits: AtomicUsize::new(0),
         fault: opts.common.fault.clone(),
         pending: AtomicUsize::new(0),
         stop: AtomicBool::new(false),

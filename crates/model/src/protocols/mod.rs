@@ -70,9 +70,8 @@ pub fn all_correct() -> Vec<ProtocolSpec> {
 }
 
 /// Constructs every correct **non-atomic** (split-transaction)
-/// protocol, in a stable order. Kept separate from [`all_correct`]:
-/// the atomic differential suites pin that set, and not every backend
-/// supports transient states.
+/// protocol, in a stable order. Kept separate from [`all_correct`]
+/// because the atomic differential suites pin that set.
 pub fn all_non_atomic() -> Vec<ProtocolSpec> {
     vec![split_msi(), split_mesi()]
 }

@@ -267,13 +267,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service with the given tunables. Installs the explicit-state
-    /// backend so enumerate/crosscheck requests are servable. When
-    /// `cache_dir` is set, persisted verdicts are reloaded here; a
+    /// A service with the given tunables. When `cache_dir` is set, persisted verdicts are reloaded here; a
     /// directory that cannot be used degrades the cache to memory-only
     /// (see [`Service::cache_degraded`]) instead of failing startup.
     pub fn new(config: ServerConfig) -> Arc<Service> {
-        ccv_enum::install_api_backend();
         let mut cache = VerdictCache::new(config.cache_shards, config.cache_capacity);
         let mut cache_recovery = None;
         let mut cache_degraded = None;

@@ -75,11 +75,10 @@ fn ndjson_round_trip(addr: std::net::SocketAddr, line: &str) -> (bool, String) {
     }
 }
 
-/// Runs `req` directly through the Session backend after applying the
+/// Runs `req` directly through a [`SessionRunner`] after applying the
 /// same server-side clamps, rendering the body exactly as the daemon
 /// does.
 fn direct_body(config: &ServerConfig, req: &Request) -> String {
-    ccv_enum::install_api_backend();
     let effective = config.admit(req).expect("request within caps");
     let ctx = RunContext::new(CancelToken::new(), SinkHandle::disabled());
     SessionRunner::new()
@@ -242,8 +241,8 @@ fn over_budget_request_is_inconclusive_and_leaves_others_untouched() {
 fn split_transaction_protocols_are_served_end_to_end() {
     // Satellite of the non-atomic model: a split protocol submitted
     // over real TCP must verify, enumerate, and crosscheck exactly
-    // like a direct run — the installed backend opts into non-atomic
-    // support, so no `unsupported` answer is acceptable here.
+    // like a direct run, so no `unsupported` answer is acceptable
+    // here.
     let config = ServerConfig::loopback();
     let server = spawn_server(config.clone());
     let addr = server.addr();

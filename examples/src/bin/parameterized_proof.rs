@@ -16,8 +16,8 @@
 //!
 //! Run: `cargo run --release -p ccv-examples --bin parameterized_proof`
 
-use ccv_core::{run_expansion, Options};
-use ccv_enum::{crosscheck, enumerate, EnumOptions};
+use ccv_core::{crosscheck, run_expansion, Options};
+use ccv_enum::{enumerate, EnumOptions};
 use ccv_model::protocols;
 
 fn main() {

@@ -15,8 +15,8 @@
 //! * the sequential and parallel enumerators must agree exactly;
 //! * the engines terminate within their budgets on every input.
 
-use ccv_core::{run_expansion, Options};
-use ccv_enum::{crosscheck, enumerate, enumerate_parallel, EnumOptions};
+use ccv_core::{crosscheck, run_expansion, Options};
+use ccv_enum::{enumerate, enumerate_parallel, EnumOptions};
 use ccv_tests::random_protocol;
 
 fn seeds() -> std::ops::Range<u64> {

@@ -2,8 +2,8 @@
 //! sequential enumerator, the parallel enumerator and the trace
 //! simulator must tell one consistent story.
 
-use ccv_core::{run_expansion, Options};
-use ccv_enum::{crosscheck, enumerate, enumerate_parallel, Dedup, EnumOptions, EnumResult};
+use ccv_core::{crosscheck, run_expansion, Options};
+use ccv_enum::{enumerate, enumerate_parallel, Dedup, EnumOptions, EnumResult};
 use ccv_model::protocols::{all_buggy, all_correct, illinois};
 use ccv_model::StateAttrs;
 

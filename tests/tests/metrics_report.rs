@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use ccv_core::Session;
-use ccv_enum::{attach_crosscheck, enumerate, enumerate_parallel, EnumOptions};
+use ccv_core::{attach_crosscheck, verify, verify_with, Options};
+use ccv_enum::{enumerate, enumerate_parallel, EnumOptions};
 use ccv_model::protocols;
 use ccv_observe::{Counter, EventSink, Gauge, Json, Metrics, Phase, SinkHandle};
 use ccv_sim::{workload, Machine, MachineConfig, WorkloadParams};
@@ -20,9 +20,10 @@ fn sink_of(metrics: &Arc<Metrics>) -> Arc<dyn EventSink> {
 #[test]
 fn symbolic_metrics_json_reports_the_papers_numbers() {
     let metrics = Arc::new(Metrics::new());
-    let report = Session::new(protocols::illinois())
-        .sink(sink_of(&metrics))
-        .verify();
+    let report = verify_with(
+        &protocols::illinois(),
+        &Options::default().sink(sink_of(&metrics)),
+    );
     assert_eq!(report.visits(), 22);
 
     let json_text = metrics.snapshot().to_json().render();
@@ -116,10 +117,10 @@ fn parallel_enumeration_reports_workers_and_the_same_totals() {
 #[test]
 fn crosscheck_metrics_report_class_sizes() {
     let metrics = Arc::new(Metrics::new());
-    let session = Session::new(protocols::illinois());
-    let mut report = session.verify();
+    let spec = protocols::illinois();
+    let mut report = verify(&spec);
     let cc = attach_crosscheck(
-        session.spec(),
+        &spec,
         &mut report,
         3,
         1 << 20,
@@ -127,7 +128,7 @@ fn crosscheck_metrics_report_class_sizes() {
         &SinkHandle::new(sink_of(&metrics)),
     );
     assert!(cc.complete());
-    assert!(report.crosscheck.as_ref().unwrap().complete);
+    assert!(report.crosscheck.as_ref().unwrap().complete());
 
     let snap = metrics.snapshot();
     assert!(snap.counter(Counter::OracleChecks) > 0);
@@ -180,10 +181,10 @@ fn one_metrics_collector_can_span_engines() {
     // Thread the same collector through the symbolic run and the
     // crosscheck: phase timings accumulate side by side.
     let metrics = Arc::new(Metrics::new());
-    let session = Session::new(protocols::illinois()).sink(sink_of(&metrics));
-    let mut report = session.verify();
+    let spec = protocols::illinois();
+    let mut report = verify_with(&spec, &Options::default().sink(sink_of(&metrics)));
     attach_crosscheck(
-        session.spec(),
+        &spec,
         &mut report,
         3,
         1 << 20,
@@ -236,10 +237,10 @@ fn rules_section_reports_attribution_for_both_kernel_engines() {
     // Symbolic expansion: same schema, firings equal to the paper's 22
     // visits for Illinois.
     let metrics = Arc::new(Metrics::new());
-    let report = Session::new(protocols::illinois())
-        .options(ccv_core::Options::default().rule_stats(true))
-        .sink(sink_of(&metrics))
-        .verify();
+    let report = verify_with(
+        &protocols::illinois(),
+        &Options::default().rule_stats(true).sink(sink_of(&metrics)),
+    );
     assert_eq!(report.visits(), 22);
     let doc = Json::parse(&metrics.snapshot().to_json().render()).unwrap();
     let rules = doc.get("rules").expect("rules section");

@@ -3,9 +3,8 @@
 //! protocols, canonicalisation is permutation-invariant, and the
 //! parallel engine agrees with the sequential one everywhere.
 
-use ccv_enum::{
-    concrete_covered_by, enumerate, enumerate_parallel, reachable_states, EnumOptions, PackedState,
-};
+use ccv_core::concrete_covered_by;
+use ccv_enum::{enumerate, enumerate_parallel, reachable_states, EnumOptions, PackedState};
 use ccv_model::{protocols, CData, MData, StateId};
 use ccv_sim::{Access, AccessKind, Machine, MachineConfig, Trace};
 use proptest::prelude::*;

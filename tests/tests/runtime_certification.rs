@@ -11,8 +11,7 @@
 //! faithfulness check than the latest-value oracle alone, because it
 //! checks the *states*, not just the observable reads.
 
-use ccv_core::{run_expansion, Composite, Options};
-use ccv_enum::concrete_covered_by;
+use ccv_core::{concrete_covered_by, run_expansion, Composite, Options};
 use ccv_enum::PackedState;
 use ccv_model::{protocols, CData, MData, ProtocolSpec, StateId};
 use ccv_sim::{BlockSnapshot, Machine, MachineConfig, Trace, WorkloadParams};
