@@ -3,15 +3,18 @@
 //!
 //! One connection carries one request. The first byte decides the
 //! dialect: `{` is an NDJSON request line, anything else is parsed as
-//! HTTP. Every engine run gets a watchdog thread probing the client
-//! socket; a reset connection (or, for NDJSON, a failed heartbeat
-//! write) trips the run's [`CancelToken`] via `request_cancel`, which
-//! the governor reports as the `disconnected` stop cause.
+//! HTTP. Every request headed for an engine gets a watchdog thread
+//! probing the client socket from the moment its cache lookup misses;
+//! a reset connection (or, for NDJSON, a failed heartbeat write) trips
+//! the run's [`CancelToken`] via `request_cancel`, which the governor
+//! reports as the `disconnected` stop cause. Cache hits and rejected
+//! requests are answered without one.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccv_core::api::{ApiError, ErrorCode, Request, RunContext};
@@ -45,6 +48,8 @@ struct WireWriter {
     out: Mutex<TcpStream>,
     cancel: CancelToken,
     done: AtomicBool,
+    /// Signalled, under `out`, when `done` is set.
+    finished: Condvar,
 }
 
 impl WireWriter {
@@ -53,11 +58,30 @@ impl WireWriter {
             out: Mutex::new(out),
             cancel,
             done: AtomicBool::new(false),
+            finished: Condvar::new(),
         }
+    }
+
+    /// A second handle on the socket, for the watchdog's reads.
+    fn probe(&self) -> io::Result<TcpStream> {
+        self.out
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .try_clone()
     }
 
     fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
+    }
+
+    /// Waits up to `timeout` for the connection to finish; returns
+    /// whether it has.
+    fn wait_done(&self, timeout: Duration) -> bool {
+        let out = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        let _ = self
+            .finished
+            .wait_timeout_while(out, timeout, |_| !self.is_done());
+        self.is_done()
     }
 
     /// Flags the client as gone and cancels the run.
@@ -87,10 +111,14 @@ impl WireWriter {
 
     /// Writes the final bytes of the connection and marks it done, in
     /// one critical section — no heartbeat can trail the response.
+    /// Shutting the read half wakes a watchdog blocked reading the
+    /// socket; the condvar wakes one waiting between heartbeats.
     fn finish(&self, bytes: &[u8]) {
         let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
         self.done.store(true, Ordering::Release);
         let _ = out.write_all(bytes).and_then(|_| out.flush());
+        let _ = out.shutdown(Shutdown::Read);
+        self.finished.notify_all();
     }
 
     /// Abandons the connection without a response (injected
@@ -100,7 +128,8 @@ impl WireWriter {
     fn abort(&self) {
         let out = self.out.lock().unwrap_or_else(|p| p.into_inner());
         self.done.store(true, Ordering::Release);
-        let _ = out.shutdown(std::net::Shutdown::Both);
+        let _ = out.shutdown(Shutdown::Both);
+        self.finished.notify_all();
     }
 }
 
@@ -135,6 +164,8 @@ impl Write for SinkWriter {
 /// liveness probe for clients that half-closed their send side (for
 /// example `nc` after stdin EOF), whose sockets read as clean EOF
 /// here while staying perfectly able to receive.
+///
+/// It returns as soon as the connection is finished or aborted.
 fn watchdog(mut probe: TcpStream, wire: Arc<WireWriter>, interval: Duration, heartbeat: bool) {
     let _ = probe.set_read_timeout(Some(interval));
     let mut sink = [0u8; 256];
@@ -144,12 +175,17 @@ fn watchdog(mut probe: TcpStream, wire: Arc<WireWriter>, interval: Duration, hea
         }
         match probe.read(&mut sink) {
             // EOF: for HTTP a vanished client; for NDJSON a legal
-            // half-close — the heartbeat decides from here on.
+            // half-close — the heartbeat decides from here on. Also
+            // what `finish` causes, by shutting the read half.
             Ok(0) if !heartbeat => {
                 wire.disconnected();
                 return;
             }
-            Ok(0) => std::thread::sleep(interval),
+            Ok(0) => {
+                if wire.wait_done(interval) {
+                    return;
+                }
+            }
             // Stray extra input; this protocol is one request per
             // connection, so ignore it.
             Ok(_) => {}
@@ -172,12 +208,39 @@ fn watchdog(mut probe: TcpStream, wire: Arc<WireWriter>, interval: Duration, hea
     }
 }
 
+/// Starts the disconnect watchdog for a request headed for an engine.
+/// `None` if the socket cannot be cloned; the run then goes unwatched.
+fn spawn_watchdog(
+    wire: &Arc<WireWriter>,
+    interval: Duration,
+    heartbeat: bool,
+) -> Option<JoinHandle<()>> {
+    let probe = wire.probe().ok()?;
+    let wire = Arc::clone(wire);
+    Some(std::thread::spawn(move || {
+        watchdog(probe, wire, interval, heartbeat)
+    }))
+}
+
+/// Sends the final bytes of a connection, or drops it without them on
+/// an injected `serve.response` fault, then joins the watchdog, which
+/// either ending wakes.
+fn respond(service: &Service, wire: &WireWriter, bytes: &[u8], watchdog: Option<JoinHandle<()>>) {
+    if response_fault(service) {
+        wire.abort(); // dropped mid-response: the client sees EOF, not a reply
+    } else {
+        wire.finish(bytes);
+    }
+    if let Some(watchdog) = watchdog {
+        let _ = watchdog.join();
+    }
+}
+
 /// Entry point for one accepted connection: sniff the dialect off the
 /// first byte and dispatch.
 pub(crate) fn handle_connection(service: Arc<Service>, stream: TcpStream) {
     // Blocking I/O with a generous idle timeout: a client that
     // connects and never sends a parseable request gets dropped.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let mut first = [0u8; 1];
     match stream.peek(&mut first) {
@@ -189,12 +252,8 @@ pub(crate) fn handle_connection(service: Arc<Service>, stream: TcpStream) {
 
 /// Reads one `\n`-terminated line, bounded at `max` bytes.
 fn read_request_line(stream: &TcpStream, max: usize) -> Result<String, ApiError> {
-    let reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(e) => return Err(ApiError::internal(format!("socket: {e}"))),
-    };
     let mut line = String::new();
-    let mut limited = BufReader::new(reader).take(max as u64);
+    let mut limited = BufReader::new(stream).take(max as u64);
     match limited.read_line(&mut line) {
         Ok(0) => Err(ApiError::bad_request("empty request")),
         Ok(_) if !line.ends_with('\n') && line.len() >= max => Err(ApiError::bad_request(format!(
@@ -210,47 +269,34 @@ fn read_request_line(stream: &TcpStream, max: usize) -> Result<String, ApiError>
 fn handle_ndjson(service: &Arc<Service>, stream: TcpStream) {
     let cfg = service.config();
     let cancel = CancelToken::new();
-    let write_side = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let wire = Arc::new(WireWriter::new(write_side, cancel.clone()));
-
-    let outcome = match read_request_line(&stream, cfg.max_request_bytes) {
+    let line = read_request_line(&stream, cfg.max_request_bytes);
+    let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
+    let mut probe_thread = None;
+    let outcome = match line.and_then(|line| Request::parse(line.trim())) {
         Err(e) => service.process_text_error(e),
-        Ok(line) => {
+        Ok(req) => {
+            let sink = if req.stream {
+                SinkHandle::new(Arc::new(NdjsonSink::new(SinkWriter {
+                    wire: Arc::clone(&wire),
+                    buf: Vec::new(),
+                })))
+            } else {
+                SinkHandle::disabled()
+            };
+            let ctx = RunContext::new(cancel, sink);
             // The request is fully read: from here the client is
-            // expected to stay silent, so hand the read side to the
-            // disconnect watchdog.
-            let wd_wire = Arc::clone(&wire);
-            let interval = cfg.ping_interval;
-            std::thread::spawn(move || watchdog(stream, wd_wire, interval, true));
-            match Request::parse(line.trim()) {
-                Err(e) => service.process_text_error(e),
-                Ok(req) => {
-                    let sink = if req.stream {
-                        SinkHandle::new(Arc::new(NdjsonSink::new(SinkWriter {
-                            wire: Arc::clone(&wire),
-                            buf: Vec::new(),
-                        })))
-                    } else {
-                        SinkHandle::disabled()
-                    };
-                    let ctx = RunContext::new(cancel.clone(), sink);
-                    service.process(&req, &ctx)
-                }
-            }
+            // expected to stay silent, so an engine run hands the read
+            // side to the disconnect watchdog.
+            service.process_with(&req, &ctx, || {
+                probe_thread = spawn_watchdog(&wire, cfg.ping_interval, true);
+            })
         }
     };
     let envelope = format!(
         "{{\"ev\":\"response\",\"cached\":{},\"body\":{}}}\n",
         outcome.cached, outcome.body
     );
-    if response_fault(service) {
-        wire.abort(); // dropped mid-response: the client sees EOF, not a reply
-        return;
-    }
-    wire.finish(envelope.as_bytes());
+    respond(service, &wire, envelope.as_bytes(), probe_thread);
 }
 
 /// HTTP status line for an outcome.
@@ -359,23 +405,14 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
                 }
                 let text = String::from_utf8_lossy(&body).into_owned();
                 let cancel = CancelToken::new();
-                let wire = match stream.try_clone() {
-                    Ok(write_side) => {
-                        let wire = Arc::new(WireWriter::new(write_side, cancel.clone()));
-                        let probe = stream.try_clone();
-                        if let Ok(probe) = probe {
-                            let wd_wire = Arc::clone(&wire);
-                            let interval = cfg.ping_interval;
-                            // HTTP clients never half-close: any EOF
-                            // or error on the probe is a disconnect.
-                            std::thread::spawn(move || watchdog(probe, wd_wire, interval, false));
-                        }
-                        Some(wire)
-                    }
-                    Err(_) => None,
-                };
+                let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
                 let ctx = RunContext::new(cancel, SinkHandle::disabled());
-                let out = service.process_text(&text, &ctx);
+                let mut probe_thread = None;
+                let out = service.process_text_with(&text, &ctx, || {
+                    // HTTP clients never half-close: any EOF or error
+                    // on the probe is a disconnect.
+                    probe_thread = spawn_watchdog(&wire, cfg.ping_interval, false);
+                });
                 let cache_state = if out.cached { "hit" } else { "miss" };
                 // HTTP carries the busy hint as a standard
                 // `retry-after` header (whole seconds, rounded up).
@@ -387,17 +424,8 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
                     headers.push(("retry-after", secs));
                 }
                 let bytes = http_response(http_status(out.code), &headers, &out.body);
-                if response_fault(service) {
-                    if let Some(wire) = wire {
-                        wire.abort();
-                    }
-                    return;
-                }
-                if let Some(wire) = wire {
-                    wire.finish(&bytes);
-                    return;
-                }
-                bytes
+                respond(service, &wire, &bytes, probe_thread);
+                return;
             }
         }
         _ => http_response(

@@ -72,9 +72,10 @@ pub mod cache;
 mod conn;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -319,8 +320,19 @@ impl Service {
     /// Handles one request document: parse, validate, and run.
     /// Malformed text yields a well-formed error outcome.
     pub fn process_text(&self, text: &str, ctx: &RunContext) -> Outcome {
+        self.process_text_with(text, ctx, || {})
+    }
+
+    /// [`Service::process_text`] with the `on_miss` hook of
+    /// [`Service::process_with`].
+    pub(crate) fn process_text_with(
+        &self,
+        text: &str,
+        ctx: &RunContext,
+        on_miss: impl FnOnce(),
+    ) -> Outcome {
         match Request::parse(text) {
-            Ok(req) => self.process(&req, ctx),
+            Ok(req) => self.process_with(&req, ctx, on_miss),
             Err(e) => self.reject(None, e),
         }
     }
@@ -328,6 +340,21 @@ impl Service {
     /// Handles one parsed request end to end: cap validation, cache
     /// lookup, admission, engine run, cache fill.
     pub fn process(&self, req: &Request, ctx: &RunContext) -> Outcome {
+        self.process_with(req, ctx, || {})
+    }
+
+    /// [`Service::process`], calling `on_miss` once when the request
+    /// is headed for an engine: after the cache lookup misses and
+    /// before the admission queue. The connection handlers start their
+    /// disconnect watchdog there, so cache hits and rejected requests
+    /// cost no thread, while a client that vanishes during the queue
+    /// wait is still caught.
+    pub(crate) fn process_with(
+        &self,
+        req: &Request,
+        ctx: &RunContext,
+        on_miss: impl FnOnce(),
+    ) -> Outcome {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let action = req.action;
         let effective = match self.config.admit(req) {
@@ -356,6 +383,7 @@ impl Service {
                 };
             }
         }
+        on_miss();
         let Some(_permit) = self.admission.acquire() else {
             return self.rejection(
                 action,
@@ -498,6 +526,17 @@ impl Service {
     }
 }
 
+/// How often the accept loop's waker checks the shutdown flags. A
+/// blocked `accept` sees no flag, and a signal does not interrupt it
+/// (the CLI's handler is installed with `SA_RESTART`, and `accept`
+/// retries `EINTR` anyway), so Ctrl-C and SIGTERM take effect within
+/// this interval.
+const WAKE_POLL: Duration = Duration::from_millis(50);
+
+/// Pause after a failed `accept` (for example `EMFILE`), so a
+/// persistent error does not spin the loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// A bound listener plus its [`Service`]. Call [`Server::run`] to
 /// serve on the current thread, or [`Server::spawn`] to serve from a
 /// background thread (tests).
@@ -509,11 +548,10 @@ pub struct Server {
 
 impl Server {
     /// Binds the configured address and prepares the service. The
-    /// listener is non-blocking so [`Server::run`] can poll the
-    /// shutdown flag between accepts.
+    /// listener blocks in `accept`; [`Server::run`] is woken for
+    /// shutdown by a connection to itself.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr.as_str())?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
             service: Service::new(config),
             listener,
@@ -536,12 +574,38 @@ impl Server {
     /// each on its own thread. In-flight requests finish on their own
     /// threads; engine runs are bounded by the admission gate, not by
     /// this loop.
+    ///
+    /// The loop blocks in `accept` and checks both flags each time it
+    /// returns. [`ServerHandle::shutdown`] wakes it by connecting to
+    /// the listener; for the global token, which a signal handler sets,
+    /// a waker thread polls both flags every 50 ms and does the same.
     pub fn run(self) {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) || CancelToken::global().is_stopped() {
-                return;
+        let shutdown = Arc::clone(&self.shutdown);
+        let stopping =
+            move || shutdown.load(Ordering::Acquire) || CancelToken::global().is_stopped();
+        let addr = wake_addr(
+            self.local_addr()
+                .expect("bound listener has a local address"),
+        );
+        let (exited, exit) = mpsc::channel::<()>();
+        let waker = std::thread::spawn({
+            let stopping = stopping.clone();
+            move || {
+                // Keeps connecting until the loop exits, in case one
+                // connection is lost (a full backlog, say).
+                while let Err(RecvTimeoutError::Timeout) = exit.recv_timeout(WAKE_POLL) {
+                    if stopping() {
+                        let _ = TcpStream::connect(addr);
+                    }
+                }
             }
-            match self.listener.accept() {
+        });
+        loop {
+            let accepted = self.listener.accept();
+            if stopping() {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     // Injected accept faults model a connection that
                     // dies between accept and first byte: drop it on
@@ -555,15 +619,11 @@ impl Server {
                     let service = Arc::clone(&self.service);
                     std::thread::spawn(move || conn::handle_connection(service, stream));
                 }
-                // 1ms keeps the idle accept loop cheap while holding
-                // the connection-setup latency floor well under the
-                // cost of any real verification request.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
+        drop(exited);
+        waker.join().expect("accept-loop waker does not panic");
     }
 
     /// Runs the accept loop on a background thread and returns a
@@ -583,6 +643,18 @@ impl Server {
             thread: Some(thread),
         }
     }
+}
+
+/// Where to connect to reach a listener bound to `addr`: a wildcard
+/// bind (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// A running background server (from [`Server::spawn`]).
@@ -613,6 +685,9 @@ impl ServerHandle {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(thread) = self.thread.take() {
+            // Wake the blocked accept. Should this connect fail, the
+            // loop's waker retries within `WAKE_POLL`.
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = thread.join();
         }
     }
@@ -744,6 +819,74 @@ mod tests {
         assert_eq!(out.code, Some(ErrorCode::Busy));
         assert_eq!(out.retry_after_ms, Some(500));
         assert!(out.body.contains("\"retry_after_ms\":500"), "{}", out.body);
+    }
+
+    /// Runs `text` through the hooked path and counts `on_miss` calls.
+    fn on_miss_calls(s: &Service, text: &str) -> (Outcome, usize) {
+        let mut calls = 0;
+        let out = s.process_text_with(text, &RunContext::default(), || calls += 1);
+        (out, calls)
+    }
+
+    #[test]
+    fn on_miss_fires_once_for_each_request_headed_for_an_engine() {
+        let cfg = ServerConfig {
+            workers: 1,
+            queue_depth: 0,
+            ..ServerConfig::loopback()
+        };
+        let s = Service::new(cfg);
+        let verify = Request::verify(ProtocolSource::Name("illinois".into()))
+            .to_json()
+            .render_compact();
+
+        // A miss that the full admission gate turns away still fired
+        // the hook: the watchdog must exist before the queue wait.
+        let held = s.admission().acquire().expect("empty pool admits");
+        let (out, calls) = on_miss_calls(&s, &verify);
+        assert_eq!((out.code, calls), (Some(ErrorCode::Busy), 1));
+        drop(held);
+
+        let (out, calls) = on_miss_calls(&s, &verify);
+        assert_eq!((out.code, out.cached, calls), (None, false, 1));
+        let (out, calls) = on_miss_calls(&s, &verify);
+        assert_eq!(
+            (out.cached, calls),
+            (true, 0),
+            "a cache hit starts no watchdog"
+        );
+
+        let mut with_files = Request::enumerate(ProtocolSource::Name("illinois".into()), 3);
+        with_files.options.checkpoint_out = Some("/tmp/x.ccvk".into());
+        let bad_dsl = Request::verify(ProtocolSource::Dsl("protocol nonsense {".into()));
+        for (case, text, code) in [
+            (
+                "unparseable text",
+                "not json".to_string(),
+                Some(ErrorCode::BadRequest),
+            ),
+            (
+                "n above max_n",
+                Request::enumerate(ProtocolSource::Name("illinois".into()), 99)
+                    .to_json()
+                    .render_compact(),
+                Some(ErrorCode::BadRequest),
+            ),
+            (
+                "checkpoint_out without allow_files",
+                with_files.to_json().render_compact(),
+                Some(ErrorCode::Unsupported),
+            ),
+            (
+                "unresolvable DSL",
+                bad_dsl.to_json().render_compact(),
+                Some(ErrorCode::BadProtocol),
+            ),
+        ] {
+            let (out, calls) = on_miss_calls(&s, &text);
+            assert_eq!(out.code, code, "{case}: {}", out.body);
+            assert_eq!(calls, 0, "{case} must not start a watchdog");
+        }
     }
 
     #[test]

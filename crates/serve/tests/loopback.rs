@@ -366,3 +366,127 @@ fn http_body(response: &str) -> &str {
         .map(|(_, b)| b)
         .unwrap_or("")
 }
+
+#[test]
+fn shutdown_is_prompt_when_idle_and_after_cache_hits() {
+    // The accept loop blocks in `accept`; shutdown must wake it rather
+    // than wait for a connection that never comes.
+    let idle = spawn_server(ServerConfig::loopback());
+    let started = Instant::now();
+    idle.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(1), "idle shutdown");
+
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let (_, first) = ndjson_round_trip(addr, &wire);
+    for _ in 0..200 {
+        assert_eq!(ndjson_round_trip(addr, &wire), (true, first.clone()));
+    }
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown after hits"
+    );
+}
+
+#[test]
+fn client_gone_while_queued_is_counted_as_a_disconnect() {
+    // The watchdog starts before the admission wait, so a client that
+    // leaves while queued has its run cancelled before it starts. The
+    // request is one the engine refuses at once (its fault plan does
+    // not parse), so a watchdog started only with the run would be too
+    // late to count it.
+    let mut config = ServerConfig::loopback();
+    config.workers = 1;
+    config.ping_interval = Duration::from_millis(20);
+    let interval = config.ping_interval;
+    let server = spawn_server(config);
+    let service = server.service();
+    let held = service.admission().acquire().expect("slot free");
+
+    let mut req = Request::enumerate(ProtocolSource::Name("illinois".into()), 3);
+    req.options.fault_plan = Some("enum.worker:nosuchkind".into());
+    let body = req.to_json().render_compact();
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write!(
+        stream,
+        "POST /v1/requests HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.admission().queued() == 0 {
+        assert!(Instant::now() < deadline, "request never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(stream);
+    std::thread::sleep(2 * interval);
+    drop(held);
+    while service.disconnects() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "queued disconnect not counted: {}",
+            service.metrics_json().render_compact()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(service.disconnects(), 1);
+}
+
+#[test]
+fn half_closed_ndjson_client_gets_its_envelope_and_a_prompt_close() {
+    // `nc` shuts its send side after stdin EOF. The engine run (the
+    // first request) must treat that as legal, and the hit (the second)
+    // must answer it too. The connection closes only once the watchdog
+    // lets go of it, so with a long ping interval a prompt EOF shows the
+    // watchdog left with the response instead of sleeping out its
+    // interval. Holding the only worker slot for a moment lets the
+    // watchdog see the half-close before the engine runs.
+    let mut config = ServerConfig::loopback();
+    config.workers = 1;
+    config.ping_interval = Duration::from_secs(5);
+    let server = spawn_server(config);
+    let service = server.service();
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let mut bodies = Vec::new();
+    for cached in [false, true] {
+        let held = service.admission().acquire().expect("slot free");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        writeln!(stream, "{wire}").expect("send request");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        if !cached {
+            while service.admission().queued() == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        drop(held);
+        let started = Instant::now();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).expect("read to EOF");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "connection held open for {:?}",
+            started.elapsed()
+        );
+        let prefix = format!("{{\"ev\":\"response\",\"cached\":{cached},\"body\":");
+        let body = out
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .unwrap_or_else(|| panic!("no cached={cached} envelope in {out:?}"));
+        bodies.push(body.to_string());
+    }
+    assert_eq!(bodies[0], bodies[1], "cached replay must be byte-identical");
+    assert!(bodies[0].contains("\"verdict\":\"VERIFIED\""));
+}
