@@ -44,9 +44,39 @@ fn list_shows_protocols_and_mutants() {
     let o = ccv(&["list"]);
     assert_eq!(o.status.code(), Some(0));
     let out = stdout(&o);
-    for name in ["illinois", "dragon", "moesi", "illinois-missing-writeback"] {
-        assert!(out.contains(name), "missing {name}:\n{out}");
-    }
+    // Every entry, in order: `check-all` and the paper tables walk the
+    // library in this same order.
+    let names: Vec<&str> = out
+        .lines()
+        .filter(|line| line.starts_with("  "))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    let expected = [
+        "write-through",
+        "msi",
+        "illinois",
+        "mesi-mem",
+        "write-once",
+        "synapse",
+        "berkeley",
+        "firefly",
+        "dragon",
+        "moesi",
+        "split-msi",
+        "split-mesi",
+        "illinois-missing-invalidation",
+        "illinois-missing-writeback",
+        "illinois-wrong-exclusive-fill",
+        "illinois-dirty-no-flush-on-read",
+        "synapse-dirty-ignores-busrd",
+        "berkeley-owner-dropped",
+        "dragon-missing-update",
+        "firefly-missing-writethrough",
+        "write-once-missing-writethrough",
+        "split-msi-upgrade-race-lost",
+        "split-msi-ignores-readx",
+    ];
+    assert_eq!(names, expected, "{out}");
 }
 
 #[test]

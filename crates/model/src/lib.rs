@@ -32,8 +32,13 @@
 //!   variables of Definitions 3–4 and the declarative data movement of
 //!   each transition.
 //! * [`ProtocolSpec`]/[`SpecBuilder`] — the validated protocol object.
+//! * [`dsl`] — the `.ccv` protocol description language: parser,
+//!   lowering onto [`SpecBuilder`], and the printer behind `ccv export`.
 //! * [`protocols`] — Illinois plus every protocol of Archibald & Baer's
-//!   study, MSI/MOESI, and deliberately buggy mutants.
+//!   study, MSI/MOESI, two split-transaction protocols, and
+//!   deliberately buggy mutants. Each library protocol is defined once,
+//!   by its checked-in `protocols/<name>.ccv` file, which this crate
+//!   compiles in and parses on first use.
 //!
 //! ## Example
 //!

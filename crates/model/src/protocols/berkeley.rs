@@ -7,54 +7,19 @@
 //! replicated), `Shared-Dirty` (owned, possibly replicated), `Dirty`
 //! (owned, only cached copy). Null characteristic function.
 
-use crate::{BusOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs};
+use crate::ProtocolSpec;
 
-/// Builds the Berkeley protocol.
+/// The Berkeley protocol, parsed from `protocols/berkeley.ccv`. A write
+/// hit on `Shared-Dirty` invalidates the other copies, concentrating
+/// ownership.
 pub fn berkeley() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Berkeley");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let v = b.state("Valid", "V", StateAttrs::SHARED_CLEAN);
-    let sd = b.state("Shared-Dirty", "SD", StateAttrs::OWNED_SHARED);
-    let d = b.state("Dirty", "D", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on(inv, ProcEvent::Read, Outcome::read_miss(v));
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid.
-    b.on(v, ProcEvent::Read, Outcome::read_hit(v));
-    b.on(v, ProcEvent::Write, Outcome::write_hit_invalidate(d));
-    b.on(v, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared-Dirty: owned — write hit invalidates and concentrates
-    // ownership; replacement must write back.
-    b.on(sd, ProcEvent::Read, Outcome::read_hit(sd));
-    b.on(sd, ProcEvent::Write, Outcome::write_hit_invalidate(d));
-    b.on(sd, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions. The owner supplies without updating memory.
-    b.snoop(v, BusOp::Read, SnoopOutcome::to(v));
-    b.snoop(v, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(v, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(sd, BusOp::Read, SnoopOutcome::supply(sd));
-    b.snoop(sd, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(sd, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(d, BusOp::Read, SnoopOutcome::supply(sd));
-    b.snoop(d, BusOp::ReadX, SnoopOutcome::supply(inv));
-
-    b.build().expect("Berkeley specification must validate")
+    super::library("berkeley")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characteristic, DataOp, GlobalCtx};
+    use crate::{BusOp, Characteristic, DataOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn builds_with_four_states() {

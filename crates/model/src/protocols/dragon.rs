@@ -9,138 +9,26 @@
 //! (replicated, not owner), `Shared-Dirty` (replicated, owner),
 //! `Dirty` (modified, only cached copy).
 
-use crate::{
-    BusOp, Characteristic, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder,
-    StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the Dragon protocol.
+/// The Dragon protocol, parsed from `protocols/dragon.ccv`.
+///
+/// * The owner, if any, supplies a read miss without updating memory.
+/// * A shared write miss is one atomic `BusUpd` carrying the fill and
+///   the update. The writer becomes the owner (`Shared-Dirty`), and
+///   memory is untouched.
+/// * A write from `Shared-Clean` takes ownership. A write that finds
+///   no other copy collapses to `Dirty`.
+/// * On `BusUpd`, a previous owner or exclusive holder hands ownership
+///   to the writer and becomes `Shared-Clean`.
 pub fn dragon() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Dragon").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let ve = b.state("Valid-Exclusive", "V-Ex", StateAttrs::VALID_EXCLUSIVE);
-    let sc = b.state("Shared-Clean", "SC", StateAttrs::SHARED_CLEAN);
-    let sd = b.state("Shared-Dirty", "SD", StateAttrs::OWNED_SHARED);
-    let d = b.state("Dirty", "Dirty", StateAttrs::DIRTY);
-
-    // Invalid. Read miss: owner (if any) supplies without a memory
-    // update; the SharedLine chooses the fill state.
-    b.on_sharing(
-        inv,
-        ProcEvent::Read,
-        Outcome::read_miss(ve),
-        Outcome::read_miss(sc),
-    );
-    // Write miss. Alone: load and write locally. Shared: one atomic
-    // BusUpd carries the fill and the update; the writer becomes the
-    // owner (Shared-Dirty), every other holder absorbs the new value and
-    // degrades/stays Shared-Clean; memory is untouched.
-    b.on_sharing(
-        inv,
-        ProcEvent::Write,
-        Outcome::write_miss_invalidate(d),
-        Outcome {
-            next: sd,
-            bus: Some(BusOp::Update),
-            data: DataOp::Write {
-                fill: true,
-                through: false,
-                broadcast: true,
-            },
-        },
-    );
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid-Exclusive.
-    b.on(ve, ProcEvent::Read, Outcome::read_hit(ve));
-    b.on(ve, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(ve, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared-Clean: a write broadcasts the update and takes ownership;
-    // with no other copy left the writer is simply Dirty.
-    b.on(sc, ProcEvent::Read, Outcome::read_hit(sc));
-    b.on_sharing(
-        sc,
-        ProcEvent::Write,
-        Outcome::write_hit_update(d, false),
-        Outcome::write_hit_update(sd, false),
-    );
-    b.on(sc, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared-Dirty: already the owner; a write refreshes the other
-    // copies (or collapses to Dirty if none remain). Replacement must
-    // write back.
-    b.on(sd, ProcEvent::Read, Outcome::read_hit(sd));
-    b.on_sharing(
-        sd,
-        ProcEvent::Write,
-        Outcome::write_hit_update(d, false),
-        Outcome::write_hit_update(sd, false),
-    );
-    b.on(sd, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions.
-    b.snoop(ve, BusOp::Read, SnoopOutcome::supply(sc));
-    b.snoop(sc, BusOp::Read, SnoopOutcome::to(sc)); // owner or memory supplies
-    b.snoop(sd, BusOp::Read, SnoopOutcome::supply(sd)); // owner supplies, stays owner
-    b.snoop(d, BusOp::Read, SnoopOutcome::supply(sd)); // owner supplies, no flush
-
-    // BusUpd: every holder absorbs the new value; a previous owner
-    // (or exclusive holder) hands ownership to the writer and becomes
-    // Shared-Clean.
-    b.snoop(
-        ve,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sc,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-    b.snoop(
-        sc,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sc,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-    b.snoop(
-        sd,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sc,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-    b.snoop(
-        d,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sc,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-
-    b.build().expect("Dragon specification must validate")
+    super::library("dragon")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GlobalCtx;
+    use crate::{BusOp, DataOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn uses_sharing_detection_with_five_states() {

@@ -10,115 +10,25 @@
 //! (clean, only cached copy), `Shared` (clean, replicated), `Dirty`
 //! (modified, only cached copy).
 
-use crate::{
-    BusOp, Characteristic, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder,
-    StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the Firefly protocol.
+/// The Firefly protocol, parsed from `protocols/firefly.ccv`.
+///
+/// * A shared write miss is one atomic `BusUpd`: the fill and the
+///   update broadcast, written through to memory.
+/// * A write to `Shared` that finds no other copy regains
+///   `Valid-Exclusive`, clean because memory was just updated.
+/// * No state reacts to `BusRdX` or `BusUpgr`, which are only emitted
+///   when no other copy exists. On `BusUpd`, exclusive holders, clean
+///   or dirty, degrade to `Shared`.
 pub fn firefly() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Firefly").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let ve = b.state("Valid-Exclusive", "V-Ex", StateAttrs::VALID_EXCLUSIVE);
-    let sh = b.state("Shared", "Shared", StateAttrs::SHARED_CLEAN);
-    let d = b.state("Dirty", "Dirty", StateAttrs::DIRTY);
-
-    // Invalid: read miss fills according to the SharedLine; a Dirty
-    // snooper supplies and simultaneously updates memory.
-    b.on_sharing(
-        inv,
-        ProcEvent::Read,
-        Outcome::read_miss(ve),
-        Outcome::read_miss(sh),
-    );
-    // Write miss. Alone: load and write locally (Dirty). Shared: the
-    // fill and the update broadcast form one atomic BusUpd transaction —
-    // every copy absorbs the new value and memory is written through;
-    // nothing is invalidated.
-    b.on_sharing(
-        inv,
-        ProcEvent::Write,
-        Outcome::write_miss_invalidate(d),
-        Outcome {
-            next: sh,
-            bus: Some(BusOp::Update),
-            data: DataOp::Write {
-                fill: true,
-                through: true,
-                broadcast: true,
-            },
-        },
-    );
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid-Exclusive.
-    b.on(ve, ProcEvent::Read, Outcome::read_hit(ve));
-    b.on(ve, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(ve, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared: writes are broadcast and written through. If the
-    // SharedLine shows no other copy remains, the writer regains
-    // exclusivity (memory was just updated, so the copy is clean).
-    b.on_sharing(
-        sh,
-        ProcEvent::Write,
-        Outcome::write_hit_update(ve, true),
-        Outcome::write_hit_update(sh, true),
-    );
-    b.on(sh, ProcEvent::Read, Outcome::read_hit(sh));
-    b.on(sh, ProcEvent::Replace, Outcome::evict_clean(inv)); // write-through keeps Shared clean
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions. No state ever reacts to BusRdX/BusUpgr: those
-    // transactions are only emitted when no other copy exists.
-    b.snoop(ve, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(sh, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(d, BusOp::Read, SnoopOutcome::supply_and_flush(sh));
-    // BusUpd: holders absorb the new value (and can serve the fill half
-    // of a write miss). Exclusive holders — clean or dirty — degrade to
-    // Shared; memory is freshened by the write-through.
-    b.snoop(
-        ve,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sh,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-    b.snoop(
-        sh,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sh,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-    b.snoop(
-        d,
-        BusOp::Update,
-        SnoopOutcome {
-            next: sh,
-            supplies_data: true,
-            flushes_to_memory: false,
-            receives_update: true,
-        },
-    );
-
-    b.build().expect("Firefly specification must validate")
+    super::library("firefly")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GlobalCtx;
+    use crate::{BusOp, DataOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn uses_sharing_detection() {

@@ -22,63 +22,19 @@
 //!    invalidated and the block is loaded `Dirty`.
 //! 5. *Replacement*: a `Dirty` block is written back to main memory.
 
-use crate::{
-    BusOp, Characteristic, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the Illinois protocol.
+/// The Illinois protocol, parsed from `protocols/illinois.ccv`. On a
+/// remote write miss a `Dirty` snooper hands its block to the
+/// requester, which overwrites it, and leaves memory stale.
 pub fn illinois() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Illinois").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let ve = b.state("Valid-Exclusive", "V-Ex", StateAttrs::VALID_EXCLUSIVE);
-    let sh = b.state("Shared", "Shared", StateAttrs::SHARED_CLEAN);
-    let d = b.state("Dirty", "Dirty", StateAttrs::DIRTY);
-
-    // Invalid: the fill state depends on the sharing-detection function.
-    b.on_sharing(
-        inv,
-        ProcEvent::Read,
-        Outcome::read_miss(ve), // f = false: memory supplies Valid-Exclusive
-        Outcome::read_miss(sh), // f = true: another cache supplies Shared
-    );
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid-Exclusive: silent upgrade on write (the point of the state).
-    b.on(ve, ProcEvent::Read, Outcome::read_hit(ve));
-    b.on(ve, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(ve, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(sh, ProcEvent::Read, Outcome::read_hit(sh));
-    b.on(sh, ProcEvent::Write, Outcome::write_hit_invalidate(d));
-    b.on(sh, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions. Illinois always prefers cache-to-cache transfer.
-    b.snoop(ve, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(ve, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(sh, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(sh, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(sh, BusOp::Upgrade, SnoopOutcome::to(inv));
-    // "Cj supplies the missing block and updates main memory at the same
-    // time; both Ci and Cj end up in state Shared."
-    b.snoop(d, BusOp::Read, SnoopOutcome::supply_and_flush(sh));
-    // Write miss: the Dirty copy is handed to the requester (which will
-    // overwrite it); memory is left stale and becomes stale again anyway.
-    b.snoop(d, BusOp::ReadX, SnoopOutcome::supply(inv));
-
-    b.build().expect("Illinois specification must validate")
+    super::library("illinois")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GlobalCtx;
+    use crate::{BusOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn has_the_paper_state_set() {

@@ -9,69 +9,19 @@
 //! Illinois only in the memory-freshness annotations of the
 //! ownership-transfer edges.
 
-use crate::{
-    BusOp, Characteristic, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the memory-reflective MESI protocol.
+/// The memory-reflective MESI protocol, parsed from
+/// `protocols/mesi-mem.ccv`.
 pub fn mesi_mem() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("MESI-Mem").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "I", StateAttrs::INVALID);
-    let e = b.state("Exclusive", "E", StateAttrs::VALID_EXCLUSIVE);
-    let s = b.state("Shared", "S", StateAttrs::SHARED_CLEAN);
-    let m = b.state("Modified", "M", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on_sharing(
-        inv,
-        ProcEvent::Read,
-        Outcome::read_miss(e),
-        Outcome::read_miss(s),
-    );
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(m));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Exclusive.
-    b.on(e, ProcEvent::Read, Outcome::read_hit(e));
-    b.on(e, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(e, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(s, ProcEvent::Read, Outcome::read_hit(s));
-    b.on(s, ProcEvent::Write, Outcome::write_hit_invalidate(m));
-    b.on(s, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Modified.
-    b.on(m, ProcEvent::Read, Outcome::read_hit(m));
-    b.on(m, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(m, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoops: memory supplies clean blocks (no `supply` on E/S).
-    b.snoop(e, BusOp::Read, SnoopOutcome::to(s));
-    b.snoop(e, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(s, BusOp::Read, SnoopOutcome::to(s));
-    b.snoop(s, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(s, BusOp::Upgrade, SnoopOutcome::to(inv));
-    // Modified flushes on both kinds of remote miss.
-    b.snoop(m, BusOp::Read, SnoopOutcome::supply_and_flush(s));
-    b.snoop(
-        m,
-        BusOp::ReadX,
-        SnoopOutcome {
-            next: inv,
-            supplies_data: true,
-            flushes_to_memory: true,
-            receives_update: false,
-        },
-    );
-
-    b.build().expect("MESI-Mem specification must validate")
+    super::library("mesi-mem")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocols::illinois;
+    use crate::BusOp;
 
     #[test]
     fn builds_with_sharing_detection() {

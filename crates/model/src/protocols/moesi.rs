@@ -6,71 +6,18 @@
 //! `Shared`. The `Exclusive` fill requires the sharing-detection
 //! function, as in Illinois.
 
-use crate::{
-    BusOp, Characteristic, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the MOESI protocol.
+/// The MOESI protocol, parsed from `protocols/moesi.ccv`. A write hit on
+/// `Owned` invalidates the other copies to concentrate ownership.
 pub fn moesi() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("MOESI").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "I", StateAttrs::INVALID);
-    let e = b.state("Exclusive", "E", StateAttrs::VALID_EXCLUSIVE);
-    let s = b.state("Shared", "S", StateAttrs::SHARED_CLEAN);
-    let o = b.state("Owned", "O", StateAttrs::OWNED_SHARED);
-    let m = b.state("Modified", "M", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on_sharing(
-        inv,
-        ProcEvent::Read,
-        Outcome::read_miss(e),
-        Outcome::read_miss(s),
-    );
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(m));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Exclusive.
-    b.on(e, ProcEvent::Read, Outcome::read_hit(e));
-    b.on(e, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(e, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(s, ProcEvent::Read, Outcome::read_hit(s));
-    b.on(s, ProcEvent::Write, Outcome::write_hit_invalidate(m));
-    b.on(s, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Owned: supplies on misses, writes back on replacement; a write
-    // hit concentrates ownership by invalidating the other copies.
-    b.on(o, ProcEvent::Read, Outcome::read_hit(o));
-    b.on(o, ProcEvent::Write, Outcome::write_hit_invalidate(m));
-    b.on(o, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Modified.
-    b.on(m, ProcEvent::Read, Outcome::read_hit(m));
-    b.on(m, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(m, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions.
-    b.snoop(e, BusOp::Read, SnoopOutcome::supply(s));
-    b.snoop(e, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(s, BusOp::Read, SnoopOutcome::supply(s));
-    b.snoop(s, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(s, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(o, BusOp::Read, SnoopOutcome::supply(o));
-    b.snoop(o, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(o, BusOp::Upgrade, SnoopOutcome::to(inv));
-    // The MOESI hallmark: M degrades to O on a remote read, with no
-    // write-back — memory stays stale, the owner keeps the burden.
-    b.snoop(m, BusOp::Read, SnoopOutcome::supply(o));
-    b.snoop(m, BusOp::ReadX, SnoopOutcome::supply(inv));
-
-    b.build().expect("MOESI specification must validate")
+    super::library("moesi")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GlobalCtx;
+    use crate::{BusOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn five_states_with_sharing_detection() {

@@ -7,53 +7,17 @@
 //! remote write. The characteristic function is null: an MSI cache's
 //! next state never depends on the rest of the system.
 
-use crate::{BusOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs};
+use crate::ProtocolSpec;
 
-/// Builds the MSI protocol.
+/// The MSI protocol, parsed from `protocols/msi.ccv`.
 pub fn msi() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("MSI");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let sh = b.state("Shared", "S", StateAttrs::SHARED_CLEAN);
-    let m = b.state("Modified", "M", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on(inv, ProcEvent::Read, Outcome::read_miss(sh));
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(m));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(sh, ProcEvent::Read, Outcome::read_hit(sh));
-    b.on(sh, ProcEvent::Write, Outcome::write_hit_invalidate(m));
-    b.on(sh, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Modified.
-    b.on(m, ProcEvent::Read, Outcome::read_hit(m));
-    b.on(m, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(m, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions.
-    b.snoop(sh, BusOp::Read, SnoopOutcome::to(sh)); // memory supplies
-    b.snoop(sh, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(sh, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(m, BusOp::Read, SnoopOutcome::supply_and_flush(sh));
-    b.snoop(
-        m,
-        BusOp::ReadX,
-        SnoopOutcome {
-            next: inv,
-            supplies_data: true,
-            flushes_to_memory: true,
-            receives_update: false,
-        },
-    );
-
-    b.build().expect("MSI specification must validate")
+    super::library("msi")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characteristic, GlobalCtx};
+    use crate::{BusOp, Characteristic, GlobalCtx, ProcEvent};
 
     #[test]
     fn builds_and_has_three_states() {

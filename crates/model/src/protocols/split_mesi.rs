@@ -14,85 +14,19 @@
 //! `Shared` — the verifier explores both interleavings because the
 //! completion outcome is evaluated against the context at grant time.
 
-use crate::{
-    BusOp, Characteristic, DataOp, GlobalCtx, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome,
-    SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the split-transaction MESI protocol.
+/// The split-transaction MESI protocol, parsed from
+/// `protocols/split-mesi.ccv`. Snoops transfer cache to cache as in
+/// Illinois.
 pub fn split_mesi() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Split-MESI").characteristic(Characteristic::SharingDetection);
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let ex = b.state("Exclusive", "E", StateAttrs::VALID_EXCLUSIVE);
-    let sh = b.state("Shared", "S", StateAttrs::SHARED_CLEAN);
-    let m = b.state("Modified", "M", StateAttrs::DIRTY);
-    let is_d = b.transient("Read-Pending", "IS_D", StateAttrs::INVALID, BusOp::Read);
-    let im_d = b.transient("Write-Pending", "IM_D", StateAttrs::INVALID, BusOp::ReadX);
-    let sm_w = b.transient(
-        "Upgrade-Pending",
-        "SM_W",
-        StateAttrs::SHARED_CLEAN,
-        BusOp::Upgrade,
-    );
-
-    // Invalid: misses queue for the bus.
-    b.on(inv, ProcEvent::Read, Outcome::silent(is_d));
-    b.on(inv, ProcEvent::Write, Outcome::silent(im_d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Exclusive: silent upgrade on write (the point of the E state).
-    b.on(ex, ProcEvent::Read, Outcome::read_hit(ex));
-    b.on(ex, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(ex, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(sh, ProcEvent::Read, Outcome::read_hit(sh));
-    b.on(sh, ProcEvent::Write, Outcome::silent(sm_w));
-    b.on(sh, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Modified.
-    b.on(m, ProcEvent::Read, Outcome::read_hit(m));
-    b.on(m, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(m, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Completions. The read fill picks E vs S from the sharing
-    // function *at grant time*.
-    b.on_complete_ctx(is_d, GlobalCtx::ALONE, Outcome::read_miss(ex));
-    b.on_complete_ctx(is_d, GlobalCtx::SHARED_CLEAN, Outcome::read_miss(sh));
-    b.on_complete_ctx(is_d, GlobalCtx::OWNED_ELSEWHERE, Outcome::read_miss(sh));
-    b.on_complete(im_d, Outcome::write_miss_invalidate(m));
-    b.on_complete(
-        sm_w,
-        Outcome {
-            next: m,
-            bus: Some(BusOp::Upgrade),
-            data: DataOp::Write {
-                fill: false,
-                through: false,
-                broadcast: false,
-            },
-        },
-    );
-
-    // Snoop reactions, cache-to-cache as in Illinois.
-    b.snoop(ex, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(ex, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(sh, BusOp::Read, SnoopOutcome::supply(sh));
-    b.snoop(sh, BusOp::ReadX, SnoopOutcome::supply(inv));
-    b.snoop(sh, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(m, BusOp::Read, SnoopOutcome::supply_and_flush(sh));
-    b.snoop(m, BusOp::ReadX, SnoopOutcome::supply(inv));
-
-    // Pending-upgrade conversion when an invalidation wins the race.
-    b.snoop(sm_w, BusOp::ReadX, SnoopOutcome::to(im_d));
-    b.snoop(sm_w, BusOp::Upgrade, SnoopOutcome::to(im_d));
-
-    b.build().expect("Split-MESI specification must validate")
+    super::library("split-mesi")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BusOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn builds_with_transients_and_sharing() {

@@ -21,81 +21,12 @@
 //! double-`Modified` states are reachable **only** through a
 //! request/request interleaving and are invisible to the atomic model.
 
-use crate::{
-    BusOp, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::{BusOp, ProtocolSpec, SnoopOutcome};
 
-/// Builds the split-transaction MSI protocol.
+/// The split-transaction MSI protocol, parsed from
+/// `protocols/split-msi.ccv`. Hits on `Modified` stay atomic.
 pub fn split_msi() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Split-MSI");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let sh = b.state("Shared", "S", StateAttrs::SHARED_CLEAN);
-    let m = b.state("Modified", "M", StateAttrs::DIRTY);
-    // Misses in flight hold no copy; the upgrade in flight keeps its
-    // clean Shared copy.
-    let is_d = b.transient("Read-Pending", "IS_D", StateAttrs::INVALID, BusOp::Read);
-    let im_d = b.transient("Write-Pending", "IM_D", StateAttrs::INVALID, BusOp::ReadX);
-    let sm_w = b.transient(
-        "Upgrade-Pending",
-        "SM_W",
-        StateAttrs::SHARED_CLEAN,
-        BusOp::Upgrade,
-    );
-
-    // Invalid: misses become requests; the data moves at completion.
-    b.on(inv, ProcEvent::Read, Outcome::silent(is_d));
-    b.on(inv, ProcEvent::Write, Outcome::silent(im_d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Shared.
-    b.on(sh, ProcEvent::Read, Outcome::read_hit(sh));
-    b.on(sh, ProcEvent::Write, Outcome::silent(sm_w));
-    b.on(sh, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Modified: hits stay atomic (no bus involved).
-    b.on(m, ProcEvent::Read, Outcome::read_hit(m));
-    b.on(m, ProcEvent::Write, Outcome::write_hit_silent(m));
-    b.on(m, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Completions: the pending transaction finally wins the bus.
-    b.on_complete(is_d, Outcome::read_miss(sh));
-    b.on_complete(im_d, Outcome::write_miss_invalidate(m));
-    b.on_complete(
-        sm_w,
-        Outcome {
-            next: m,
-            bus: Some(BusOp::Upgrade),
-            data: DataOp::Write {
-                fill: false,
-                through: false,
-                broadcast: false,
-            },
-        },
-    );
-
-    // Snoop reactions of the stable states, as in atomic MSI.
-    b.snoop(sh, BusOp::Read, SnoopOutcome::to(sh)); // memory supplies
-    b.snoop(sh, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(sh, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(m, BusOp::Read, SnoopOutcome::supply_and_flush(sh));
-    b.snoop(
-        m,
-        BusOp::ReadX,
-        SnoopOutcome {
-            next: inv,
-            supplies_data: true,
-            flushes_to_memory: true,
-            receives_update: false,
-        },
-    );
-
-    // The race: a remote invalidation overtakes the queued upgrade.
-    // The copy is gone, so the pending BusUpgr converts into a full
-    // BusRdX — SM_W retargets to IM_D.
-    b.snoop(sm_w, BusOp::ReadX, SnoopOutcome::to(im_d));
-    b.snoop(sm_w, BusOp::Upgrade, SnoopOutcome::to(im_d));
-
-    b.build().expect("Split-MSI specification must validate")
+    super::library("split-msi")
 }
 
 /// Seeded bug: `SM_W` ignores a remote `BusUpgr`, keeping its stale
@@ -121,7 +52,7 @@ pub fn split_msi_ignores_readx() -> ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GlobalCtx;
+    use crate::{DataOp, GlobalCtx, Outcome, ProcEvent};
 
     #[test]
     fn builds_with_three_transients() {

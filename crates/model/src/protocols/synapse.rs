@@ -13,61 +13,19 @@
 //!
 //! Null characteristic function.
 
-use crate::{
-    BusOp, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the Synapse protocol.
+/// The Synapse protocol, parsed from `protocols/synapse.ccv`. The
+/// `BusRdX` of a write hit on `Valid` models no fill: the cache already
+/// holds the data.
 pub fn synapse() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Synapse");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let v = b.state("Valid", "V", StateAttrs::SHARED_CLEAN);
-    let d = b.state("Dirty", "D", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on(inv, ProcEvent::Read, Outcome::read_miss(v));
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid: a write hit is a full write miss on the bus (no upgrade
-    // signal exists); the cache already holds the data so no fill is
-    // modelled, but the transaction invalidates every other copy.
-    b.on(v, ProcEvent::Read, Outcome::read_hit(v));
-    b.on(
-        v,
-        ProcEvent::Write,
-        Outcome {
-            next: d,
-            bus: Some(BusOp::ReadX),
-            data: DataOp::Write {
-                fill: false,
-                through: false,
-                broadcast: false,
-            },
-        },
-    );
-    b.on(v, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions: memory is the only supplier.
-    b.snoop(v, BusOp::Read, SnoopOutcome::to(v));
-    b.snoop(v, BusOp::ReadX, SnoopOutcome::to(inv));
-    // Abort-and-retry: the owner flushes and invalidates itself; the
-    // requester is served by (now fresh) memory.
-    b.snoop(d, BusOp::Read, SnoopOutcome::flush(inv));
-    b.snoop(d, BusOp::ReadX, SnoopOutcome::flush(inv));
-
-    b.build().expect("Synapse specification must validate")
+    super::library("synapse")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characteristic, GlobalCtx};
+    use crate::{BusOp, Characteristic, GlobalCtx, ProcEvent};
 
     #[test]
     fn builds_with_three_states() {

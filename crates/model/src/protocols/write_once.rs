@@ -8,60 +8,20 @@
 //! characteristic function: no transition depends on the rest of the
 //! system.
 
-use crate::{BusOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs};
+use crate::ProtocolSpec;
 
-/// Builds the Write-Once protocol.
+/// The Write-Once protocol, parsed from `protocols/write-once.ccv`. A
+/// remote read degrades `Reserved` to `Valid`. A `Dirty` snooper
+/// inhibits memory, supplies the block and writes it back in the same
+/// transaction.
 pub fn write_once() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Write-Once");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let v = b.state("Valid", "V", StateAttrs::SHARED_CLEAN);
-    // Reserved is exclusive but clean (memory was just written through).
-    let r = b.state("Reserved", "R", StateAttrs::VALID_EXCLUSIVE);
-    let d = b.state("Dirty", "D", StateAttrs::DIRTY);
-
-    // Invalid.
-    b.on(inv, ProcEvent::Read, Outcome::read_miss(v));
-    b.on(inv, ProcEvent::Write, Outcome::write_miss_invalidate(d));
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Valid: the write-once write — through to memory, invalidating.
-    b.on(v, ProcEvent::Read, Outcome::read_hit(v));
-    b.on(
-        v,
-        ProcEvent::Write,
-        Outcome::write_hit_through_invalidate(r),
-    );
-    b.on(v, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    // Reserved: the second write is local.
-    b.on(r, ProcEvent::Read, Outcome::read_hit(r));
-    b.on(r, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(r, ProcEvent::Replace, Outcome::evict_clean(inv)); // memory is current
-
-    // Dirty.
-    b.on(d, ProcEvent::Read, Outcome::read_hit(d));
-    b.on(d, ProcEvent::Write, Outcome::write_hit_silent(d));
-    b.on(d, ProcEvent::Replace, Outcome::evict_writeback(inv));
-
-    // Snoop reactions. Memory supplies clean blocks.
-    b.snoop(v, BusOp::Read, SnoopOutcome::to(v));
-    b.snoop(v, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(v, BusOp::Upgrade, SnoopOutcome::to(inv));
-    b.snoop(r, BusOp::Read, SnoopOutcome::to(v)); // degrade to shared-clean
-    b.snoop(r, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(r, BusOp::Upgrade, SnoopOutcome::to(inv));
-    // A Dirty snooper inhibits memory, supplies the block and writes it
-    // back in the same transaction.
-    b.snoop(d, BusOp::Read, SnoopOutcome::supply_and_flush(v));
-    b.snoop(d, BusOp::ReadX, SnoopOutcome::supply(inv));
-
-    b.build().expect("Write-Once specification must validate")
+    super::library("write-once")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characteristic, DataOp, GlobalCtx};
+    use crate::{BusOp, Characteristic, DataOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn builds_with_four_states_null_characteristic() {

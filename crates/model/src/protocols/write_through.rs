@@ -7,54 +7,18 @@
 //! comparison (all the write-back designs exist to beat it on bus
 //! traffic). Null characteristic function.
 
-use crate::{
-    BusOp, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
-};
+use crate::ProtocolSpec;
 
-/// Builds the write-through invalidate protocol.
+/// The write-through invalidate protocol, parsed from
+/// `protocols/write-through.ccv`.
 pub fn write_through() -> ProtocolSpec {
-    let mut b = SpecBuilder::new("Write-Through");
-    let inv = b.state("Invalid", "Inv", StateAttrs::INVALID);
-    let v = b.state("Valid", "V", StateAttrs::SHARED_CLEAN);
-
-    b.on(inv, ProcEvent::Read, Outcome::read_miss(v));
-    // Write miss: allocate, write through, invalidate remote copies.
-    b.on(
-        inv,
-        ProcEvent::Write,
-        Outcome {
-            next: v,
-            bus: Some(BusOp::ReadX),
-            data: DataOp::Write {
-                fill: true,
-                through: true,
-                broadcast: false,
-            },
-        },
-    );
-    b.on(inv, ProcEvent::Replace, Outcome::evict_clean(inv));
-
-    b.on(v, ProcEvent::Read, Outcome::read_hit(v));
-    // Write hit: write through, invalidate remote copies.
-    b.on(
-        v,
-        ProcEvent::Write,
-        Outcome::write_hit_through_invalidate(v),
-    );
-    b.on(v, ProcEvent::Replace, Outcome::evict_clean(inv)); // always clean
-
-    b.snoop(v, BusOp::Read, SnoopOutcome::to(v)); // memory supplies
-    b.snoop(v, BusOp::ReadX, SnoopOutcome::to(inv));
-    b.snoop(v, BusOp::Upgrade, SnoopOutcome::to(inv));
-
-    b.build()
-        .expect("Write-Through specification must validate")
+    super::library("write-through")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Characteristic, GlobalCtx};
+    use crate::{BusOp, Characteristic, DataOp, GlobalCtx, ProcEvent};
 
     #[test]
     fn two_states_null_characteristic() {

@@ -125,20 +125,6 @@ impl Outcome {
         }
     }
 
-    /// A write hit broadcast as an update to remote copies.
-    /// `through` additionally writes the new value to memory (Firefly).
-    pub const fn write_hit_update(next: StateId, through: bool) -> Outcome {
-        Outcome {
-            next,
-            bus: Some(BusOp::Update),
-            data: DataOp::Write {
-                fill: false,
-                through,
-                broadcast: true,
-            },
-        }
-    }
-
     /// A write-through write hit with remote invalidation (Write-Once's
     /// first write: memory is updated and other copies are invalidated).
     pub const fn write_hit_through_invalidate(next: StateId) -> Outcome {

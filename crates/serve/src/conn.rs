@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccv_core::api::{ApiError, ErrorCode, Request, RunContext};
-use ccv_observe::{CancelToken, FaultKind, NdjsonSink, SinkHandle};
+use ccv_observe::{CancelToken, FaultKind, Json, NdjsonSink, SinkHandle};
 
 use crate::Service;
 
@@ -382,11 +382,9 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
 
     let response = match (method.as_str(), path.as_str()) {
         ("GET", "/v1/healthz") => http_response((200, "OK"), &[], "{\"ok\":true}"),
-        ("GET", "/v1/metrics") => http_response(
-            (200, "OK"),
-            &[],
-            &service.metrics_json().render_compact(),
-        ),
+        ("GET", "/v1/metrics") => {
+            http_response((200, "OK"), &[], &service.metrics_json().render_compact())
+        }
         ("POST", "/v1/requests") => {
             if content_length > cfg.max_request_bytes {
                 let out = service.process_text_error(ApiError::bad_request(format!(
@@ -428,14 +426,11 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
                 return;
             }
         }
-        _ => http_response(
-            (404, "Not Found"),
-            &[],
-            &format!(
-                "{{\"error\":{{\"code\":\"bad_request\",\"message\":\"no such endpoint: {} {}\"}}}}",
-                method, path
-            ),
-        ),
+        _ => {
+            let err = ApiError::bad_request(format!("no such endpoint: {method} {path}"));
+            let body = Json::Obj(vec![("error".into(), err.to_json())]).render_compact();
+            http_response((404, "Not Found"), &[], &body)
+        }
     };
     let _ = stream.write_all(&response).and_then(|_| stream.flush());
 }

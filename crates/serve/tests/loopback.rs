@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ccv_core::api::{ProtocolSource, Request, RunContext, SessionRunner};
-use ccv_observe::{CancelToken, SinkHandle};
+use ccv_observe::{CancelToken, Json, SinkHandle};
 use ccv_serve::{Server, ServerConfig, ServerHandle};
 
 /// Every checked-in protocol description, name → DSL text.
@@ -296,6 +296,14 @@ fn http_endpoints_serve_health_metrics_and_cache_header() {
 
     let missing = http_exchange(addr, "GET", "/v1/nope", None);
     assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+
+    // The 404 body stays valid JSON whatever the path holds.
+    let odd = http_exchange(addr, "GET", r#"/v1/no"pe\"#, None);
+    assert!(odd.starts_with("HTTP/1.1 404"), "{odd}");
+    let body = Json::parse(http_body(&odd)).unwrap_or_else(|e| panic!("{e}: {odd}"));
+    let message = body.get("error").and_then(|e| e.get("message"));
+    let message = message.and_then(Json::as_str).unwrap_or_default();
+    assert!(message.contains(r#"/v1/no"pe\"#), "{odd}");
 }
 
 #[test]

@@ -28,6 +28,8 @@ fn essential_state_counts_are_stable() {
         ("Firefly", 5),
         ("Dragon", 7),
         ("MOESI", 7),
+        ("split-msi", 6),
+        ("split-mesi", 13),
     ];
     for (name, count) in expected {
         let spec = by_name(name).unwrap();
