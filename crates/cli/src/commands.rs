@@ -784,11 +784,6 @@ const ENUMERATE_SPEC: ArgSpec = ArgSpec {
             help: "resident visited-table bytes before spilling (default 256 MiB)",
         },
         Flag {
-            name: "--inject-panic",
-            value: Some("K"),
-            help: "test hook: panic the worker whose expansion reaches K visits in total",
-        },
-        Flag {
             name: "--fault-plan",
             value: Some("SPEC"),
             help: "deterministic fault injection, e.g. 'spill.flush:io@2' (see docs/robustness.md)",
@@ -825,7 +820,6 @@ pub fn enumerate(args: &[String]) -> CmdResult {
         req.options.deadline = Some(std::time::Duration::from_secs_f64(secs));
     }
     req.options.max_bytes = p.value::<u64>("--max-bytes")?;
-    req.options.inject_panic = p.value::<usize>("--inject-panic")?;
     req.options.fault_plan = p.value("--fault-plan")?;
     req.options.checkpoint_out = p.value("--checkpoint-out")?;
     req.options.resume = p.value("--resume")?;

@@ -632,6 +632,56 @@ fn profile_total_firings_equal_the_rule_firings_counter() {
     assert_eq!(total, counter);
 }
 
+/// The rule names of a `--rule-stats` / `profile` table.
+fn rule_rows(out: &str) -> Vec<&str> {
+    out.lines()
+        .skip_while(|l| !l.starts_with("rule "))
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|name| *name != "total")
+        .collect()
+}
+
+#[test]
+fn rule_stats_keep_the_split_transaction_space() {
+    let args = ["enumerate", "split-msi", "-n", "3", "--exact"];
+    let plain = ccv(&args);
+    let o = ccv(&[&args[..], &["--rule-stats"]].concat());
+    for run in [&plain, &o] {
+        assert_eq!(run.status.code(), Some(0), "{}", stderr(run));
+        let out = stdout(run);
+        assert!(out.contains("distinct states: 152   visits: 753"), "{out}");
+    }
+    // A stalled cache's only stimulus is its completion: the table
+    // attributes `:C` firings and never a transient state's
+    // processor events.
+    let out = stdout(&o);
+    let rows = rule_rows(&out);
+    assert!(rows.iter().any(|r| r.ends_with(":C")), "{out}");
+    for stall in ["IS_D:R", "IS_D:W", "IM_D:W", "IM_D:Z"] {
+        assert!(!rows.contains(&stall), "{stall} fired: {out}");
+    }
+}
+
+#[test]
+fn rule_stats_keep_the_split_mutant_verdict() {
+    let o = ccv(&[
+        "enumerate",
+        "split-msi-upgrade-race-lost",
+        "-n",
+        "3",
+        "--exact",
+        "--rule-stats",
+    ]);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout(&o));
+}
+
+#[test]
+fn profile_reports_the_split_mutant() {
+    let o = ccv(&["profile", "split-msi-upgrade-race-lost", "-n", "3"]);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout(&o));
+}
+
 #[test]
 fn flight_recorder_dumps_a_postmortem_on_violation() {
     let o = ccv(&[
@@ -870,13 +920,16 @@ fn enumerate_worker_panic_reports_inconclusive_without_hanging() {
         "--exact",
         "--threads",
         "2",
-        "--inject-panic",
-        "3",
+        "--fault-plan",
+        "enum.worker:panic@3",
     ]);
     assert_eq!(o.status.code(), Some(3), "{}", stderr(&o));
     let out = stdout(&o);
     assert!(out.contains("worker thread panicked"), "{out}");
-    assert!(out.contains("injected worker fault"), "{out}");
+    assert!(
+        out.contains("injected fault: panic at enum.worker"),
+        "{out}"
+    );
 }
 
 #[test]

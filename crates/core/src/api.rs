@@ -178,9 +178,6 @@ pub struct RequestOptions {
     /// Distinct-state cap for enumerate (also the concrete-state
     /// budget of the crosscheck's enumeration leg).
     pub max_states: Option<usize>,
-    /// Test hook: panic the enumeration worker whose expansion brings
-    /// the run's total visits to this many.
-    pub inject_panic: Option<usize>,
     /// Write a resumable checkpoint here if the run stops early
     /// (server deployments may refuse file-touching options).
     pub checkpoint_out: Option<String>,
@@ -215,7 +212,6 @@ impl Default for RequestOptions {
             exact: false,
             threads: 0,
             max_states: None,
-            inject_panic: None,
             checkpoint_out: None,
             resume: None,
             spill_dir: None,
@@ -267,9 +263,6 @@ impl RequestOptions {
         }
         if let Some(m) = self.max_states {
             fields.push(("max_states".into(), Json::int(m as u64)));
-        }
-        if let Some(k) = self.inject_panic {
-            fields.push(("inject_panic".into(), Json::int(k as u64)));
         }
         if let Some(p) = &self.checkpoint_out {
             fields.push(("checkpoint_out".into(), Json::str(p.clone())));
@@ -330,7 +323,6 @@ impl RequestOptions {
                 "exact" => opts.exact = expect_bool(key, value)?,
                 "threads" => opts.threads = expect_uint(key, value)? as usize,
                 "max_states" => opts.max_states = Some(expect_uint(key, value)? as usize),
-                "inject_panic" => opts.inject_panic = Some(expect_uint(key, value)? as usize),
                 "checkpoint_out" => opts.checkpoint_out = Some(expect_str(key, value)?),
                 "resume" => opts.resume = Some(expect_str(key, value)?),
                 "spill_dir" => opts.spill_dir = Some(expect_str(key, value)?),
@@ -504,7 +496,7 @@ impl Request {
     pub fn semantic_key(&self, spec: &ProtocolSpec) -> String {
         let o = &self.options;
         format!(
-            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|ip={:?}|sd={:?}|st={:?}|fp={:?}\n{}",
+            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|sd={:?}|st={:?}|fp={:?}\n{}",
             self.action.name(),
             o.pruning,
             o.record_trace,
@@ -516,7 +508,6 @@ impl Request {
             o.exact,
             o.threads,
             o.max_states,
-            o.inject_panic,
             o.spill_dir,
             o.spill_threshold,
             o.fault_plan,
@@ -981,109 +972,6 @@ fn stop_info_json(info: &StopInfo) -> Json {
     Json::Obj(fields)
 }
 
-/// One progress record of the NDJSON event stream — the classified
-/// view clients use. Servers forward sink events verbatim; this type
-/// names the vocabulary both ends agree on.
-#[derive(Clone, Debug)]
-pub enum ProgressEvent {
-    /// Free-form progress message.
-    Progress {
-        /// The message.
-        message: String,
-    },
-    /// Engine phase boundary.
-    Phase {
-        /// Phase name (`expand`, `enumerate`, …).
-        phase: String,
-        /// True on entry, false on exit.
-        enter: bool,
-    },
-    /// BFS frontier size at a level.
-    Frontier {
-        /// The level.
-        level: u64,
-        /// Frontier size at that level.
-        size: u64,
-    },
-    /// Gauge update.
-    Gauge {
-        /// Gauge name.
-        gauge: String,
-        /// New value.
-        value: u64,
-    },
-    /// A coherence violation was recorded.
-    Violation {
-        /// Description.
-        desc: String,
-    },
-    /// The governor stopped the run early.
-    Stopped {
-        /// Stable cause name (see `StopCause::name`).
-        cause: String,
-        /// Extra context, when present.
-        detail: Option<String>,
-    },
-    /// The terminal record of a served request: the response body,
-    /// with the cache disposition carried on the envelope so cached
-    /// and fresh bodies stay byte-identical.
-    Response {
-        /// True if served from the verdict cache.
-        cached: bool,
-        /// The `ccv-response-v1` body.
-        body: Json,
-    },
-    /// Any other event in the stream, kept verbatim.
-    Other {
-        /// The `ev` discriminator.
-        ev: String,
-        /// The full record.
-        raw: Json,
-    },
-}
-
-impl ProgressEvent {
-    /// Classifies one NDJSON record. Returns `None` when the record
-    /// has no `ev` discriminator (it is not an event).
-    pub fn from_json(j: &Json) -> Option<ProgressEvent> {
-        let ev = j.get("ev")?.as_str()?;
-        let str_field = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
-        let int_field = |key: &str| j.get(key).and_then(Json::as_u64);
-        Some(match ev {
-            "progress" => ProgressEvent::Progress {
-                message: str_field("message")?,
-            },
-            "phase_enter" | "phase_exit" => ProgressEvent::Phase {
-                phase: str_field("phase")?,
-                enter: ev == "phase_enter",
-            },
-            "frontier" => ProgressEvent::Frontier {
-                level: int_field("level")?,
-                size: int_field("size")?,
-            },
-            "gauge" => ProgressEvent::Gauge {
-                gauge: str_field("gauge")?,
-                value: int_field("value")?,
-            },
-            "violation" => ProgressEvent::Violation {
-                desc: str_field("desc")?,
-            },
-            "stopped" => ProgressEvent::Stopped {
-                cause: str_field("cause")?,
-                detail: str_field("detail"),
-            },
-            "response" => ProgressEvent::Response {
-                cached: matches!(j.get("cached"), Some(Json::Bool(true))),
-                body: j.get("body")?.clone(),
-            },
-            other => ProgressEvent::Other {
-                ev: other.to_string(),
-                raw: j.clone(),
-            },
-        })
-    }
-}
-
 /// The essential states of a report as canonical JSON entries, sorted
 /// by their paper-notation rendering — byte-stable across runs and
 /// engine-internal reorderings. The array inside
@@ -1195,9 +1083,6 @@ fn enum_options(req: &Request, ctx: &RunContext) -> Result<EnumOptions, ApiError
     }
     if let Some(max_bytes) = o.max_bytes {
         opts = opts.max_bytes(max_bytes);
-    }
-    if let Some(k) = o.inject_panic {
-        opts = opts.inject_panic(k);
     }
     if o.checkpoint_out.is_some() {
         opts = opts.capture_snapshot(true);
@@ -1553,21 +1438,6 @@ mod tests {
             Some("queue full")
         );
         assert!(!resp.is_conclusive());
-    }
-
-    #[test]
-    fn progress_event_classifies_the_vocabulary() {
-        let line = Json::parse(r#"{"ev":"frontier","t_ms":0.3,"level":3,"size":9}"#).unwrap();
-        match ProgressEvent::from_json(&line) {
-            Some(ProgressEvent::Frontier { level: 3, size: 9 }) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
-        let resp = Json::parse(r#"{"ev":"response","cached":true,"body":{"x":1}}"#).unwrap();
-        match ProgressEvent::from_json(&resp) {
-            Some(ProgressEvent::Response { cached: true, .. }) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(ProgressEvent::from_json(&Json::Null).is_none());
     }
 
     /// Runs enumerate and crosscheck requests for `spec` at `n` through

@@ -211,17 +211,6 @@ impl Composite {
         self.classes.len()
     }
 
-    /// Iterator over classes whose protocol state holds a copy.
-    pub fn valid_classes<'a>(
-        &'a self,
-        spec: &'a ProtocolSpec,
-    ) -> impl Iterator<Item = (ClassKey, Rep)> + 'a {
-        self.classes
-            .iter()
-            .copied()
-            .filter(move |&(k, _)| spec.attrs(k.state).holds_copy)
-    }
-
     /// Structural covering (Definition 8): `self ≤ other` iff for every
     /// class key the operator of `self` is at most the operator of
     /// `other` in the information order — equivalently, every concrete

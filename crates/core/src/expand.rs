@@ -33,7 +33,7 @@
 
 use crate::composite::{ClassKey, Composite};
 use crate::istate::{emit_into, internalize_into, IState, KeyList};
-use ccv_model::{CData, DataOp, GlobalCtx, MData, Outcome, ProcEvent, ProtocolSpec, StateId};
+use ccv_model::{CData, DataOp, GlobalCtx, MData, Outcome, ProcEvent, ProtocolSpec};
 use core::fmt;
 
 /// Identifies a symbolic transition: which class originated it, under
@@ -620,18 +620,13 @@ fn apply(
     (succ, errors)
 }
 
-/// Convenience view of the originator state of a transition (used by
-/// trace rendering). The [`StateId`] of the class that moved.
-pub fn origin_state(label: &Label) -> StateId {
-    label.origin.state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fval::FVal;
     use crate::rep::Rep;
     use ccv_model::protocols::{illinois, msi, synapse};
+    use ccv_model::StateId;
 
     fn ck(spec: &ProtocolSpec, name: &str) -> ClassKey {
         let s = spec.state_by_name(name).unwrap();

@@ -278,14 +278,6 @@ pub(crate) fn apply_category_into(
     }
 }
 
-/// Allocating wrapper around `apply_category_into` for callers
-/// outside the hot path.
-pub fn apply_category(spec: &ProtocolSpec, istate: &IState, f: FVal) -> Vec<IState> {
-    let mut out = Vec::new();
-    apply_category_into(spec, istate, f, &mut out);
-    out
-}
-
 /// Internalises a canonical composite state into `out` (cleared first):
 /// operators become intervals, and the state's characteristic-function
 /// value is folded in via [`apply_category_into`].

@@ -105,9 +105,8 @@ pub mod verify;
 
 pub use api::{
     essential_states_json, Action, ApiError, CheckpointOutcome, CrosscheckResponse, EnumErrorInfo,
-    EnumerateResponse, ErrorCode, Payload, ProgressEvent, ProtocolSource, Request, RequestOptions,
-    Response, ResumeInfo, RunContext, SessionRunner, VerifyResponse, REQUEST_SCHEMA,
-    RESPONSE_SCHEMA,
+    EnumerateResponse, ErrorCode, Payload, ProtocolSource, Request, RequestOptions, Response,
+    ResumeInfo, RunContext, SessionRunner, VerifyResponse, REQUEST_SCHEMA, RESPONSE_SCHEMA,
 };
 pub use check::{check as check_state, Violation};
 pub use compare::{compare_protocols, DiffReport, Role};

@@ -16,18 +16,25 @@
 //! distinct states, and checks every reached state for structural and
 //! data violations — the quantities compared against the symbolic
 //! engine in experiments E4 and E7.
+//!
+//! The per-state expansion step itself (`Search`) is shared with the
+//! work-stealing engine in [`crate::parallel`]; this module's
+//! scheduler contributes only the FIFO worklist, the (optionally
+//! spilling) visited table and the BFS-level tracking.
 
 use crate::fxhash::FxHashSet;
 use crate::packed::{PackedState, MAX_CACHES};
 use crate::spill::{SpillConfig, SpillVisited};
-use crate::step::{describe_violations, is_violating, step_into, successors_into, ConcreteStep};
+use crate::step::{
+    describe_violations, is_violating, successors_attributed, successors_into, ConcreteStep,
+};
 use ccv_model::{ProcEvent, ProtocolSpec};
 use ccv_observe::{
-    CancelToken, CommonOptions, Counter, FaultKind, Gauge, Governor, Phase, RuleStat, SpanKind,
-    StopCause, StopInfo, Track,
+    CancelToken, CommonOptions, Counter, FaultKind, Gauge, Governor, Phase, RuleStat, SinkHandle,
+    SpanKind, StopCause, StopInfo, Track,
 };
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Duplicate-pruning discipline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,6 +44,19 @@ pub enum Dedup {
     /// Prune up to cache permutation (Definition 5).
     #[default]
     Counting,
+}
+
+impl Dedup {
+    /// The dedup key of `s` in an `n`-cache system: `s` itself under
+    /// [`Dedup::Exact`], its canonical permutation under
+    /// [`Dedup::Counting`].
+    #[inline]
+    pub fn canon(self, s: PackedState, n: usize) -> PackedState {
+        match self {
+            Dedup::Exact => s,
+            Dedup::Counting => s.canonical(n),
+        }
+    }
 }
 
 /// Options for an enumeration run.
@@ -58,11 +78,6 @@ pub struct EnumOptions {
     /// [`EnumResult::snapshot`] when the run stops early, so it can be
     /// checkpointed and resumed.
     pub capture_snapshot: bool,
-    /// Test-only fault injection: in the parallel engine, the worker
-    /// whose expansion brings the run's total visits to this value
-    /// panics. Exercises the pool's panic containment; ignored by the
-    /// sequential engine.
-    pub panic_after: Option<usize>,
     /// Spill the visited table to disk segments past a resident-byte
     /// budget (out-of-core enumeration). Sequential engine only; the
     /// unified API routes spill requests there.
@@ -77,7 +92,6 @@ impl EnumOptions {
             dedup: Dedup::Counting,
             common: CommonOptions::default().budget(50_000_000),
             capture_snapshot: false,
-            panic_after: None,
             spill: None,
         }
     }
@@ -142,15 +156,6 @@ impl EnumOptions {
     /// [`EnumResult::snapshot`]).
     pub fn capture_snapshot(mut self, on: bool) -> EnumOptions {
         self.capture_snapshot = on;
-        self
-    }
-
-    /// Test hook: makes the parallel engine panic, on whichever worker
-    /// brings the run's total to `visits` visits, to exercise panic
-    /// containment.
-    #[doc(hidden)]
-    pub fn inject_panic(mut self, visits: usize) -> EnumOptions {
-        self.panic_after = Some(visits);
         self
     }
 
@@ -319,6 +324,331 @@ impl VisitedTable {
     }
 }
 
+/// The panic message of an injected `enum.worker` fault.
+pub(crate) const INJECTED_PANIC: &str = "injected fault: panic at enum.worker";
+
+/// The stop detail of a worker panic: which worker, and its message.
+pub(crate) fn worker_panic_note(worker: usize, msg: &str) -> String {
+    format!("worker {worker}: {msg}")
+}
+
+/// What a scheduler does with a claimed state it is about to expand.
+pub(crate) enum Gate {
+    /// Expand it.
+    Expand,
+    /// The governor or the budget stopped the run: keep the state on
+    /// the frontier and stop.
+    Stop,
+    /// Fault site `enum.worker` fired a panic: keep the state on the
+    /// frontier and stop with a `WorkerPanic`.
+    Panic,
+}
+
+/// Counts one expansion context accumulates: the whole run for the
+/// sequential engine, one worker for the work-stealing engine.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) visits: usize,
+    pub(crate) dedup_hits: u64,
+    pub(crate) dedup_misses: u64,
+    pub(crate) errors: Vec<EnumError>,
+    /// Per-rule attribution indexed by rule id; empty unless the run
+    /// collects rule stats. Sized once, so expansion never allocates
+    /// for observability.
+    pub(crate) rules: Vec<RuleStat>,
+}
+
+impl Tally {
+    /// Adds `other`'s counts into `self`, appending its errors.
+    pub(crate) fn merge(&mut self, other: &mut Tally) {
+        self.visits += other.visits;
+        self.dedup_hits += other.dedup_hits;
+        self.dedup_misses += other.dedup_misses;
+        self.errors.append(&mut other.errors);
+        for (total, r) in self.rules.iter_mut().zip(&other.rules) {
+            total.merge(r);
+        }
+    }
+}
+
+/// The expansion step both schedulers share: seeding, the per-state
+/// gate (governor, budget, fault site `enum.worker`), successor
+/// generation, the per-successor bookkeeping and the end-of-run
+/// report. A scheduler supplies only its frontier and its visited
+/// table, through the `claim` and `push` closures.
+pub(crate) struct Search<'a> {
+    spec: &'a ProtocolSpec,
+    opts: &'a EnumOptions,
+    n: usize,
+    dedup: Dedup,
+    stop_at_first_error: bool,
+    /// The run's resource governor: deadline, memory cap, cancel
+    /// token, first-stop-cause arbitration.
+    pub(crate) gov: Governor,
+    /// `sink.is_enabled()`, queried once: hot loops must not re-poll
+    /// every tee'd sink.
+    pub(crate) events: bool,
+    rules: bool,
+}
+
+impl<'a> Search<'a> {
+    pub(crate) fn new(spec: &'a ProtocolSpec, opts: &'a EnumOptions) -> Search<'a> {
+        assert!(
+            opts.n >= 1 && opts.n <= MAX_CACHES,
+            "n must be in 1..={MAX_CACHES}"
+        );
+        assert!(
+            spec.num_states() <= 16,
+            "packed encoding supports at most 16 protocol states"
+        );
+        let events = opts.common.sink.is_enabled();
+        Search {
+            spec,
+            opts,
+            n: opts.n,
+            dedup: opts.dedup,
+            stop_at_first_error: opts.common.stop_at_first_error,
+            gov: opts.common.governor(),
+            events,
+            rules: opts.common.rule_stats && events,
+        }
+    }
+
+    pub(crate) fn sink(&self) -> &'a SinkHandle {
+        &self.opts.common.sink
+    }
+
+    /// An empty tally, with a rule table when the run attributes.
+    pub(crate) fn tally(&self) -> Tally {
+        let rules = if self.rules {
+            vec![RuleStat::default(); self.spec.num_rules()]
+        } else {
+            Vec::new()
+        };
+        Tally {
+            rules,
+            ..Tally::default()
+        }
+    }
+
+    /// Starts the run: claims the initial state's dedup key and checks
+    /// it like any reached state, or restores a resume seed. Returns
+    /// the starting tally and frontier. The frontier holds dedup
+    /// keys, so the set of expanded states — and with it the violation
+    /// set — is a deterministic function of the options.
+    pub(crate) fn seed(
+        &self,
+        seed: Option<ResumeSeed>,
+        mut claim: impl FnMut(PackedState),
+    ) -> (Tally, Vec<PackedState>) {
+        let sink = self.sink();
+        let mut tally = self.tally();
+        match seed {
+            None => {
+                sink.frontier(0, 1);
+                let init = self.dedup.canon(PackedState::INITIAL, self.n);
+                claim(init);
+                if is_violating(self.spec, init, self.n) {
+                    sink.violation("initial state violates coherence");
+                    tally.errors.push(EnumError {
+                        state: init,
+                        descriptions: describe_violations(self.spec, init, self.n),
+                    });
+                    // An initial-state violation honors
+                    // stop_at_first_error like any other: don't explore
+                    // a space already known to be broken.
+                    if self.stop_at_first_error {
+                        return (tally, Vec::new());
+                    }
+                }
+                (tally, vec![init])
+            }
+            Some(seed) => {
+                // Seed states were already claimed and checked; the
+                // frontier continues in its saved order, so a
+                // budget-split run expands exactly the states the
+                // uninterrupted run would have.
+                for s in seed.visited {
+                    claim(s);
+                }
+                sink.frontier(0, seed.frontier.len());
+                tally.visits = seed.visits;
+                tally.errors = seed.errors;
+                (tally, seed.frontier)
+            }
+        }
+    }
+
+    /// Checks a claimed state before its expansion. Governed stops
+    /// are taken at expansion granularity, so a stopped run's frontier
+    /// plus visited set is an exact checkpoint. The full poll (clock
+    /// and `bytes()`) runs every [`Governor::STRIDE`] expansions, the
+    /// cancel-token load in between; the distinct-state budget is
+    /// checked every time. Then fault site `enum.worker`: `slow`
+    /// stalls the expansion, `panic` is handed back to the scheduler.
+    #[inline]
+    pub(crate) fn gate(
+        &self,
+        expansions: usize,
+        distinct: usize,
+        bytes: impl FnOnce() -> u64,
+    ) -> Gate {
+        let tripped = if expansions % Governor::STRIDE == 0 {
+            self.gov.poll(bytes())
+        } else {
+            self.gov.cancelled()
+        };
+        let tripped = tripped.or_else(|| {
+            (distinct >= self.opts.common.budget).then(|| self.gov.stop(StopCause::BudgetExhausted))
+        });
+        if tripped.is_some() {
+            return Gate::Stop;
+        }
+        let fault = &self.opts.common.fault;
+        if fault.is_enabled() {
+            match fault.fire("enum.worker") {
+                Some(FaultKind::Panic) => return Gate::Panic,
+                Some(FaultKind::SlowRead) => {
+                    let millis = fault.injector().map_or(5, |i| i.slow_millis());
+                    std::thread::sleep(Duration::from_millis(millis));
+                }
+                _ => {}
+            }
+        }
+        Gate::Expand
+    }
+
+    /// Expands `state`: generates its successors into `buf` and runs
+    /// [`Search::successor`] on each. Returns `true` when
+    /// `stop_at_first_error` ends the run; the remaining successors
+    /// are then left unvisited.
+    #[inline]
+    pub(crate) fn expand(
+        &self,
+        state: PackedState,
+        buf: &mut Vec<ConcreteStep>,
+        tally: &mut Tally,
+        mut claim: impl FnMut(PackedState) -> bool,
+        mut push: impl FnMut(PackedState),
+    ) -> bool {
+        buf.clear();
+        if self.rules {
+            successors_attributed(self.spec, state, self.n, buf, &mut tally.rules);
+        } else {
+            successors_into(self.spec, state, self.n, buf);
+        }
+        buf.iter()
+            .any(|s| self.successor(state, s, tally, &mut claim, &mut push))
+    }
+
+    /// The per-successor bookkeeping: records a stale access, claims
+    /// the successor's dedup key, checks a newly claimed key for
+    /// violations and schedules it through `push`. Returns `true`
+    /// when a violation stops the run (`stop_at_first_error`); the
+    /// violating key is then not scheduled.
+    #[inline]
+    fn successor(
+        &self,
+        from: PackedState,
+        s: &ConcreteStep,
+        tally: &mut Tally,
+        claim: &mut impl FnMut(PackedState) -> bool,
+        push: &mut impl FnMut(PackedState),
+    ) -> bool {
+        let sink = self.sink();
+        let rule = || self.spec.rule_id(from.state(s.cache), s.event);
+        tally.visits += 1;
+        if !s.errors.is_empty() {
+            if self.events {
+                sink.violation(&format!("stale access via cache {} {}", s.cache, s.event));
+            }
+            if self.rules {
+                tally.rules[rule()].violations += 1;
+            }
+            let descriptions = s
+                .errors
+                .iter()
+                .map(|e| format!("{e:?} via cache {} {}", s.cache, s.event))
+                .collect();
+            tally.errors.push(EnumError {
+                state: s.to,
+                descriptions,
+            });
+            if self.stop_at_first_error {
+                return true;
+            }
+        }
+        let key = self.dedup.canon(s.to, self.n);
+        if !claim(key) {
+            tally.dedup_hits += 1;
+            if self.rules {
+                tally.rules[rule()].dedup_hits += 1;
+            }
+            return false;
+        }
+        tally.dedup_misses += 1;
+        if is_violating(self.spec, key, self.n) {
+            if self.events {
+                sink.violation(&format!(
+                    "violating state reached via cache {} {}",
+                    s.cache, s.event
+                ));
+            }
+            if self.rules {
+                tally.rules[rule()].violations += 1;
+            }
+            tally.errors.push(EnumError {
+                state: key,
+                descriptions: describe_violations(self.spec, key, self.n),
+            });
+            if self.stop_at_first_error {
+                return true;
+            }
+        }
+        push(key);
+        false
+    }
+
+    /// Builds the run's stop info (a worker panic carries
+    /// `panic_note` as its detail) and emits the report both engines
+    /// share: visit, dedup, error and budget counters, the stop, and
+    /// the rule rows.
+    pub(crate) fn finish(
+        &self,
+        tally: &Tally,
+        frontier: usize,
+        panic_note: Option<String>,
+    ) -> Option<StopInfo> {
+        let mut stopped = self.gov.stop_info(frontier);
+        if let Some(info) = &mut stopped {
+            if info.cause == StopCause::WorkerPanic {
+                info.detail = panic_note;
+            }
+        }
+        let sink = self.sink();
+        sink.count(Counter::Visits, tally.visits as u64);
+        sink.count(Counter::DedupHits, tally.dedup_hits);
+        sink.count(Counter::DedupMisses, tally.dedup_misses);
+        sink.count(Counter::Errors, tally.errors.len() as u64);
+        sink.count(Counter::BudgetPolls, self.gov.polls());
+        if let Some(info) = &stopped {
+            sink.count(Counter::BudgetStops, 1);
+            sink.stopped(info.cause.name(), info.detail.as_deref());
+        }
+        if self.rules {
+            let mut firings_total = 0u64;
+            for (rid, stat) in tally.rules.iter().enumerate() {
+                if stat.firings > 0 {
+                    firings_total += stat.firings;
+                    sink.rule_stats(&self.spec.rule_name(rid), *stat);
+                }
+            }
+            sink.count(Counter::RuleFirings, firings_total);
+        }
+        stopped
+    }
+}
+
 /// Approximate resident footprint of the sequential search state,
 /// polled by the governor's memory cap: the visited table's RAM
 /// portion plus worklist capacity.
@@ -338,205 +668,59 @@ pub fn enumerate_resumed(
     opts: &EnumOptions,
     seed: Option<ResumeSeed>,
 ) -> EnumResult {
-    assert!(
-        opts.n >= 1 && opts.n <= MAX_CACHES,
-        "n must be in 1..={MAX_CACHES}"
-    );
-    assert!(
-        spec.num_states() <= 16,
-        "packed encoding supports at most 16 protocol states"
-    );
+    let search = Search::new(spec, opts);
+    let sink = search.sink();
+    sink.phase_enter(Phase::Enumerate);
+    sink.gauge(Gauge::Threads, 1);
 
-    let canon = |s: PackedState| match opts.dedup {
-        Dedup::Exact => s,
-        Dedup::Counting => s.canonical(opts.n),
-    };
-
-    let sink = &opts.common.sink;
-    let gov = opts.common.governor();
-    // Queried once: hot loops must not re-poll every tee'd sink.
-    let events = sink.is_enabled();
-    let rules_on = opts.common.rule_stats && events;
-    // Fixed-size attribution table indexed by rule id, merged into the
-    // sink once at exit — the kernel loop stays allocation-free.
-    let mut rule_stats: Vec<RuleStat> = if rules_on {
-        vec![RuleStat::default(); spec.num_rules()]
-    } else {
-        Vec::new()
-    };
     let mut visited = VisitedTable::new(opts);
-    let mut work: VecDeque<PackedState> = VecDeque::new();
-    let mut errors: Vec<EnumError> = Vec::new();
-    let mut visits = 0usize;
-    // Counters accumulated locally and reported once — the successor
-    // loop runs millions of times in the differential suites.
-    let mut dedup_hits = 0u64;
-    let mut dedup_misses = 0u64;
+    let (mut tally, frontier) = search.seed(seed, |s| {
+        visited.insert(s);
+    });
+    let mut work: VecDeque<PackedState> = frontier.into();
     // The FIFO worklist explores level by level; track the boundary so
     // per-level frontier sizes can be reported.
     let mut level = 0usize;
     let mut next_level = 0usize;
-
-    sink.phase_enter(Phase::Enumerate);
-    sink.gauge(Gauge::Threads, 1);
-
-    match seed {
-        None => {
-            sink.frontier(0, 1);
-            // The worklist holds dedup *keys* (canonical representatives
-            // under counting dedup), so the set of expanded states — and
-            // with it the violation set — is a deterministic function of
-            // the options, shared exactly with the work-stealing engine.
-            let init = canon(PackedState::INITIAL);
-            visited.insert(init);
-            if is_violating(spec, init, opts.n) {
-                sink.violation("initial state violates coherence");
-                errors.push(EnumError {
-                    state: init,
-                    descriptions: describe_violations(spec, init, opts.n),
-                });
-            }
-            // An initial-state violation honors stop_at_first_error like
-            // any other: don't explore a space already known to be broken.
-            if errors.is_empty() || !opts.common.stop_at_first_error {
-                work.push_back(init);
-            }
-        }
-        Some(seed) => {
-            // States in the seed's visited set were already claimed and
-            // violation-checked; the frontier continues in its saved
-            // worklist order, so a budget-split run expands exactly the
-            // states — in exactly the order — the uninterrupted run
-            // would have.
-            for s in seed.visited {
-                visited.insert(s);
-            }
-            work.extend(seed.frontier);
-            visits = seed.visits;
-            errors = seed.errors;
-            sink.frontier(0, work.len());
-        }
-    }
     let mut level_remaining = work.len().max(1);
 
     let mut expansions = 0usize;
+    let mut panic_note = None;
     let mut succ_buf: Vec<ConcreteStep> = Vec::new();
-    let fault_on = opts.common.fault.is_enabled();
     sink.span_begin(SpanKind::WorkerBusy, 0);
-    'outer: while let Some(current) = work.pop_front() {
-        // Governed stop checks run at expansion granularity: a popped
-        // state goes back to the front of the worklist, so the frontier
-        // is exact and a resumed run loses nothing. Full polls (clock +
-        // memory) are strided; the token check in between is one load.
-        let tripped = if expansions % Governor::STRIDE == 0 {
-            gov.poll(approx_table_bytes(&visited, &work))
-        } else {
-            gov.cancelled()
-        };
-        let tripped = tripped.or_else(|| {
-            (visited.len() >= opts.common.budget).then(|| gov.stop(StopCause::BudgetExhausted))
-        });
-        if tripped.is_some() {
-            work.push_front(current);
-            break 'outer;
-        }
-        // Fault site `enum.worker`: a `panic` firing stops the run
-        // with the same contained `WorkerPanic` outcome the parallel
-        // pool produces — truncated, resumable, never unwinding out
-        // of the engine.
-        if fault_on {
-            match opts.common.fault.fire("enum.worker") {
-                Some(FaultKind::Panic) => {
-                    work.push_front(current);
-                    gov.stop(StopCause::WorkerPanic);
-                    break 'outer;
-                }
-                Some(FaultKind::SlowRead) => {
-                    let millis = opts
-                        .common
-                        .fault
-                        .injector()
-                        .map(|i| i.slow_millis())
-                        .unwrap_or(5);
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                _ => {}
+    while let Some(current) = work.pop_front() {
+        // A stopped state goes back to the front of the worklist, so
+        // the frontier is exact and a resumed run loses nothing. An
+        // injected panic is contained as the same `WorkerPanic` stop
+        // the work-stealing pool reports.
+        match search.gate(expansions, visited.len(), || {
+            approx_table_bytes(&visited, &work)
+        }) {
+            Gate::Expand => {}
+            Gate::Stop => {
+                work.push_front(current);
+                break;
+            }
+            Gate::Panic => {
+                work.push_front(current);
+                search.gov.stop(StopCause::WorkerPanic);
+                panic_note = Some(worker_panic_note(0, INJECTED_PANIC));
+                break;
             }
         }
         expansions += 1;
-        succ_buf.clear();
-        if rules_on {
-            // Same (cache, event) double loop as `successors_into`,
-            // with the stimulus boundaries observed so firings, yields
-            // and kernel time attribute to the rule that fired.
-            for i in 0..opts.n {
-                for event in ProcEvent::ALL {
-                    if current.state(i).is_invalid() && event == ProcEvent::Replace {
-                        continue;
-                    }
-                    let rid = spec.rule_id(current.state(i), event);
-                    let before = succ_buf.len();
-                    let start = Instant::now();
-                    step_into(spec, current, opts.n, i, event, &mut succ_buf);
-                    rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
-                    rule_stats[rid].firings += 1;
-                    rule_stats[rid].states += (succ_buf.len() - before) as u64;
-                }
-            }
-        } else {
-            successors_into(spec, current, opts.n, &mut succ_buf);
-        }
-        for s in &succ_buf {
-            visits += 1;
-            if !s.errors.is_empty() {
-                if events {
-                    sink.violation(&format!("stale access via cache {} {}", s.cache, s.event));
-                }
-                if rules_on {
-                    rule_stats[spec.rule_id(current.state(s.cache), s.event)].violations += 1;
-                }
-                let descriptions: Vec<String> = s
-                    .errors
-                    .iter()
-                    .map(|e| format!("{e:?} via cache {} {}", s.cache, s.event))
-                    .collect();
-                errors.push(EnumError {
-                    state: s.to,
-                    descriptions,
-                });
-                if opts.common.stop_at_first_error {
-                    break 'outer;
-                }
-            }
-            let key = canon(s.to);
-            if visited.insert(key) {
-                dedup_misses += 1;
-                if is_violating(spec, key, opts.n) {
-                    if events {
-                        sink.violation(&format!(
-                            "violating state reached via cache {} {}",
-                            s.cache, s.event
-                        ));
-                    }
-                    if rules_on {
-                        rule_stats[spec.rule_id(current.state(s.cache), s.event)].violations += 1;
-                    }
-                    errors.push(EnumError {
-                        state: key,
-                        descriptions: describe_violations(spec, key, opts.n),
-                    });
-                    if opts.common.stop_at_first_error {
-                        break 'outer;
-                    }
-                }
+        let stop = search.expand(
+            current,
+            &mut succ_buf,
+            &mut tally,
+            |key| visited.insert(key),
+            |key| {
                 work.push_back(key);
                 next_level += 1;
-            } else {
-                dedup_hits += 1;
-                if rules_on {
-                    rule_stats[spec.rule_id(current.state(s.cache), s.event)].dedup_hits += 1;
-                }
-            }
+            },
+        );
+        if stop {
+            break;
         }
         level_remaining -= 1;
         if level_remaining == 0 {
@@ -544,7 +728,7 @@ pub fn enumerate_resumed(
             if next_level > 0 {
                 sink.frontier(level, next_level);
             }
-            if events {
+            if search.events {
                 sink.sample(Track::Pending, work.len() as u64);
                 sink.sample(Track::Visited, visited.len() as u64);
             }
@@ -554,17 +738,8 @@ pub fn enumerate_resumed(
     }
     sink.span_end(SpanKind::WorkerBusy, 0);
 
-    let stopped = gov.stop_info(work.len());
+    let stopped = search.finish(&tally, work.len(), panic_note);
     let truncated = stopped.is_some();
-    sink.count(Counter::Visits, visits as u64);
-    sink.count(Counter::DedupHits, dedup_hits);
-    sink.count(Counter::DedupMisses, dedup_misses);
-    sink.count(Counter::Errors, errors.len() as u64);
-    sink.count(Counter::BudgetPolls, gov.polls());
-    if let Some(info) = &stopped {
-        sink.count(Counter::BudgetStops, 1);
-        sink.stopped(info.cause.name(), info.detail.as_deref());
-    }
     sink.gauge(Gauge::DistinctStates, visited.len() as u64);
     sink.gauge(Gauge::Levels, level as u64);
     // Unlike the governor's poll, the gauge reports the *full* table
@@ -580,22 +755,12 @@ pub fn enumerate_resumed(
     if let Some(err) = visited.io_error() {
         sink.progress(&format!("spill degraded to in-RAM operation: {err}"));
     }
-    if rules_on {
-        let mut firings_total = 0u64;
-        for (rid, stat) in rule_stats.iter().enumerate() {
-            if stat.firings > 0 {
-                firings_total += stat.firings;
-                sink.rule_stats(&spec.rule_name(rid), *stat);
-            }
-        }
-        sink.count(Counter::RuleFirings, firings_total);
-    }
-    if events {
+    if search.events {
         sink.progress(&format!(
             "enumerate(n={}): {} distinct states, {} visits",
             opts.n,
             visited.len(),
-            visits
+            tally.visits
         ));
     }
     sink.phase_exit(Phase::Enumerate);
@@ -605,13 +770,13 @@ pub fn enumerate_resumed(
         .flatten()
         .map(|all| EnumSnapshot {
             visited: all,
-            frontier: work.iter().copied().collect(),
+            frontier: work.into(),
         });
     EnumResult {
         n: opts.n,
         distinct: visited.len(),
-        visits,
-        errors,
+        visits: tally.visits,
+        errors: tally.errors,
         truncated,
         stopped,
         snapshot,

@@ -31,30 +31,33 @@
 //!
 //! # Equivalence with the sequential engine
 //!
-//! Both engines enqueue the *dedup key* of each successor (the state
-//! itself under [`Dedup::Exact`], its canonical form under
-//! [`Dedup::Counting`]), and [`AtomicVisited::claim`] admits each key
-//! exactly once, so the set of expanded states — and therefore the
-//! `distinct`/`visits` totals and the violation *set* — is identical
-//! to [`crate::explicit::enumerate`]'s, for any thread count.
-//! Discovery *order*, and with it error ordering, is scheduling-
-//! dependent. The unit tests and the differential matrix in
+//! Both engines run one shared expansion step (successor generation,
+//! rule attribution, the per-successor bookkeeping, the governor and
+//! fault checks); this module supplies only the scheduling. Both
+//! enqueue the *dedup key* of each successor (see
+//! [`Dedup::canon`](crate::explicit::Dedup::canon)), and
+//! [`AtomicVisited::claim`] admits each key exactly once, so the set
+//! of expanded states — and therefore the `distinct`/`visits` totals
+//! and the violation *set* — is identical to
+//! [`crate::explicit::enumerate`]'s, for any thread count. Discovery
+//! *order*, and with it error ordering, is scheduling-dependent. The
+//! unit tests and the differential matrix in
 //! `tests/tests/engines_agree.rs` pin the agreement.
 
-use crate::explicit::{Dedup, EnumError, EnumOptions, EnumResult, EnumSnapshot, ResumeSeed};
-use crate::packed::{PackedState, MAX_CACHES};
-use crate::step::{describe_violations, is_violating, step_into, successors_into, ConcreteStep};
-use crate::visited::AtomicVisited;
-use ccv_model::{ProcEvent, ProtocolSpec};
-use ccv_observe::{
-    Counter, FaultHandle, FaultKind, Gauge, Governor, Phase, RuleStat, SinkHandle, SpanKind,
-    StopCause, Track,
+use crate::explicit::{
+    worker_panic_note, EnumOptions, EnumResult, EnumSnapshot, Gate, ResumeSeed, Search, Tally,
+    INJECTED_PANIC,
 };
+use crate::packed::PackedState;
+use crate::step::ConcreteStep;
+use crate::visited::AtomicVisited;
+use ccv_model::ProtocolSpec;
+use ccv_observe::{Counter, Gauge, Phase, SpanKind, StopCause, Track};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Most states moved from a worker's public deque to its private
 /// stack in one refill.
@@ -82,64 +85,24 @@ fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
 
 /// Shared search state, borrowed by every worker.
 struct Shared<'a> {
-    spec: &'a ProtocolSpec,
-    n: usize,
-    dedup: Dedup,
-    budget: usize,
-    stop_at_first_error: bool,
+    /// The expansion step shared with the sequential engine.
+    search: Search<'a>,
     visited: AtomicVisited,
-    /// The run's resource governor: deadline, memory cap, cancel
-    /// token, first-stop-cause arbitration.
-    gov: Governor,
-    /// Test-only fault injection: the worker whose expansion brings the
-    /// run's total visits to this threshold panics (see
-    /// [`EnumOptions::inject_panic`]).
-    panic_after: Option<usize>,
-    /// Visits counted towards `panic_after`; touched only while the
-    /// hook is armed.
-    hook_visits: AtomicUsize,
-    /// Plan-driven fault injection (site `enum.worker`); the injected
-    /// panic unwinds into the pool's regular containment.
-    fault: FaultHandle,
     /// Claimed-but-unexpanded states; 0 ⇒ the search is complete.
     pending: AtomicUsize,
     stop: AtomicBool,
     /// One public deque per worker. Owners push/pop at the back,
     /// thieves steal batches from the front.
     queues: Vec<Mutex<VecDeque<PackedState>>>,
-    /// The run's sink, shared so workers can emit timeline spans.
-    sink: &'a SinkHandle,
-    /// `sink.is_enabled()`, cached once — never re-polled per state.
-    events: bool,
-    /// Collect per-rule attribution (fixed-size per-worker arrays).
-    rules: bool,
-}
-
-impl Shared<'_> {
-    #[inline]
-    fn canon(&self, s: PackedState) -> PackedState {
-        match self.dedup {
-            Dedup::Exact => s,
-            Dedup::Counting => s.canonical(self.n),
-        }
-    }
 }
 
 /// Per-worker tallies, merged after the pool joins.
 #[derive(Default)]
 struct WorkerStats {
-    visits: usize,
-    dedup_hits: u64,
-    dedup_misses: u64,
-    claims: u64,
+    tally: Tally,
     steals: u64,
     claim_races: u64,
     peak_pending: usize,
-    errors: Vec<EnumError>,
-    /// Per-rule attribution, indexed by rule id (empty unless the run
-    /// collects rule stats). Sized once at worker start, so the
-    /// expansion loop never allocates for observability.
-    rules: Vec<RuleStat>,
 }
 
 /// Moves up to [`REFILL_BATCH`] states from the worker's own public
@@ -176,15 +139,15 @@ fn steal(
         if take == 0 {
             continue;
         }
-        if sh.events {
-            sh.sink.span_begin(SpanKind::Steal, w as u32 + 1);
+        if sh.search.events {
+            sh.search.sink().span_begin(SpanKind::Steal, w as u32 + 1);
         }
         for _ in 0..take {
             local.push(q.pop_front().expect("len checked"));
         }
         drop(q);
-        if sh.events {
-            sh.sink.span_end(SpanKind::Steal, w as u32 + 1);
+        if sh.search.events {
+            sh.search.sink().span_end(SpanKind::Steal, w as u32 + 1);
         }
         stats.steals += 1;
         return local.pop();
@@ -192,9 +155,9 @@ fn steal(
     None
 }
 
-/// Expands one state: generates its successors, records stale-access
-/// and structural violations, claims each successor's dedup key and
-/// schedules the newly claimed ones.
+/// Expands one state through the shared step, claiming successor keys
+/// in the lock-free visited set and scheduling the newly claimed ones
+/// on the private stack, then publishes work for idle workers.
 fn expand(
     state: PackedState,
     w: usize,
@@ -203,88 +166,23 @@ fn expand(
     buf: &mut Vec<ConcreteStep>,
     stats: &mut WorkerStats,
 ) {
-    buf.clear();
-    if sh.rules {
-        // Per-stimulus replica of `successors_into`'s double loop, so
-        // each firing can be timed and attributed to its rule id.
-        for i in 0..sh.n {
-            for event in ProcEvent::ALL {
-                if state.state(i).is_invalid() && event == ProcEvent::Replace {
-                    continue;
-                }
-                let rid = sh.spec.rule_id(state.state(i), event);
-                let before = buf.len();
-                let start = Instant::now();
-                step_into(sh.spec, state, sh.n, i, event, buf);
-                let r = &mut stats.rules[rid];
-                r.nanos += start.elapsed().as_nanos() as u64;
-                r.firings += 1;
-                r.states += (buf.len() - before) as u64;
-            }
-        }
-    } else {
-        successors_into(sh.spec, state, sh.n, buf);
-    }
-    for s in buf.iter() {
-        stats.visits += 1;
-        if !s.errors.is_empty() {
-            let descriptions: Vec<String> = s
-                .errors
-                .iter()
-                .map(|e| format!("{e:?} via cache {} {}", s.cache, s.event))
-                .collect();
-            stats.errors.push(EnumError {
-                state: s.to,
-                descriptions,
-            });
-            if sh.events {
-                sh.sink
-                    .violation(&format!("stale access via cache {} {}", s.cache, s.event));
-            }
-            if sh.rules {
-                stats.rules[sh.spec.rule_id(state.state(s.cache), s.event)].violations += 1;
-            }
-            if sh.stop_at_first_error {
-                sh.stop.store(true, Ordering::Release);
-            }
-        }
-        let key = sh.canon(s.to);
-        let claim = sh.visited.claim(key);
-        stats.claim_races += claim.races as u64;
-        if !claim.claimed {
-            stats.dedup_hits += 1;
-            if sh.rules {
-                stats.rules[sh.spec.rule_id(state.state(s.cache), s.event)].dedup_hits += 1;
-            }
-            continue;
-        }
-        stats.dedup_misses += 1;
-        stats.claims += 1;
-        if is_violating(sh.spec, key, sh.n) {
-            stats.errors.push(EnumError {
-                state: key,
-                descriptions: describe_violations(sh.spec, key, sh.n),
-            });
-            if sh.events {
-                sh.sink.violation(&format!(
-                    "violating state reached via cache {} {}",
-                    s.cache, s.event
-                ));
-            }
-            if sh.rules {
-                stats.rules[sh.spec.rule_id(state.state(s.cache), s.event)].violations += 1;
-            }
-            if sh.stop_at_first_error {
-                sh.stop.store(true, Ordering::Release);
-            }
-        }
-        // Claimed keys are *always* enqueued — budget and governor
-        // trips are taken at expansion granularity in `worker_loop`,
-        // never mid-successor-loop, so a stopped run's frontier plus
-        // visited set is an exact checkpoint of the search.
-        let now_pending = sh.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        stats.peak_pending = stats.peak_pending.max(now_pending);
-        local.push(key);
+    let stop = sh.search.expand(
+        state,
+        buf,
+        &mut stats.tally,
+        |key| {
+            let claim = sh.visited.claim(key);
+            stats.claim_races += claim.races as u64;
+            claim.claimed
+        },
+        |key| {
+            let now_pending = sh.pending.fetch_add(1, Ordering::Relaxed) + 1;
+            stats.peak_pending = stats.peak_pending.max(now_pending);
+            local.push(key);
+        },
+    );
+    if stop {
+        sh.stop.store(true, Ordering::Release);
     }
 
     // Publish the older (shallower) half of a grown private stack so
@@ -311,9 +209,7 @@ fn expand(
 /// and its partial tallies still merge.
 fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &mut WorkerStats) {
     let tid = w as u32 + 1;
-    if sh.rules {
-        stats.rules = vec![RuleStat::default(); sh.spec.num_rules()];
-    }
+    let sink = sh.search.sink();
     let mut buf: Vec<ConcreteStep> = Vec::new();
     let mut expansions = 0usize;
     let mut idle = 0u32;
@@ -334,10 +230,9 @@ fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &
             if busy {
                 busy = false;
                 spans += 1;
-                sh.sink.span_end(SpanKind::WorkerBusy, tid);
-                sh.sink
-                    .sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);
-                sh.sink.sample(Track::Visited, sh.visited.len() as u64);
+                sink.span_end(SpanKind::WorkerBusy, tid);
+                sink.sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);
+                sink.sample(Track::Visited, sh.visited.len() as u64);
             }
             if sh.pending.load(Ordering::Acquire) == 0 {
                 break;
@@ -354,72 +249,45 @@ fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &
             }
             continue;
         };
-        // Governed stop check, at expansion granularity: the claimed
-        // state goes *back* on the private stack (it reaches the
-        // checkpoint frontier), never half-expanded. The budget is
-        // checked every expansion (one atomic read); the clock and
-        // memory estimate only every `Governor::STRIDE`.
-        if sh.fault.is_enabled() {
-            match sh.fault.fire("enum.worker") {
-                Some(FaultKind::Panic) => {
-                    // The claimed state reaches the frontier before
-                    // the unwind, so the panic costs no coverage.
-                    local.push(state);
-                    panic!("injected fault: panic at enum.worker");
-                }
-                Some(FaultKind::SlowRead) => {
-                    let millis = sh.fault.injector().map(|i| i.slow_millis()).unwrap_or(5);
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                _ => {}
+        // A stopped state goes *back* on the private stack (it reaches
+        // the checkpoint frontier), never half-expanded; so does the
+        // state of an injected panic, before the unwind into the
+        // pool's containment.
+        match sh
+            .search
+            .gate(expansions, sh.visited.len(), || sh.visited.approx_bytes())
+        {
+            Gate::Expand => {}
+            Gate::Stop => {
+                sh.stop.store(true, Ordering::Release);
+                local.push(state);
+                break;
             }
-        }
-        let tripped = if expansions % Governor::STRIDE == 0 {
-            sh.gov.poll(sh.visited.approx_bytes())
-        } else {
-            sh.gov.cancelled()
-        };
-        let tripped = tripped.or_else(|| {
-            (sh.visited.len() >= sh.budget).then(|| sh.gov.stop(StopCause::BudgetExhausted))
-        });
-        if tripped.is_some() {
-            sh.stop.store(true, Ordering::Release);
-            local.push(state);
-            break;
+            Gate::Panic => {
+                local.push(state);
+                panic!("{INJECTED_PANIC}");
+            }
         }
         expansions += 1;
-        if sh.events && !busy {
+        if sh.search.events && !busy {
             busy = true;
-            sh.sink.span_begin(SpanKind::WorkerBusy, tid);
-            sh.sink
-                .sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);
-            sh.sink.sample(Track::Visited, sh.visited.len() as u64);
+            sink.span_begin(SpanKind::WorkerBusy, tid);
+            sink.sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);
+            sink.sample(Track::Visited, sh.visited.len() as u64);
         }
         idle = 0;
-        let seen = stats.visits;
         expand(state, w, sh, local, &mut buf, stats);
         sh.pending.fetch_sub(1, Ordering::AcqRel);
-        if let Some(k) = sh.panic_after {
-            // Exactly one expansion carries the shared total across
-            // `k` (for `k = 0`, the first one). It has finished, so its
-            // successors already sit on the private stack and reach
-            // the frontier drain.
-            let added = stats.visits - seen;
-            let before = sh.hook_visits.fetch_add(added, Ordering::Relaxed);
-            if before < k.max(1) && before + added >= k {
-                panic!("injected worker fault (test hook, visits >= {k})");
-            }
-        }
     }
     if busy {
         spans += 1;
-        sh.sink.span_end(SpanKind::WorkerBusy, tid);
+        sink.span_end(SpanKind::WorkerBusy, tid);
     }
-    if sh.events && spans == 0 {
+    if sh.search.events && spans == 0 {
         // A worker that never found work still gets one (degenerate)
         // complete span, so every worker track exists in the trace.
-        sh.sink.span_begin(SpanKind::WorkerBusy, tid);
-        sh.sink.span_end(SpanKind::WorkerBusy, tid);
+        sink.span_begin(SpanKind::WorkerBusy, tid);
+        sink.span_end(SpanKind::WorkerBusy, tid);
     }
 }
 
@@ -428,9 +296,10 @@ fn worker_loop(w: usize, sh: &Shared<'_>, local: &mut Vec<PackedState>, stats: &
 ///
 /// Produces the same `distinct`/`visits` totals and the same violation
 /// *set* as [`crate::explicit::enumerate`] for any thread count; error
-/// ordering is scheduling-dependent. `stop_at_first_error` propagates
-/// cooperatively, so a few extra states may be expanded (and extra
-/// errors recorded) before all workers observe the stop.
+/// ordering is scheduling-dependent. `stop_at_first_error` ends the
+/// expansion that found the violation and propagates cooperatively to
+/// the other workers, so a few extra states may be expanded (and extra
+/// errors recorded) before all of them observe the stop.
 pub fn enumerate_parallel(spec: &ProtocolSpec, opts: &EnumOptions, threads: usize) -> EnumResult {
     enumerate_parallel_resumed(spec, opts, threads, None)
 }
@@ -446,76 +315,27 @@ pub fn enumerate_parallel_resumed(
     threads: usize,
     seed: Option<ResumeSeed>,
 ) -> EnumResult {
-    assert!(opts.n >= 1 && opts.n <= MAX_CACHES);
     assert!(threads >= 1);
-    assert!(
-        spec.num_states() <= 16,
-        "packed encoding supports at most 16 protocol states"
-    );
-
-    let sink = &opts.common.sink;
-    let events = sink.is_enabled();
-    let rules_on = opts.common.rule_stats && events;
-    sink.phase_enter(Phase::Enumerate);
-    sink.gauge(Gauge::Threads, threads as u64);
-
     let sh = Shared {
-        spec,
-        n: opts.n,
-        dedup: opts.dedup,
-        budget: opts.common.budget,
-        stop_at_first_error: opts.common.stop_at_first_error,
+        search: Search::new(spec, opts),
         visited: AtomicVisited::new(),
-        gov: opts.common.governor(),
-        panic_after: opts.panic_after,
-        hook_visits: AtomicUsize::new(0),
-        fault: opts.common.fault.clone(),
         pending: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        sink,
-        events,
-        rules: rules_on,
     };
+    let sink = sh.search.sink();
+    let events = sh.search.events;
+    sink.phase_enter(Phase::Enumerate);
+    sink.gauge(Gauge::Threads, threads as u64);
 
-    let mut errors: Vec<EnumError> = Vec::new();
-    let mut visits_base = 0usize;
-    match seed {
-        None => {
-            // The coordinator claims the initial state itself so the
-            // per-worker claim counts sum to `distinct − 1`.
-            let init = sh.canon(PackedState::INITIAL);
-            sh.visited.claim(init);
-            sink.frontier(0, 1);
-            if is_violating(spec, init, opts.n) {
-                if events {
-                    sink.violation("initial state violates coherence");
-                }
-                errors.push(EnumError {
-                    state: init,
-                    descriptions: describe_violations(spec, init, opts.n),
-                });
-                if opts.common.stop_at_first_error {
-                    sh.stop.store(true, Ordering::Release);
-                }
-            }
-            if !sh.stop.load(Ordering::Relaxed) {
-                sh.pending.store(1, Ordering::Relaxed);
-                lock(&sh.queues[0]).push_back(init);
-            }
-        }
-        Some(seed) => {
-            for s in &seed.visited {
-                sh.visited.claim(*s);
-            }
-            visits_base = seed.visits;
-            errors = seed.errors;
-            sink.frontier(0, seed.frontier.len());
-            sh.pending.store(seed.frontier.len(), Ordering::Relaxed);
-            for (i, s) in seed.frontier.into_iter().enumerate() {
-                lock(&sh.queues[i % threads]).push_back(s);
-            }
-        }
+    // The coordinator claims the seed states itself, so the per-worker
+    // claim counts sum to the states the workers discovered.
+    let (mut tally, frontier) = sh.search.seed(seed, |s| {
+        sh.visited.claim(s);
+    });
+    sh.pending.store(frontier.len(), Ordering::Relaxed);
+    for (i, s) in frontier.into_iter().enumerate() {
+        lock(&sh.queues[i % threads]).push_back(s);
     }
 
     // Worker panics are caught at the closure boundary: the first
@@ -529,7 +349,10 @@ pub fn enumerate_parallel_resumed(
                 let sh = &sh;
                 let panic_note = &panic_note;
                 scope.spawn(move || {
-                    let mut stats = WorkerStats::default();
+                    let mut stats = WorkerStats {
+                        tally: sh.search.tally(),
+                        ..WorkerStats::default()
+                    };
                     let mut local: Vec<PackedState> = Vec::new();
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         worker_loop(w, sh, &mut local, &mut stats)
@@ -542,9 +365,9 @@ pub fn enumerate_parallel_resumed(
                             .unwrap_or_else(|| "opaque panic payload".to_string());
                         let mut note = lock(panic_note);
                         if note.is_none() {
-                            *note = Some(format!("worker {w}: {msg}"));
+                            *note = Some(worker_panic_note(w, &msg));
                         }
-                        sh.gov.stop(StopCause::WorkerPanic);
+                        sh.search.gov.stop(StopCause::WorkerPanic);
                         sh.stop.store(true, Ordering::Release);
                     }
                     (stats, local)
@@ -566,41 +389,27 @@ pub fn enumerate_parallel_resumed(
         frontier.extend(lock(q).drain(..));
     }
 
-    // The coordinator's merge of per-worker tallies is the Drain leg
-    // of the run's timeline (tid 0 = main thread).
+    // The coordinator's merge of per-worker tallies and the report are
+    // the Drain leg of the run's timeline (tid 0 = main thread).
     if events {
         sink.span_begin(SpanKind::Drain, 0);
     }
-    let mut visits = visits_base;
-    let mut dedup_hits = 0u64;
-    let mut dedup_misses = 0u64;
     let mut steals = 0u64;
     let mut claim_races = 0u64;
     let mut peak_pending = 1usize;
-    let mut rules_total: Vec<RuleStat> = if rules_on {
-        vec![RuleStat::default(); spec.num_rules()]
-    } else {
-        Vec::new()
-    };
     for stats in &mut worker_stats {
-        visits += stats.visits;
-        dedup_hits += stats.dedup_hits;
-        dedup_misses += stats.dedup_misses;
+        tally.merge(&mut stats.tally);
         steals += stats.steals;
         claim_races += stats.claim_races;
         peak_pending = peak_pending.max(stats.peak_pending);
-        errors.append(&mut stats.errors);
-        for (rid, r) in stats.rules.iter().enumerate() {
-            rules_total[rid].merge(r);
-        }
     }
-
+    let panic_note = panic_note
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let stopped = sh.search.finish(&tally, frontier.len(), panic_note);
+    let truncated = stopped.is_some();
     let distinct = sh.visited.len();
     if events {
-        sink.count(Counter::Visits, visits as u64);
-        sink.count(Counter::DedupHits, dedup_hits);
-        sink.count(Counter::DedupMisses, dedup_misses);
-        sink.count(Counter::Errors, errors.len() as u64);
         sink.count(Counter::Steals, steals);
         sink.count(Counter::ClaimRaces, claim_races);
         sink.gauge(Gauge::DistinctStates, distinct as u64);
@@ -608,51 +417,27 @@ pub fn enumerate_parallel_resumed(
         sink.sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);
         sink.sample(Track::Visited, distinct as u64);
         for (i, stats) in worker_stats.iter().enumerate() {
-            sink.worker(i, stats.claims);
-        }
-        if rules_on {
-            let mut firings_total = 0u64;
-            for (rid, r) in rules_total.iter().enumerate() {
-                if r.firings > 0 || r.states > 0 {
-                    sink.rule_stats(&spec.rule_name(rid), *r);
-                }
-                firings_total += r.firings;
-            }
-            sink.count(Counter::RuleFirings, firings_total);
+            sink.worker(i, stats.tally.dedup_misses);
         }
         sink.progress(&format!(
-            "enumerated {distinct} distinct states in {visits} visits \
-             ({threads} workers, {steals} steals)"
+            "enumerated {distinct} distinct states in {} visits \
+             ({threads} workers, {steals} steals)",
+            tally.visits
         ));
         sink.span_end(SpanKind::Drain, 0);
-    }
-
-    let mut stopped = sh.gov.stop_info(frontier.len());
-    if let Some(info) = &mut stopped {
-        if info.cause == StopCause::WorkerPanic {
-            info.detail = panic_note
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-    let truncated = stopped.is_some();
-    sink.count(Counter::BudgetPolls, sh.gov.polls());
-    if let Some(info) = &stopped {
-        sink.count(Counter::BudgetStops, 1);
-        sink.stopped(info.cause.name(), info.detail.as_deref());
     }
     sink.gauge(Gauge::VisitedBytes, sh.visited.approx_bytes());
     sink.phase_exit(Phase::Enumerate);
 
     let snapshot = (opts.capture_snapshot && truncated).then(|| EnumSnapshot {
         visited: sh.visited.states(),
-        frontier: frontier.clone(),
+        frontier,
     });
     EnumResult {
         n: opts.n,
         distinct,
-        visits,
-        errors,
+        visits: tally.visits,
+        errors: tally.errors,
         truncated,
         stopped,
         snapshot,
@@ -752,16 +537,24 @@ mod tests {
 
     #[test]
     fn panicking_worker_reports_instead_of_deadlocking() {
-        for threads in [1usize, 2, 8] {
+        // `None` is the sequential engine, the rest are pool sizes.
+        for threads in [None, Some(1usize), Some(2), Some(8)] {
             let r = with_watchdog(move || {
                 let spec = illinois();
-                enumerate_parallel(&spec, &EnumOptions::new(4).exact().inject_panic(3), threads)
+                let mut opts = EnumOptions::new(4).exact();
+                let fault = ccv_observe::FaultHandle::from_spec("enum.worker:panic@3").unwrap();
+                opts.common = opts.common.fault(fault);
+                match threads {
+                    None => enumerate(&spec, &opts),
+                    Some(t) => enumerate_parallel(&spec, &opts, t),
+                }
             });
-            assert!(r.truncated, "t={threads}");
+            assert!(r.truncated, "t={threads:?}");
             let info = r.stopped.expect("panic is a recorded stop cause");
-            assert_eq!(info.cause, StopCause::WorkerPanic, "t={threads}");
+            assert_eq!(info.cause, StopCause::WorkerPanic, "t={threads:?}");
+            assert!(info.frontier > 0, "t={threads:?}: the panicked state stays");
             let detail = info.detail.expect("panic payload captured");
-            assert!(detail.contains("injected"), "t={threads}: {detail}");
+            assert!(detail.contains(INJECTED_PANIC), "t={threads:?}: {detail}");
         }
     }
 

@@ -40,6 +40,8 @@
 
 use crate::packed::PackedState;
 use ccv_model::{CData, DataOp, GlobalCtx, MData, ProcEvent, ProtocolSpec};
+use ccv_observe::RuleStat;
+use std::time::Instant;
 
 pub use ccv_model::{ConcreteError, ErrorMask};
 
@@ -77,6 +79,31 @@ pub fn context_of(spec: &ProtocolSpec, gs: PackedState, n: usize, i: usize) -> G
     }
 }
 
+/// Calls `f(cache, event)` once per stimulus of `gs`, in cache order.
+/// A transient cache is stalled: its processor events are the
+/// synthesized self-loops, and its only real stimulus is the
+/// completion of the pending bus transaction.
+#[inline]
+fn for_each_stimulus(
+    spec: &ProtocolSpec,
+    gs: PackedState,
+    n: usize,
+    mut f: impl FnMut(usize, ProcEvent),
+) {
+    for i in 0..n {
+        if spec.is_transient(gs.state(i)) {
+            f(i, ProcEvent::Complete);
+            continue;
+        }
+        for event in ProcEvent::ALL {
+            if gs.state(i).is_invalid() && event == ProcEvent::Replace {
+                continue;
+            }
+            f(i, event);
+        }
+    }
+}
+
 /// Generates every concrete successor of `gs` (for all caches and all
 /// events), appending into `out`. Distinct data-resolution choices that
 /// produce identical successors are deduplicated.
@@ -88,21 +115,32 @@ pub fn successors_into(
     n: usize,
     out: &mut Vec<ConcreteStep>,
 ) {
-    for i in 0..n {
-        // A transient cache is stalled: its processor events are the
-        // synthesized self-loops, and its only real stimulus is the
-        // completion of the pending bus transaction.
-        if spec.is_transient(gs.state(i)) {
-            step_into(spec, gs, n, i, ProcEvent::Complete, out);
-            continue;
-        }
-        for event in ProcEvent::ALL {
-            if gs.state(i).is_invalid() && event == ProcEvent::Replace {
-                continue;
-            }
-            step_into(spec, gs, n, i, event, out);
-        }
-    }
+    for_each_stimulus(spec, gs, n, |i, event| {
+        step_into(spec, gs, n, i, event, out)
+    });
+}
+
+/// [`successors_into`] with per-rule attribution: each stimulus adds
+/// one firing, its successor count and its kernel time to
+/// `rules[spec.rule_id(..)]` (`rules` holds `spec.num_rules()` slots).
+/// The stimuli, and so the successors, are exactly those of
+/// [`successors_into`].
+pub(crate) fn successors_attributed(
+    spec: &ProtocolSpec,
+    gs: PackedState,
+    n: usize,
+    out: &mut Vec<ConcreteStep>,
+    rules: &mut [RuleStat],
+) {
+    for_each_stimulus(spec, gs, n, |i, event| {
+        let before = out.len();
+        let start = Instant::now();
+        step_into(spec, gs, n, i, event, out);
+        let r = &mut rules[spec.rule_id(gs.state(i), event)];
+        r.nanos += start.elapsed().as_nanos() as u64;
+        r.firings += 1;
+        r.states += (out.len() - before) as u64;
+    });
 }
 
 /// Generates the successors of one `(cache, event)` stimulus.

@@ -8,7 +8,7 @@
 //! plus possibly an abandoned temp file that readers ignore.
 //!
 //! Torn content can still reach the final name through the
-//! [`FaultKind::TornWrite`](crate::fault::FaultKind::TornWrite) fault
+//! [`FaultKind::TornWrite`] fault
 //! (which deliberately truncates the temp before publishing, to prove
 //! readers validate) or through pre-existing files from older tools —
 //! which is why every reader validates and [`quarantine`]s rather

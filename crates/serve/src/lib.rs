@@ -368,9 +368,8 @@ impl Service {
         let seed = effective.semantic_key(&spec);
         // Fault-injection runs are for testing the failure paths;
         // replaying them from cache would defeat the point.
-        let cacheable = effective.options.inject_panic.is_none()
-            && effective.options.fault_plan.is_none()
-            && !effective.options.touches_files();
+        let cacheable =
+            effective.options.fault_plan.is_none() && !effective.options.touches_files();
         if cacheable {
             if let Some(body) = self.cache.lookup(&seed) {
                 self.ok.fetch_add(1, Ordering::Relaxed);

@@ -316,11 +316,12 @@ fn client_disconnect_mid_request_is_detected_and_counted() {
         .into_iter()
         .find(|(n, _)| n == "moesi.ccv")
         .unwrap();
-    // A fault-injection option keeps the request out of the verdict
-    // cache, so every retry actually runs an engine; enumerate at a
-    // real size gives the watchdog a window to notice the dead peer.
+    // A fault plan that never fires keeps the request out of the
+    // verdict cache, so every retry actually runs an engine; enumerate
+    // at a real size gives the watchdog a window to notice the dead
+    // peer.
     let mut req = Request::enumerate(ProtocolSource::Dsl(moesi), 6);
-    req.options.inject_panic = Some(usize::MAX);
+    req.options.fault_plan = Some("enum.worker:slow@1000000000".into());
     let body = req.to_json().render_compact();
     let http = format!(
         "POST /v1/requests HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",

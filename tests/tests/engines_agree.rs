@@ -4,8 +4,10 @@
 
 use ccv_core::{crosscheck, run_expansion, Options};
 use ccv_enum::{enumerate, enumerate_parallel, Dedup, EnumOptions, EnumResult};
-use ccv_model::protocols::{all_buggy, all_correct, illinois};
+use ccv_model::protocols::{all_buggy, all_correct, all_non_atomic, illinois};
 use ccv_model::StateAttrs;
+use ccv_observe::{EventSink, Metrics};
+use std::sync::Arc;
 
 #[test]
 fn theorem_1_symbolic_covers_explicit_for_all_protocols() {
@@ -116,13 +118,20 @@ fn violation_set(r: &EnumResult) -> Vec<(u128, Vec<String>)> {
 
 #[test]
 fn differential_matrix_work_stealing_equals_sequential() {
-    // The PR 2 acceptance matrix: every bundled protocol (correct and
-    // buggy) × machine size × dedup mode × thread count. The
+    // The PR 2 acceptance matrix: every bundled protocol (correct,
+    // split-transaction and buggy) × machine size × dedup mode ×
+    // thread count. Both schedulers run one shared expansion step, so
+    // the matrix tests scheduling and the claim protocol: the
     // work-stealing engine must reproduce the sequential engine's
     // distinct count, visit count and violation set exactly — any
     // scheduling-dependent divergence is a bug in the claim protocol
     // or the termination detection.
+    //
+    // Rule attribution is one more input: with a collecting sink and
+    // `rule_stats` on, the sequential engine and a work-stealing pool
+    // must still explore exactly the plain run's space.
     let mut specs: Vec<_> = all_correct();
+    specs.extend(all_non_atomic());
     specs.extend(all_buggy().into_iter().map(|(s, _)| s));
     for spec in &specs {
         for n in [2usize, 3, 4] {
@@ -136,6 +145,19 @@ fn differential_matrix_work_stealing_equals_sequential() {
                     assert_eq!(par.distinct, seq.distinct, "{tag}: distinct");
                     assert_eq!(par.visits, seq.visits, "{tag}: visits");
                     assert_eq!(violation_set(&par), seq_violations, "{tag}: violations");
+                }
+                let attributed = || {
+                    let sink = Arc::new(Metrics::new()) as Arc<dyn EventSink>;
+                    opts.clone().sink(sink).rule_stats(true)
+                };
+                for (engine, r) in [
+                    ("sequential", enumerate(spec, &attributed())),
+                    ("t=2", enumerate_parallel(spec, &attributed(), 2)),
+                ] {
+                    let tag = format!("{} n={n} {dedup:?} {engine} rule_stats", spec.name());
+                    assert_eq!(r.distinct, seq.distinct, "{tag}: distinct");
+                    assert_eq!(r.visits, seq.visits, "{tag}: visits");
+                    assert_eq!(violation_set(&r), seq_violations, "{tag}: violations");
                 }
             }
         }
