@@ -198,7 +198,12 @@ impl Obs {
             trace: None,
             _postmortem: None,
         };
-        if let Some(path) = p.value::<String>("--metrics-out")? {
+        // `ccv verify` also spells `--metrics-out` as `--metrics`.
+        let metrics_path = match p.value::<String>("--metrics-out")? {
+            Some(path) => Some(path),
+            None => p.value::<String>("--metrics")?,
+        };
+        if let Some(path) = metrics_path {
             let m = Arc::new(Metrics::new());
             obs.sinks.push(m.clone());
             obs.metrics = Some((path, m));
@@ -410,7 +415,7 @@ const VERIFY_SPEC: ArgSpec = ArgSpec {
         Flag {
             name: "--metrics",
             value: Some("FILE"),
-            help: "write run metrics (counters, phase timings) as JSON",
+            help: "same as --metrics-out",
         },
         Flag {
             name: "--progress",
@@ -449,16 +454,11 @@ pub fn verify(args: &[String]) -> CmdResult {
     };
     let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
     let record_trace = p.flag("--trace");
-    let metrics_path: Option<String> = p.value("--metrics")?;
     let progress = p.flag("--progress");
     let rule_stats = p.flag("--rule-stats");
     let obs = Obs::from_args(&p)?;
 
-    let metrics = if metrics_path.is_some() || rule_stats {
-        Some(Arc::new(Metrics::new()))
-    } else {
-        None
-    };
+    let rule_metrics = rule_stats.then(|| Arc::new(Metrics::new()));
     let mut req = Request::verify(ProtocolSource::Spec(spec));
     req.options.pruning = if p.flag("--equality") {
         Pruning::Equality
@@ -472,7 +472,7 @@ pub fn verify(args: &[String]) -> CmdResult {
     }
     req.options.max_bytes = p.value::<u64>("--max-bytes")?;
     let mut extra: Vec<Arc<dyn EventSink>> = Vec::new();
-    if let Some(m) = &metrics {
+    if let Some(m) = &rule_metrics {
         extra.push(m.clone());
     }
     if progress {
@@ -542,17 +542,8 @@ pub fn verify(args: &[String]) -> CmdResult {
         write_out(&path, json.render().as_bytes())?;
         println!("\nessential states written to {path}");
     }
-    if rule_stats {
-        let snap = metrics
-            .as_ref()
-            .expect("metrics collector was attached")
-            .snapshot();
-        print!("\n{}", crate::report::rule_table(&snap));
-    }
-    if let Some(path) = metrics_path {
-        let snap = metrics.expect("metrics collector was attached").snapshot();
-        write_out(&path, snap.to_json().render().as_bytes())?;
-        println!("\nmetrics written to {path}");
+    if let Some(m) = &rule_metrics {
+        print!("\n{}", crate::report::rule_table(&m.snapshot()));
     }
     obs.finish()?;
     Ok(match report.verdict {

@@ -314,6 +314,28 @@ fn metrics_file_reports_the_papers_numbers() {
 }
 
 #[test]
+fn verify_metrics_is_an_alias_of_metrics_out() {
+    // One collector, one file: given both spellings, --metrics-out wins.
+    let dir = std::env::temp_dir().join(format!("ccv-cli-alias-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (alias, shared) = (dir.join("alias.json"), dir.join("shared.json"));
+    let o = ccv(&[
+        "verify",
+        "illinois",
+        "--metrics",
+        alias.to_str().unwrap(),
+        "--metrics-out",
+        shared.to_str().unwrap(),
+    ]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert_eq!(stdout(&o).matches("metrics written to").count(), 1);
+    assert!(!alias.exists());
+    let json = std::fs::read_to_string(&shared).unwrap();
+    assert!(json.contains("\"visits\": 22"), "{json}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn progress_streams_ndjson_to_stderr() {
     let o = ccv(&["verify", "illinois", "--progress"]);
     assert_eq!(o.status.code(), Some(0));

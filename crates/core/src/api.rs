@@ -38,6 +38,7 @@
 //! validated first and reported as a well-formed `bad_request` error —
 //! a daemon serving untrusted requests must never fall over.
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
@@ -48,6 +49,7 @@ use ccv_enum::{
     enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, SpillConfig, MAX_CACHES,
 };
 use ccv_model::ProtocolSpec;
+use ccv_observe::json::escape_into;
 use ccv_observe::{CancelToken, Json, SinkHandle, StopInfo};
 
 /// Schema identifier stamped on every serialized request.
@@ -823,25 +825,8 @@ impl Response {
                     "essential_states".into(),
                     Json::int(report.num_essential() as u64),
                 ));
-                if let Outcome::Inconclusive {
-                    reason,
-                    frontier_size,
-                    visits,
-                    elapsed,
-                } = &report.outcome
-                {
-                    fields.push((
-                        "stop".into(),
-                        Json::Obj(vec![
-                            ("reason".into(), Json::str(reason.clone())),
-                            ("frontier".into(), Json::int(*frontier_size as u64)),
-                            ("visits".into(), Json::int(*visits as u64)),
-                            (
-                                "elapsed_ms".into(),
-                                Json::Num(elapsed.as_secs_f64() * 1000.0),
-                            ),
-                        ]),
-                    ));
+                if let Some(stop) = verify_stop_json(&report.outcome) {
+                    fields.push(("stop".into(), stop));
                 }
                 if !report.reports.is_empty() {
                     let errors: Vec<Json> = report
@@ -957,6 +942,99 @@ impl Response {
         }
         Json::Obj(fields)
     }
+
+    /// Renders the compact `ccv-response-v1` body: byte-identical to
+    /// `self.to_json().render_compact()`, and what `ccv serve` sends.
+    ///
+    /// A verify payload is written straight into one buffer. The
+    /// report's descriptions, states and counterexample paths — the
+    /// longest paths run to megabytes — are escaped in place instead of
+    /// being cloned into a [`Json`] tree and copied again on rendering.
+    /// Only the small `stop` and `essential` parts go through [`Json`].
+    /// Other payloads render through [`Response::to_json`], which stays
+    /// the tree form for callers that inspect the document and the
+    /// oracle the direct writer is tested against.
+    pub fn render_compact(&self) -> String {
+        let Ok(Payload::Verify(v)) = &self.result else {
+            return self.to_json().render_compact();
+        };
+        let report = &v.report;
+        let errors_len: usize = report
+            .reports
+            .iter()
+            .map(|r| {
+                let descriptions: usize = r.descriptions.iter().map(|d| d.len() + 3).sum();
+                descriptions + r.state.len() + r.path.len() + 48
+            })
+            .sum();
+        let mut out = String::with_capacity(errors_len + 1024);
+        out.push_str("{\"schema\":");
+        escape_into(&mut out, RESPONSE_SCHEMA);
+        out.push_str(",\"action\":");
+        escape_into(&mut out, self.action.name());
+        out.push_str(",\"protocol\":");
+        escape_into(&mut out, &report.protocol);
+        out.push_str(",\"verdict\":");
+        escape_into(&mut out, &report.verdict.to_string());
+        let _ = write!(
+            out,
+            ",\"visits\":{},\"expansions\":{},\"essential_states\":{}",
+            report.visits(),
+            report.expansion.expanded,
+            report.num_essential()
+        );
+        if let Some(stop) = verify_stop_json(&report.outcome) {
+            out.push_str(",\"stop\":");
+            stop.write_compact(&mut out);
+        }
+        if !report.reports.is_empty() {
+            out.push_str(",\"errors\":[");
+            for (i, r) in report.reports.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"descriptions\":[");
+                for (j, d) in r.descriptions.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    escape_into(&mut out, d);
+                }
+                out.push_str("],\"state\":");
+                escape_into(&mut out, &r.state);
+                out.push_str(",\"path\":");
+                escape_into(&mut out, &r.path);
+                out.push('}');
+            }
+            out.push(']');
+        }
+        out.push_str(",\"essential\":");
+        Json::Arr(essential_entries(&v.spec, report)).write_compact(&mut out);
+        out.push('}');
+        out
+    }
+}
+
+/// The `stop` object of a verify response, for inconclusive outcomes.
+fn verify_stop_json(outcome: &Outcome) -> Option<Json> {
+    let Outcome::Inconclusive {
+        reason,
+        frontier_size,
+        visits,
+        elapsed,
+    } = outcome
+    else {
+        return None;
+    };
+    Some(Json::Obj(vec![
+        ("reason".into(), Json::str(reason.clone())),
+        ("frontier".into(), Json::int(*frontier_size as u64)),
+        ("visits".into(), Json::int(*visits as u64)),
+        (
+            "elapsed_ms".into(),
+            Json::Num(elapsed.as_secs_f64() * 1000.0),
+        ),
+    ]))
 }
 
 fn stop_info_json(info: &StopInfo) -> Json {

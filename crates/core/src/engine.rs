@@ -46,7 +46,7 @@ use ccv_model::ProtocolSpec;
 use ccv_observe::{
     CommonOptions, Counter, Gauge, Phase, RuleStat, SpanKind, StopCause, StopInfo, Track,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// Pruning discipline for the worklist.
@@ -290,6 +290,46 @@ impl Expansion {
             s.push_str(&self.composite(node).render_full(spec));
         }
         s
+    }
+
+    /// Renders the counterexample paths to every node of `ids`, each
+    /// byte-identical to [`Expansion::render_path`] of that node.
+    ///
+    /// Error paths share long prefixes, so each node's segment — the
+    /// ` --label--> ` arrow plus the full composite, or the bare
+    /// composite at the root — is rendered once, memoized by
+    /// [`NodeId`], and every path is assembled from the segments.
+    pub fn render_paths(&self, spec: &ProtocolSpec, ids: &[NodeId]) -> Vec<String> {
+        let mut segments: HashMap<NodeId, String> = HashMap::new();
+        let mut chain: Vec<NodeId> = Vec::new();
+        ids.iter()
+            .map(|&id| {
+                chain.clear();
+                let mut cur = Some(id);
+                while let Some(c) = cur {
+                    chain.push(c);
+                    cur = self.nodes[c.0].parent.map(|(p, _)| p);
+                }
+                let mut len = 0;
+                for &node in &chain {
+                    len += segments
+                        .entry(node)
+                        .or_insert_with(|| {
+                            let full = self.composite(node).render_full(spec);
+                            match self.nodes[node.0].parent {
+                                Some((_, l)) => format!(" --{}--> {full}", l.render(spec)),
+                                None => full,
+                            }
+                        })
+                        .len();
+                }
+                let mut path = String::with_capacity(len);
+                for node in chain.iter().rev() {
+                    path.push_str(&segments[node]);
+                }
+                path
+            })
+            .collect()
     }
 }
 

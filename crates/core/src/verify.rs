@@ -7,7 +7,7 @@
 use crate::check::Violation;
 use crate::composite::Composite;
 use crate::crosscheck::CrossCheck;
-use crate::engine::{expand_with, EngineScratch, Expansion, Options};
+use crate::engine::{expand_with, EngineScratch, Expansion, NodeId, Options};
 use crate::expand::StepError;
 use crate::graph::{global_graph, GlobalGraph};
 use ccv_model::ProtocolSpec;
@@ -205,10 +205,13 @@ pub fn verify_with_scratch(
     sink.phase_enter(Phase::Check);
     let outcome = Outcome::of_expansion(&expansion);
     let verdict = outcome.verdict();
+    let nodes: Vec<NodeId> = expansion.errors.iter().map(|f| f.node).collect();
+    let paths = expansion.render_paths(spec, &nodes);
     let reports = expansion
         .errors
         .iter()
-        .map(|f| {
+        .zip(paths)
+        .map(|(f, path)| {
             let mut descriptions: Vec<String> = f
                 .violations
                 .iter()
@@ -218,7 +221,7 @@ pub fn verify_with_scratch(
             ErrorReport {
                 descriptions,
                 state: expansion.composite(f.node).render(spec),
-                path: expansion.render_path(spec, f.node),
+                path,
             }
         })
         .collect();

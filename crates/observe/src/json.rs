@@ -103,7 +103,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -134,7 +134,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_str(out, key);
+                    escape_into(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                 }
@@ -145,12 +145,15 @@ impl Json {
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the single-line rendering to `out` — the building block
+    /// of writers that emit part of a document directly and the rest
+    /// through a `Json` value.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -167,7 +170,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(out, key);
+                    escape_into(out, key);
                     out.push(':');
                     value.write_compact(out);
                 }
@@ -204,21 +207,38 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string literal.
+///
+/// Escapes `"`, `\\`, `\n`, `\r` and `\t` by name and every other
+/// control character below U+0020 as `\u00XX`; everything else,
+/// multi-byte text included, is copied through. Every escaped character
+/// is ASCII, so the scan runs over bytes and copies each unescaped run
+/// with one `push_str`.
+pub fn escape_into(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -393,6 +413,60 @@ mod tests {
         let text = doc.render_compact();
         assert!(!text.contains('\n'));
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// The escaper as first written, one `char` at a time: the oracle
+    /// `escape_into` must match byte for byte.
+    fn escape_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn escape_into_matches_the_char_by_char_escaper() {
+        let cases = [
+            "",
+            "plain ascii",
+            "\"",
+            "\\",
+            "a\"b\\c\nd\re\tf",
+            "\u{1}\u{1f}\u{7f}",
+            "I⁺ S¡ M· 🦀",
+            "🦀\"⁺\n¡\u{1}·\\",
+            "(I⁺, M¹) --PrRd/BusRd--> (S*, M·)",
+            "\n\n\t\t\"\"\\\\",
+        ];
+        for case in cases {
+            let (mut fast, mut slow) = (String::from("x"), String::from("x"));
+            escape_into(&mut fast, case);
+            escape_by_char(&mut slow, case);
+            assert_eq!(fast, slow, "escaping {case:?}");
+            assert_eq!(
+                Json::parse(&fast[1..]).unwrap(),
+                Json::str(case),
+                "round trip of {case:?}"
+            );
+        }
+        // Every control character below U+0020, and the first above.
+        let controls: String = (0u8..=0x20).map(char::from).collect();
+        let (mut fast, mut slow) = (String::new(), String::new());
+        escape_into(&mut fast, &controls);
+        escape_by_char(&mut slow, &controls);
+        assert_eq!(fast, slow);
+        assert_eq!(Json::parse(&fast).unwrap(), Json::str(controls));
     }
 
     #[test]

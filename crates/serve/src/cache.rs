@@ -27,7 +27,7 @@ use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ccv_enum::{FxHashMap, FxHasher};
 use ccv_observe::{persist, FaultHandle, Json};
@@ -103,7 +103,7 @@ fn decode_entry(text: &str) -> Result<(String, String), String> {
 struct Shard {
     /// hash → (full key, stored body). The full key is kept so a
     /// 64-bit collision degrades to a miss, never to a wrong body.
-    entries: FxHashMap<u64, (String, String)>,
+    entries: FxHashMap<u64, (String, Arc<str>)>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
 }
@@ -171,7 +171,7 @@ impl VerdictCache {
                 .and_then(|text| decode_entry(&text))
             {
                 Ok((key, body)) => {
-                    self.store(&key, body);
+                    self.store(&key, body.into());
                     report.loaded += 1;
                 }
                 Err(_) => {
@@ -203,14 +203,15 @@ impl VerdictCache {
         &self.shards[(hash as usize) % self.shards.len()]
     }
 
-    /// Returns the stored body for `seed`, counting a hit or a miss.
-    pub fn lookup(&self, seed: &str) -> Option<String> {
+    /// Returns the stored body for `seed` (a shared reference, not a
+    /// copy), counting a hit or a miss.
+    pub fn lookup(&self, seed: &str) -> Option<Arc<str>> {
         let hash = key_hash(seed);
         let shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
         match shard.entries.get(&hash) {
             Some((key, body)) if key == seed => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body.clone())
+                Some(Arc::clone(body))
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -224,8 +225,8 @@ impl VerdictCache {
     /// also written as one atomic, fsynced file; a failed write (disk
     /// trouble, injected fault) degrades to memory-only — it never
     /// fails the request that produced the body.
-    pub fn insert(&self, seed: &str, body: String) {
-        let (hash, evicted) = self.store(seed, body.clone());
+    pub fn insert(&self, seed: &str, body: Arc<str>) {
+        let (hash, evicted) = self.store(seed, Arc::clone(&body));
         if let Some(path) = self.entry_path(hash) {
             let text = encode_entry(seed, &body);
             if persist::write_atomic(&path, text.as_bytes(), &self.fault, "cache.write").is_err() {
@@ -240,7 +241,7 @@ impl VerdictCache {
     /// The in-memory half of [`VerdictCache::insert`]: returns the
     /// entry's hash and the hash of any entry FIFO-evicted to make
     /// room.
-    fn store(&self, seed: &str, body: String) -> (u64, Option<u64>) {
+    fn store(&self, seed: &str, body: Arc<str>) -> (u64, Option<u64>) {
         let hash = key_hash(seed);
         let mut evicted = None;
         let mut shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());

@@ -233,9 +233,10 @@ impl ServerConfig {
 /// transport-relevant facts about how it was produced.
 #[derive(Clone, Debug)]
 pub struct Outcome {
-    /// Compact-rendered `ccv-response-v1` body. For cache hits this is
-    /// the stored string, byte for byte.
-    pub body: String,
+    /// Compact-rendered `ccv-response-v1` body. A cacheable miss shares
+    /// this one allocation with the verdict cache, and a hit hands out
+    /// another reference to the stored body.
+    pub body: Arc<str>,
     /// Served from the verdict cache without running an engine.
     pub cached: bool,
     /// `None` for a successful payload, the error class otherwise.
@@ -418,9 +419,14 @@ impl Service {
             None => self.ok.fetch_add(1, Ordering::Relaxed),
             Some(_) => self.errors.fetch_add(1, Ordering::Relaxed),
         };
-        let body = resp.to_json().render_compact();
-        if cacheable && !disconnected && resp.is_conclusive() {
-            self.cache.insert(&seed, body.clone());
+        let conclusive = resp.is_conclusive();
+        let text = resp.render_compact();
+        // Free the report (its paths are as large as the body) before
+        // the body is copied into its shared allocation.
+        drop(resp);
+        let body: Arc<str> = text.into();
+        if cacheable && !disconnected && conclusive {
+            self.cache.insert(&seed, Arc::clone(&body));
         }
         Outcome {
             body,
@@ -458,7 +464,7 @@ impl Service {
         let retry_after_ms = err.retry_after_ms;
         fields.push(("error".to_string(), err.to_json()));
         Outcome {
-            body: Json::Obj(fields).render_compact(),
+            body: Json::Obj(fields).render_compact().into(),
             cached: false,
             code: Some(err.code),
             disconnected: false,
