@@ -63,8 +63,7 @@ pub use packed::{PackedState, MAX_CACHES};
 pub use parallel::{enumerate_parallel, enumerate_parallel_resumed};
 pub use spill::{read_segment, SpillConfig, SpillVisited, DEFAULT_SPILL_THRESHOLD, SPILL_SCHEMA};
 pub use step::{
-    check_concrete, context_of, describe_violations, is_violating, step_into, successors_into,
-    ConcreteError, ConcreteStep, ErrorMask,
+    describe_violations, is_violating, successors_into, ConcreteError, ConcreteStep, ErrorMask,
 };
 pub use visited::{AtomicVisited, ClaimStats};
 pub use witness::{bfs_witness, find_violation_witness, Witness, WitnessStep};

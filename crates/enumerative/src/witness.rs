@@ -18,7 +18,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::packed::PackedState;
-use crate::step::{check_concrete, successors_into, ConcreteStep};
+use crate::step::{describe_violations, successors_into, ConcreteStep};
 use ccv_model::{ProcEvent, ProtocolSpec};
 use std::collections::VecDeque;
 
@@ -130,7 +130,7 @@ pub fn bfs_witness(
         successors_into(spec, current, n, &mut buf);
         for s in &buf {
             let mut problems: Vec<String> = s.errors.iter().map(|e| format!("{e:?}")).collect();
-            problems.extend(check_concrete(spec, s.to, n));
+            problems.extend(describe_violations(spec, s.to, n));
             let is_new = !parent.contains_key(&s.to);
             if is_new {
                 parent.insert(s.to, (current, s.cache, s.event, problems.clone()));
