@@ -41,7 +41,8 @@
 //!   snapshots are compared.
 //! * `--min-sweep-speedup F` — exit 1 unless the batch mutation sweep
 //!   beats the naive reference engine by at least `F`× *in this run*
-//!   (same process, same machine — no normalisation needed).
+//!   (same process, same machine — no normalisation needed), taken as
+//!   the median ratio of alternating timing rounds.
 
 use ccv_core::{reference_expand, Batch, Options};
 use ccv_enum::{enumerate, enumerate_parallel, EnumOptions, EnumResult, SpillConfig};
@@ -201,10 +202,17 @@ fn time_symbolic(key: &str, mut work: impl FnMut() -> (usize, usize)) -> SymRow 
     }
 }
 
+/// Timed rounds of each mutation sweep. The batch and naive sweeps
+/// alternate, so both see the same drift in machine load, and the
+/// speedup is the median of the per-round ratios.
+const SWEEP_ROUNDS: usize = 5;
+
 /// The symbolic rows: every protocol through one warm batch session,
 /// then the Illinois single-mutant sweep through the batch API and
 /// through the naive reference engine. The two sweep rows share the
-/// workload, so their rate ratio is the batch/refactor speedup.
+/// workload, so their rate ratio is the batch/refactor speedup; they
+/// are timed in [`SWEEP_ROUNDS`] alternating rounds, and the rows
+/// reported are those of the round with the median ratio.
 fn measure_symbolic() -> (Vec<SymRow>, f64) {
     let mut rows = Vec::new();
 
@@ -220,21 +228,31 @@ fn measure_symbolic() -> (Vec<SymRow>, f64) {
     let opts = Options::default().max_visits(100_000);
     let mutants = single_mutants(&protocols::illinois());
     let mut batch = Batch::with_options(opts.clone());
-    let sweep = time_symbolic("sym-sweep/batch", || {
-        let mut visits = 0;
-        for m in &mutants {
-            visits += batch.summarize(&m.spec).visits;
-        }
-        (mutants.len(), visits)
-    });
-    let reference = time_symbolic("sym-sweep/reference", || {
-        let mut visits = 0;
-        for m in &mutants {
-            visits += reference_expand(&m.spec, &opts).visits;
-        }
-        (mutants.len(), visits)
-    });
-    let speedup = sweep.visits_per_sec / reference.visits_per_sec;
+    let mut rounds: Vec<(f64, SymRow, SymRow)> = (0..SWEEP_ROUNDS)
+        .map(|_| {
+            let sweep = time_symbolic("sym-sweep/batch", || {
+                let mut visits = 0;
+                for m in &mutants {
+                    visits += batch.summarize(&m.spec).visits;
+                }
+                (mutants.len(), visits)
+            });
+            let reference = time_symbolic("sym-sweep/reference", || {
+                let mut visits = 0;
+                for m in &mutants {
+                    visits += reference_expand(&m.spec, &opts).visits;
+                }
+                (mutants.len(), visits)
+            });
+            (
+                sweep.visits_per_sec / reference.visits_per_sec,
+                sweep,
+                reference,
+            )
+        })
+        .collect();
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (speedup, sweep, reference) = rounds.swap_remove(SWEEP_ROUNDS / 2);
     rows.push(sweep);
     rows.push(reference);
     (rows, speedup)
@@ -640,7 +658,10 @@ fn main() {
             r.key, r.essential, r.visits, r.wall_ms, r.visits_per_sec
         );
     }
-    eprintln!("mutation-sweep batch speedup over the naive reference: {sweep_speedup:.2}x");
+    eprintln!(
+        "mutation-sweep batch speedup over the naive reference: {sweep_speedup:.2}x \
+         (median of {SWEEP_ROUNDS} rounds)"
+    );
     if let Some(floor) = min_sweep_speedup {
         if sweep_speedup < floor {
             eprintln!("FAIL: batch sweep speedup {sweep_speedup:.2}x below the {floor:.2}x floor");

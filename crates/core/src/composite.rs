@@ -83,23 +83,42 @@ impl Default for ClassKey {
     }
 }
 
-/// Compressed structural signature of a composite's class support, used
-/// by the containment index to reject non-candidates without touching
-/// the class vectors.
+/// Compressed structural signature of a composite's classes, used by
+/// the containment index to reject non-candidates without touching the
+/// class vectors.
 ///
-/// Bit `slot % 64` of `support` is set for every present class and bit
-/// `slot % 64` of `nonstar` for every class whose operator does not
-/// admit zero (`1` or `+`). Because signatures are unions of per-class
-/// bits, set inclusion implies mask inclusion even when slots collide
-/// modulo 64, so mask tests are a sound (never excluding) prefilter for
-/// the two containment directions; the full `contained_in` check
-/// confirms every candidate.
+/// Each mask holds bit `slot % 64` of every class with the named
+/// property: `support` of every present class, `nonstar` of every
+/// class whose operator does not admit zero (`1` or `+`), `one` of
+/// every singleton and `star` of every `*` class. Containment implies
+/// four set inclusions between these sets (see `index.rs`), and because
+/// a mask is a union of per-class bits, set inclusion implies mask
+/// inclusion even when slots collide modulo 64 — so the mask tests are
+/// a sound (never excluding) prefilter for both containment
+/// directions; the full `contained_in` check confirms every candidate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ClassSig {
     /// One bit per present class (operator `1`, `+` or `*`).
     pub support: u64,
     /// One bit per class that certainly holds at least one cache.
     pub nonstar: u64,
+    /// One bit per class holding exactly one cache (operator `1`).
+    pub one: u64,
+    /// One bit per class that may hold none (operator `*`).
+    pub star: u64,
+}
+
+impl ClassSig {
+    /// The mask part of `self ⊑ other`: true whenever the composites
+    /// behind the signatures (with equal `F` and `mdata`) satisfy
+    /// containment, and — absent slot collisions — only then.
+    #[inline]
+    pub(crate) fn may_be_contained_in(self, other: ClassSig) -> bool {
+        self.support & !other.support == 0
+            && other.nonstar & !self.support == 0
+            && self.star & !other.star == 0
+            && other.one & !self.one == 0
+    }
 }
 
 /// A canonical augmented composite state.
@@ -160,14 +179,19 @@ impl Composite {
         Composite { classes, mdata, f }
     }
 
-    /// The structural support signature used by the containment index.
+    /// The structural signature used by the containment index.
     pub fn signature(&self) -> ClassSig {
         let mut sig = ClassSig::default();
         for &(k, r) in &self.classes {
             let bit = 1u64 << (k.slot() % 64);
             sig.support |= bit;
-            if r != Rep::Star {
-                sig.nonstar |= bit;
+            match r {
+                Rep::Star => sig.star |= bit,
+                Rep::One => {
+                    sig.one |= bit;
+                    sig.nonstar |= bit;
+                }
+                Rep::Plus | Rep::Zero => sig.nonstar |= bit,
             }
         }
         sig

@@ -24,7 +24,7 @@
 //! trace entries and the containment machinery move copyable
 //! [`CompositeId`]s. Both containment directions go through the
 //! [`ContainmentIndex`], which buckets live nodes by `(FVal, MData)`
-//! and prefilters by class-support signature — bit-identical to the
+//! and prefilters by a four-mask class signature — bit-identical to the
 //! former linear scans (see `index.rs` for the argument) but probing
 //! only structurally comparable candidates. Scratch buffers
 //! ([`EngineScratch`]) persist across runs, so batch workloads expand
@@ -363,6 +363,29 @@ impl EngineScratch {
     }
 }
 
+/// A stage stopwatch that reads the clock once per boundary, so
+/// back-to-back stages share a reading. Off, it never reads the clock
+/// and every split is 0.
+struct Lap(Option<Instant>);
+
+impl Lap {
+    #[inline]
+    fn start(on: bool) -> Lap {
+        Lap(on.then(Instant::now))
+    }
+
+    /// Nanoseconds since the last boundary, which moves to now.
+    #[inline]
+    fn split(&mut self) -> u64 {
+        self.0.as_mut().map_or(0, |last| {
+            let now = Instant::now();
+            let ns = now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+            ns
+        })
+    }
+}
+
 /// Runs the essential-states generation algorithm of Figure 3 on
 /// `spec`, starting (per §4.0) from `(Invalid⁺)` with fresh memory.
 pub fn expand(spec: &ProtocolSpec, opts: &Options) -> Expansion {
@@ -423,6 +446,9 @@ pub fn expand_with(
     let mut containment_checks = 0u64;
     let mut index_probes = 0u64;
     let mut prunes = 0u64;
+    // Stage wall times, read from the clock only while the sink is
+    // enabled (see `Lap`), so untraced runs never touch it.
+    let (mut successors_ns, mut intern_ns, mut contain_ns, mut check_ns) = (0u64, 0, 0, 0);
 
     sink.phase_enter(Phase::Expand);
 
@@ -466,7 +492,9 @@ pub fn expand_with(
             sink.sample(Track::Visited, nodes.len() as u64);
         }
         let current_state = arena.get(nodes[current.0].state).clone();
+        let mut lap = Lap::start(events);
         successors_into(spec, &current_state, exp_scratch, succ);
+        successors_ns += lap.split();
         // One visit per rule firing: the successor categories of a
         // split firing share their label within this expansion.
         fired.clear();
@@ -498,10 +526,11 @@ pub fn expand_with(
             }
 
             // Is the successor contained in a surviving state? The
-            // containment queries dominate the engine's cost, so they
-            // are what per-rule wall time attributes.
+            // containment queries are what per-rule wall time
+            // attributes.
+            let mut lap = Lap::start(events);
             let tid = arena.intern(&t.to);
-            let scan_start = rules_on.then(Instant::now);
+            intern_ns += lap.split();
             let container_exists = index.find_container(
                 &arena,
                 tid,
@@ -509,8 +538,10 @@ pub fn expand_with(
                 &mut containment_checks,
                 &mut index_probes,
             );
-            if let Some(start) = scan_start {
-                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
+            let ns = lap.split();
+            contain_ns += ns;
+            if rules_on {
+                rule_stats[rid].nanos += ns;
             }
 
             if opts.record_trace {
@@ -535,7 +566,9 @@ pub fn expand_with(
                 }
                 if !t.errors.is_empty() {
                     let id = NodeId(nodes.len());
+                    let mut lap = Lap::start(events);
                     let violations = check(spec, &t.to);
+                    check_ns += lap.split();
                     if events {
                         sink.violation(&format!("stale access via {}", t.label.render(spec)));
                     }
@@ -563,8 +596,9 @@ pub fn expand_with(
 
             // New state: admit, prune displaced survivors, enqueue.
             let id = NodeId(nodes.len());
+            let mut lap = Lap::start(events);
             let violations = check(spec, &t.to);
-            let scan_start = rules_on.then(Instant::now);
+            check_ns += lap.split();
             index.prune_covered(
                 &arena,
                 tid,
@@ -576,8 +610,10 @@ pub fn expand_with(
                     prunes += 1;
                 },
             );
-            if let Some(start) = scan_start {
-                rule_stats[rid].nanos += start.elapsed().as_nanos() as u64;
+            let ns = lap.split();
+            contain_ns += ns;
+            if rules_on {
+                rule_stats[rid].nanos += ns;
             }
             nodes.push(Node {
                 state: tid,
@@ -626,6 +662,10 @@ pub fn expand_with(
     sink.count(Counter::InternHits, arena.hits());
     sink.count(Counter::Prunes, prunes);
     sink.count(Counter::BudgetPolls, gov.polls());
+    sink.count(Counter::SuccessorsNs, successors_ns);
+    sink.count(Counter::InternNs, intern_ns);
+    sink.count(Counter::ContainNs, contain_ns);
+    sink.count(Counter::CheckNs, check_ns);
     sink.gauge(Gauge::EssentialStates, essential.len() as u64);
     sink.gauge(Gauge::ArenaBytes, arena.approx_bytes() as u64);
     if let Some(info) = &stopped {

@@ -8,16 +8,28 @@
 //!
 //! 1. **Bucket by `(FVal, MData)`.** Containment requires equal
 //!    characteristic-function value and memory freshness, so only the
-//!    matching bucket can hold candidates.
-//! 2. **Prefilter by [`ClassSig`].** If `a` is contained in `b` then
-//!    (i) every class of `a` is present in `b` (a `1`/`+`/`*` operator
-//!    is never covered by an absent class) and (ii) every non-`*` class
-//!    of `b` is present in `a` (an absent class admits zero caches,
-//!    which only `*` covers). Both are set-inclusion facts, and unions
-//!    of per-class bits preserve set inclusion even when slots collide
-//!    modulo 64 — so the mask tests never reject a true candidate, and
-//!    the full [`Composite::contained_in`] check confirms survivors.
-//!    Results are therefore bit-identical to the linear scan.
+//!    matching bucket can hold candidates. The eight buckets are a
+//!    fixed array indexed by the pair.
+//! 2. **Prefilter by [`ClassSig`].** `a ⊑ b` holds iff, per class key,
+//!    the operator of `a` is at most that of `b` in the information
+//!    order (`Rep::le`, with absent classes as `0`). Of the sixteen
+//!    operator pairs, these fail it, and each breaks one set inclusion:
+//!    - `1`, `+` or `*` against an absent class: (i) the classes of
+//!      `a` are present in `b`;
+//!    - an absent class against `1` or `+` (a class that admits zero
+//!      caches is only covered by `*`): (ii) the non-`*` classes of
+//!      `b` are present in `a`;
+//!    - `*` against `1` or `+`: (iii) the `*` classes of `a` are `*`
+//!      in `b`;
+//!    - `+` against `1`: (iv) the `1` classes of `b` are `1` in `a`.
+//!
+//!    So containment implies all four inclusions, and without slot
+//!    collisions the four imply containment. Unions of per-class bits
+//!    preserve set inclusion even when slots collide modulo 64, so the
+//!    mask tests (`ClassSig::may_be_contained_in`) never reject a
+//!    true candidate, and the full [`Composite::contained_in`] check
+//!    confirms survivors. Results are therefore bit-identical to the
+//!    linear scan, and a full check fails only on a slot collision.
 //!
 //! In **equality** pruning mode containment degenerates to equality:
 //! the discard question is answered by an exact [`CompositeId`] lookup
@@ -30,14 +42,25 @@
 //! equal composites: the second one would have been discarded as
 //! contained when it was generated. Pruned nodes are removed from both
 //! structures, so a later re-discovery of the same composite is
-//! re-admitted exactly as the linear scan would.
+//! re-admitted exactly as the linear scan would. Ids are dense arena
+//! indices, so the map is a vector indexed by id.
 
 use crate::composite::{ClassSig, Composite};
 use crate::engine::{NodeId, Pruning};
-use crate::fval::FVal;
 use crate::intern::{CompositeArena, CompositeId};
 use ccv_model::MData;
-use std::collections::HashMap;
+
+/// `exact` slot of an id with no live node.
+const NOT_LIVE: u32 = u32::MAX;
+
+/// Number of `(FVal, MData)` buckets: four `F` values × two `mdata`.
+const GROUPS: usize = 4 * MData::ALL.len();
+
+/// The bucket of a composite: containment needs equal `f` and `mdata`.
+#[inline]
+fn group_of(c: &Composite) -> usize {
+    c.f as usize * MData::ALL.len() + c.mdata as usize
+}
 
 #[derive(Clone, Copy, Debug)]
 struct Entry {
@@ -52,10 +75,11 @@ struct Entry {
 #[derive(Debug, Default)]
 pub struct ContainmentIndex {
     /// Live nodes bucketed by the containment-compatible part of their
-    /// state.
-    groups: HashMap<(FVal, MData), Vec<Entry>>,
-    /// Live nodes by interned state id — the equality fast path.
-    exact: HashMap<CompositeId, NodeId>,
+    /// state ([`group_of`]).
+    groups: [Vec<Entry>; GROUPS],
+    /// Live node by interned state id ([`NOT_LIVE`] if none) — the
+    /// equality fast path.
+    exact: Vec<u32>,
 }
 
 impl ContainmentIndex {
@@ -66,35 +90,41 @@ impl ContainmentIndex {
 
     /// Number of live nodes indexed.
     pub fn len(&self) -> usize {
-        self.exact.len()
+        self.groups.iter().map(Vec::len).sum()
     }
 
     /// True iff no node is indexed.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
+        self.groups.iter().all(Vec::is_empty)
     }
 
     /// Forgets every entry but keeps allocated capacity.
     pub fn clear(&mut self) {
-        for g in self.groups.values_mut() {
+        for g in &mut self.groups {
             g.clear();
         }
         self.exact.clear();
     }
 
+    /// True iff a live node holds the state behind `id`.
+    #[inline]
+    fn is_live(&self, id: CompositeId) -> bool {
+        self.exact.get(id.index()).is_some_and(|&n| n != NOT_LIVE)
+    }
+
     /// Registers a newly admitted live node holding `comp` (the
     /// composite behind `id`).
     pub fn insert(&mut self, node: NodeId, id: CompositeId, comp: &Composite) {
-        let prev = self.exact.insert(id, node);
-        debug_assert!(prev.is_none(), "two live nodes share a composite");
-        self.groups
-            .entry((comp.f, comp.mdata))
-            .or_default()
-            .push(Entry {
-                sig: comp.signature(),
-                id,
-                node,
-            });
+        debug_assert!(!self.is_live(id), "two live nodes share a composite");
+        if self.exact.len() <= id.index() {
+            self.exact.resize(id.index() + 1, NOT_LIVE);
+        }
+        self.exact[id.index()] = u32::try_from(node.0).expect("node index overflow");
+        self.groups[group_of(comp)].push(Entry {
+            sig: comp.signature(),
+            id,
+            node,
+        });
     }
 
     /// Discard-new direction: is the state behind `id` contained in
@@ -111,7 +141,7 @@ impl ContainmentIndex {
     ) -> bool {
         // Equality implies containment, so the id lookup is a valid
         // fast path in both modes.
-        if self.exact.contains_key(&id) {
+        if self.is_live(id) {
             *checks += 1;
             return true;
         }
@@ -120,15 +150,9 @@ impl ContainmentIndex {
         }
         let t = arena.get(id);
         let sig = t.signature();
-        let Some(group) = self.groups.get(&(t.f, t.mdata)) else {
-            return false;
-        };
-        for e in group {
+        for e in &self.groups[group_of(t)] {
             *probes += 1;
-            // t ⊑ e needs support(t) ⊆ support(e) and nonstar(e) ⊆ support(t).
-            if sig.support & e.sig.support == sig.support
-                && e.sig.nonstar & sig.support == e.sig.nonstar
-            {
+            if sig.may_be_contained_in(e.sig) {
                 *checks += 1;
                 if t.contained_in(arena.get(e.id)) {
                     return true;
@@ -156,18 +180,12 @@ impl ContainmentIndex {
         let t = arena.get(id);
         let sig = t.signature();
         let ContainmentIndex { groups, exact } = self;
-        let Some(group) = groups.get_mut(&(t.f, t.mdata)) else {
-            return;
-        };
-        group.retain(|e| {
+        groups[group_of(t)].retain(|e| {
             *probes += 1;
-            // e ⊑ t needs support(e) ⊆ support(t) and nonstar(t) ⊆ support(e).
-            if e.sig.support & sig.support == e.sig.support
-                && sig.nonstar & e.sig.support == sig.nonstar
-            {
+            if e.sig.may_be_contained_in(sig) {
                 *checks += 1;
                 if arena.get(e.id).contained_in(t) {
-                    exact.remove(&e.id);
+                    exact[e.id.index()] = NOT_LIVE;
                     on_prune(e.node);
                     return false;
                 }
@@ -322,5 +340,88 @@ mod tests {
             |n| none.push(n),
         );
         assert!(none.is_empty());
+    }
+
+    /// Every composite over four class keys with every operator in
+    /// `{0, 1, +, *}`; two of the keys share `slot % 64`.
+    fn all_composites() -> Vec<Composite> {
+        use ccv_model::StateId;
+        let keys = [
+            ClassKey::invalid(),
+            ClassKey::fresh(StateId(1)),
+            ClassKey::fresh(StateId(65)),
+            ClassKey::obsolete(StateId(2)),
+        ];
+        assert_eq!(keys[1].slot() % 64, keys[2].slot() % 64);
+        let reps = [Rep::Zero, Rep::One, Rep::Plus, Rep::Star];
+        (0..reps.len().pow(keys.len() as u32))
+            .map(|code| {
+                let classes = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (k, reps[code / reps.len().pow(i as u32) % reps.len()]))
+                    .collect();
+                Composite::new(classes, MData::Fresh, crate::fval::FVal::V3)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn signature_prefilter_never_rejects_a_container() {
+        let comps = all_composites();
+        let mut collisions = 0;
+        for t in &comps {
+            for e in &comps {
+                let pass = t.signature().may_be_contained_in(e.signature());
+                if t.contained_in(e) {
+                    assert!(pass, "{t} ⊑ {e} but the mask test rejects it");
+                } else if pass {
+                    // Only the colliding pair of keys can fool the masks.
+                    let uses = |c: &Composite| c.classes().iter().any(|(k, _)| k.state.0 == 65);
+                    assert!(uses(t) || uses(e), "{t} ⋢ {e} passed without a collision");
+                    collisions += 1;
+                }
+            }
+        }
+        assert!(collisions > 0, "the colliding keys never fooled the masks");
+    }
+
+    #[test]
+    fn both_directions_agree_with_the_full_check_on_every_pair() {
+        let comps = all_composites();
+        let mut arena = CompositeArena::new();
+        let ids: Vec<_> = comps.iter().map(|c| arena.intern(c)).collect();
+        let mut index = ContainmentIndex::new();
+        let (mut checks, mut probes) = (0u64, 0u64);
+        for (a, &a_id) in comps.iter().zip(&ids) {
+            for (b, &b_id) in comps.iter().zip(&ids) {
+                let contained = a.contained_in(b);
+                // Discard-new: `a` against a live `b`.
+                index.clear();
+                index.insert(NodeId(0), b_id, b);
+                let found = index.find_container(
+                    &arena,
+                    a_id,
+                    Pruning::Containment,
+                    &mut checks,
+                    &mut probes,
+                );
+                assert_eq!(found, contained, "find_container({a}) over {b}");
+                // Prune-old: a new `b` against a live `a`.
+                index.clear();
+                index.insert(NodeId(0), a_id, a);
+                let mut pruned = false;
+                index.prune_covered(
+                    &arena,
+                    b_id,
+                    Pruning::Containment,
+                    &mut checks,
+                    &mut probes,
+                    |_| pruned = true,
+                );
+                assert_eq!(pruned, contained, "prune_covered({b}) over {a}");
+                assert_eq!(index.is_empty(), contained);
+            }
+        }
     }
 }

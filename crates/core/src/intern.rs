@@ -13,8 +13,8 @@
 //! numbering for exported essential-state sets.
 
 use crate::composite::Composite;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use ccv_enum::{FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
 /// Identity of an interned [`Composite`] — a dense index into its
@@ -30,12 +30,25 @@ impl CompositeId {
     }
 }
 
+/// Chain terminator in [`CompositeArena`]'s collision links.
+const END: u32 = u32::MAX;
+
 /// An append-only, hash-consed store of canonical composite states.
+///
+/// The table is one [`FxHashMap`] entry per distinct full hash, naming
+/// the newest id with that hash, plus a `next` link per id to the
+/// previous id sharing it. A lookup walks that chain comparing whole
+/// composites, so a hash collision costs a comparison, never a wrong
+/// answer, and a new state costs no allocation beyond amortised growth.
 #[derive(Clone, Debug, Default)]
 pub struct CompositeArena {
     states: Vec<Composite>,
-    /// Full-hash buckets: hash of the composite → ids sharing it.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Full hash of a composite → newest id with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Per id: the next-older id with the same hash, or [`END`].
+    next: Vec<u32>,
+    /// Running total of `Composite::heap_bytes` over `states`.
+    spill_bytes: usize,
     hits: u64,
 }
 
@@ -73,18 +86,32 @@ impl CompositeArena {
     /// Interns `comp`, returning the id of the existing entry when an
     /// equal composite was interned before.
     pub fn intern(&mut self, comp: &Composite) -> CompositeId {
-        let mut h = DefaultHasher::new();
+        let mut h = FxHasher::default();
         comp.hash(&mut h);
-        let bucket = self.buckets.entry(h.finish()).or_default();
-        for &i in bucket.iter() {
-            if self.states[i as usize] == *comp {
-                self.hits += 1;
-                return CompositeId(i);
-            }
-        }
         let i = u32::try_from(self.states.len()).expect("composite arena overflow");
-        bucket.push(i);
-        self.states.push(comp.clone());
+        let older = match self.heads.entry(h.finish()) {
+            Entry::Occupied(mut head) => {
+                let mut j = *head.get();
+                while j != END {
+                    if self.states[j as usize] == *comp {
+                        self.hits += 1;
+                        return CompositeId(j);
+                    }
+                    j = self.next[j as usize];
+                }
+                head.insert(i)
+            }
+            Entry::Vacant(head) => {
+                head.insert(i);
+                END
+            }
+        };
+        self.next.push(older);
+        // Count the stored clone: its spill capacity may differ from
+        // `comp`'s.
+        let stored = comp.clone();
+        self.spill_bytes += stored.heap_bytes();
+        self.states.push(stored);
         CompositeId(i)
     }
 
@@ -97,36 +124,80 @@ impl CompositeArena {
     }
 
     /// Approximate resident size in bytes (entries, spilled class
-    /// vectors, and bucket table) — reported as the `arena_bytes` gauge.
+    /// vectors, and hash table) — reported as the `arena_bytes` gauge
+    /// and polled against the memory cap once per expansion. O(1): the
+    /// spill is a running total kept by [`CompositeArena::intern`].
     pub fn approx_bytes(&self) -> usize {
-        let entries = self.states.capacity() * core::mem::size_of::<Composite>();
-        let spill: usize = self.states.iter().map(|c| c.heap_bytes()).sum();
-        let buckets: usize = self
-            .buckets
-            .values()
-            .map(|b| b.capacity() * core::mem::size_of::<u32>())
-            .sum::<usize>()
-            + self.buckets.capacity() * core::mem::size_of::<(u64, Vec<u32>)>();
-        entries + spill + buckets
+        self.table_bytes() + self.spill_bytes
+    }
+
+    /// The capacity-derived part of [`CompositeArena::approx_bytes`].
+    fn table_bytes(&self) -> usize {
+        self.states.capacity() * core::mem::size_of::<Composite>()
+            + self.heads.capacity() * core::mem::size_of::<(u64, u32)>()
+            + self.next.capacity() * core::mem::size_of::<u32>()
     }
 
     /// Forgets every interned state but keeps allocated capacity, so a
     /// recycled arena interns its next run without reallocating.
     pub fn clear(&mut self) {
         self.states.clear();
-        self.buckets.clear();
+        self.heads.clear();
+        self.next.clear();
+        self.spill_bytes = 0;
         self.hits = 0;
+    }
+}
+
+#[cfg(test)]
+impl CompositeArena {
+    /// [`CompositeArena::approx_bytes`] recounted from scratch by
+    /// walking every interned state.
+    fn recount_bytes(&self) -> usize {
+        self.table_bytes() + self.states.iter().map(Composite::heap_bytes).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::composite::ClassKey;
+    use crate::composite::{ClassKey, MAX_INLINE_CLASSES};
+    use crate::engine::{expand, Options};
     use crate::fval::FVal;
     use crate::rep::Rep;
-    use ccv_model::protocols::illinois;
-    use ccv_model::MData;
+    use ccv_model::protocols::{illinois, split_mesi};
+    use ccv_model::{MData, StateId};
+
+    #[test]
+    fn running_byte_count_matches_a_recount() {
+        for spec in [illinois(), split_mesi()] {
+            let mut arena = expand(&spec, &Options::default()).arena;
+            assert!(arena.len() > 1, "{}: the run interned nothing", spec.name());
+            assert_eq!(
+                arena.approx_bytes(),
+                arena.recount_bytes(),
+                "{}",
+                spec.name()
+            );
+            // Composites wider than the inline buffer spill to the heap.
+            for n in 1..4u8 {
+                let wide = (1..=MAX_INLINE_CLASSES as u8 + n)
+                    .map(|s| (ClassKey::fresh(StateId(s)), Rep::Star))
+                    .collect();
+                arena.intern(&Composite::new(wide, MData::Fresh, FVal::Null));
+            }
+            assert!(arena.spill_bytes > 0);
+            assert_eq!(
+                arena.approx_bytes(),
+                arena.recount_bytes(),
+                "{}",
+                spec.name()
+            );
+            arena.clear();
+            assert_eq!(arena.spill_bytes, 0);
+            assert_eq!(arena.approx_bytes(), arena.recount_bytes());
+        }
+    }
 
     #[test]
     fn interning_deduplicates_equal_states() {

@@ -107,11 +107,24 @@ pub enum Counter {
     /// Bytes written to on-disk visited-table segments by the
     /// out-of-core enumerator.
     SpillBytes,
+    /// Nanoseconds the symbolic engine spent generating successors
+    /// (`successors_into`). Like the other stage timers, accrued only
+    /// while the run's sink is enabled.
+    SuccessorsNs,
+    /// Nanoseconds the symbolic engine spent interning successors in
+    /// its composite arena.
+    InternNs,
+    /// Nanoseconds the symbolic engine spent in containment queries
+    /// (`find_container` plus `prune_covered`).
+    ContainNs,
+    /// Nanoseconds the symbolic engine spent in the per-state
+    /// coherence check of new and erroneous successors.
+    CheckNs,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 23] = [
         Counter::Visits,
         Counter::Prunes,
         Counter::ContainmentChecks,
@@ -131,6 +144,10 @@ impl Counter {
         Counter::BudgetStops,
         Counter::SpillSegments,
         Counter::SpillBytes,
+        Counter::SuccessorsNs,
+        Counter::InternNs,
+        Counter::ContainNs,
+        Counter::CheckNs,
     ];
 
     /// Stable snake_case name used in exported JSON.
@@ -155,6 +172,10 @@ impl Counter {
             Counter::BudgetStops => "budget_stops",
             Counter::SpillSegments => "spill_segments",
             Counter::SpillBytes => "spill_bytes",
+            Counter::SuccessorsNs => "successors_ns",
+            Counter::InternNs => "intern_ns",
+            Counter::ContainNs => "contain_ns",
+            Counter::CheckNs => "check_ns",
         }
     }
 
