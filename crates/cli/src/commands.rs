@@ -139,10 +139,6 @@ pub(crate) fn parse_or_help(spec: &ArgSpec, args: &[String]) -> Result<Option<Pa
     Ok(Some(p))
 }
 
-/// Default flight-recorder capacity when `--flight-recorder` is given
-/// without an explicit `=N`.
-const FLIGHT_DEFAULT_CAPACITY: usize = 4096;
-
 /// Writes a CLI output file atomically (sibling temp file + fsync +
 /// rename), so a crash, Ctrl-C or full disk never leaves a torn
 /// half-file where the old contents used to be.
@@ -215,8 +211,9 @@ impl Obs {
             obs.trace = Some((path, t));
         }
         if p.flag("--flight-recorder") || p.value::<usize>("--flight-recorder")?.is_some() {
-            let capacity = p.value_or("--flight-recorder", FLIGHT_DEFAULT_CAPACITY)?;
-            let rec = Arc::new(FlightRecorder::new(capacity));
+            let capacity =
+                p.value_or("--flight-recorder", ccv_observe::flight::DEFAULT_CAPACITY)?;
+            let rec = Arc::new(FlightRecorder::with_capacity(capacity));
             obs.sinks.push(rec.clone());
             obs._postmortem = Some(PostmortemGuard::stderr(rec));
         }
@@ -926,6 +923,16 @@ pub fn crosscheck(args: &[String]) -> CmdResult {
         println!("coverage scan skipped: {why}");
         obs.finish()?;
         return Ok(CmdStatus::Failure);
+    }
+    if let Some(info) = &c.stopped {
+        println!(
+            "inconclusive: {} ({} states still pending, {:.3}s elapsed)",
+            info.describe(),
+            info.frontier,
+            info.elapsed.as_secs_f64()
+        );
+        obs.finish()?;
+        return Ok(CmdStatus::Inconclusive);
     }
     println!(
         "protocol {} n={}: {} explicit states, {} covered by {} essential states",

@@ -737,6 +737,33 @@ fn flight_recorder_accepts_an_inline_capacity() {
 }
 
 #[test]
+fn flight_recorder_keeps_the_newest_lines_of_the_progress_stream() {
+    let o = ccv(&[
+        "simulate",
+        "illinois-missing-invalidation",
+        "--accesses",
+        "20000",
+        "--flight-recorder=32",
+    ]);
+    assert_eq!(o.status.code(), Some(1));
+    let err = stderr(&o);
+    let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("{\"ev\":")).collect();
+    assert!(lines[0].starts_with("{\"ev\":\"postmortem\""), "{err}");
+    let events = &lines[1..];
+    assert!(!events.is_empty() && events.len() <= 32, "{err}");
+    assert!(!err.contains("<dropped>"), "{err}");
+    assert!(!err.contains("\"ev\":\"count\""), "{err}");
+    let violations: Vec<&&str> = events
+        .iter()
+        .filter(|l| l.starts_with("{\"ev\":\"violation\""))
+        .collect();
+    assert!(!violations.is_empty(), "{err}");
+    for line in violations {
+        assert!(line.contains("\"desc\":\"access #"), "{line}");
+    }
+}
+
+#[test]
 fn enumerate_parallel_prints_a_worker_summary() {
     let o = ccv(&["enumerate", "illinois", "-n", "5", "--threads", "2"]);
     assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));

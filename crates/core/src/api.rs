@@ -762,6 +762,8 @@ pub struct CrosscheckResponse {
     pub uncovered_examples: Vec<String>,
     /// Why the coverage scan was skipped, when it was.
     pub aborted: Option<String>,
+    /// Why the enumeration leg stopped early, if it did.
+    pub stopped: Option<StopInfo>,
 }
 
 /// A successful response's action-specific payload.
@@ -803,7 +805,7 @@ impl Response {
             Err(_) => false,
             Ok(Payload::Verify(v)) => v.report.verdict != Verdict::Inconclusive,
             Ok(Payload::Enumerate(e)) => e.stopped.is_none(),
-            Ok(Payload::Crosscheck(c)) => c.aborted.is_none(),
+            Ok(Payload::Crosscheck(c)) => c.aborted.is_none() && c.stopped.is_none(),
         }
     }
 
@@ -940,6 +942,9 @@ impl Response {
                 }
                 if let Some(why) = &c.aborted {
                     fields.push(("aborted".into(), Json::str(why.clone())));
+                }
+                if let Some(info) = &c.stopped {
+                    fields.push(("stop".into(), stop_info_json(info)));
                 }
             }
         }
@@ -1379,6 +1384,7 @@ impl SessionRunner {
             complete: cc.complete(),
             uncovered_examples: cc.uncovered_examples,
             aborted: cc.aborted,
+            stopped: cc.stopped,
         })
     }
 }

@@ -23,10 +23,10 @@ use crate::fval::FVal;
 use crate::rep::Rep;
 use crate::verify::VerificationReport;
 use ccv_enum::{
-    bfs_witness, describe_violations, is_violating, reachable_states, PackedState, Witness,
+    bfs_witness, describe_violations, is_violating, reachable_states_within, PackedState, Witness,
 };
 use ccv_model::{ProtocolSpec, StateId};
-use ccv_observe::{Counter, Phase, SinkHandle, SpanKind};
+use ccv_observe::{Counter, Phase, SinkHandle, SpanKind, StopCause, StopInfo};
 
 /// True iff the concrete augmented state `gs` (with `n` caches) is a
 /// member of the family denoted by `comp`.
@@ -94,7 +94,8 @@ pub fn concrete_covered_by(
 pub struct CrossCheck {
     /// Cache count checked.
     pub n: usize,
-    /// Size of the explicit reachable set.
+    /// Size of the explicit reachable set, or of the part collected
+    /// before the enumeration leg [`stopped`](CrossCheck::stopped).
     pub total_concrete: usize,
     /// How many concrete states were covered by an essential state.
     pub covered: usize,
@@ -104,13 +105,17 @@ pub struct CrossCheck {
     /// to stop at the first error and the enumeration leg reached a
     /// violating state. An aborted check is never complete.
     pub aborted: Option<String>,
+    /// Why the enumeration leg stopped early: its reachable set
+    /// outgrew `max_states`. The coverage scan is then skipped and the
+    /// check is inconclusive, neither complete nor a counterexample.
+    pub stopped: Option<StopInfo>,
 }
 
 impl CrossCheck {
     /// True iff every concrete reachable state is symbolically covered
     /// and the coverage scan actually ran.
     pub fn complete(&self) -> bool {
-        self.aborted.is_none() && self.covered == self.total_concrete
+        self.aborted.is_none() && self.stopped.is_none() && self.covered == self.total_concrete
     }
 }
 
@@ -154,14 +159,37 @@ pub fn crosscheck_with(
     // Cached once: the per-state scan below must not re-query the
     // handle for every (state, essential) pair.
     let events = sink.is_enabled();
+    let started = std::time::Instant::now();
     sink.phase_enter(Phase::Crosscheck);
     if events {
         sink.span_begin(SpanKind::CrosscheckLeg, 0);
     }
-    let all = reachable_states(spec, n, max_states);
+    let reached = reachable_states_within(spec, n, max_states);
     if events {
         sink.span_end(SpanKind::CrosscheckLeg, 0);
     }
+    let all = match reached {
+        Ok(all) => all,
+        Err(pending) => {
+            let info = StopInfo {
+                cause: StopCause::BudgetExhausted,
+                detail: Some(format!("reachable set exceeded {max_states} states")),
+                frontier: pending,
+                elapsed: started.elapsed(),
+            };
+            sink.count(Counter::BudgetStops, 1);
+            sink.stopped(info.cause.name(), info.detail.as_deref());
+            sink.phase_exit(Phase::Crosscheck);
+            return CrossCheck {
+                n,
+                total_concrete: max_states + 1,
+                covered: 0,
+                uncovered_examples: Vec::new(),
+                aborted: None,
+                stopped: Some(info),
+            };
+        }
+    };
     if stop_at_first_error {
         if let Some(&bad) = all.iter().find(|&&gs| is_violating(spec, gs, n)) {
             let aborted = format!(
@@ -181,6 +209,7 @@ pub fn crosscheck_with(
                 covered: 0,
                 uncovered_examples: Vec::new(),
                 aborted: Some(aborted),
+                stopped: None,
             };
         }
     }
@@ -230,6 +259,7 @@ pub fn crosscheck_with(
         covered,
         uncovered_examples,
         aborted: None,
+        stopped: None,
     }
 }
 

@@ -467,7 +467,6 @@ pub fn expand_with(
             violations: init_violations,
             step_errors: Vec::new(),
         });
-        sink.count(Counter::Errors, 1);
         sink.violation("initial composite state violates coherence");
     }
     work.push_back(NodeId(0));
@@ -486,7 +485,6 @@ pub fn expand_with(
             break 'outer;
         }
         expanded += 1;
-        sink.count(Counter::Expansions, 1);
         if events {
             sink.sample(Track::Pending, work.len() as u64);
             sink.sample(Track::Visited, nodes.len() as u64);
@@ -504,8 +502,6 @@ pub fn expand_with(
             if !fired.contains(&t.label) {
                 fired.push(t.label);
                 visits += 1;
-                sink.count(Counter::Visits, 1);
-                sink.count(Counter::RuleFirings, 1);
                 if rules_on {
                     rule_stats[rid].firings += 1;
                 }
@@ -586,7 +582,6 @@ pub fn expand_with(
                         violations,
                         step_errors: t.errors.to_vec(),
                     });
-                    sink.count(Counter::Errors, 1);
                     if opts.common.stop_at_first_error {
                         break 'outer;
                     }
@@ -637,7 +632,6 @@ pub fn expand_with(
                     violations,
                     step_errors: t.errors.to_vec(),
                 });
-                sink.count(Counter::Errors, 1);
                 if opts.common.stop_at_first_error {
                     break 'outer;
                 }
@@ -657,6 +651,11 @@ pub fn expand_with(
         .collect();
 
     let stopped = gov.stop_info(work.len());
+    // Every visit is one rule firing (see the per-expansion loop).
+    sink.count(Counter::Visits, visits as u64);
+    sink.count(Counter::RuleFirings, visits as u64);
+    sink.count(Counter::Expansions, expanded as u64);
+    sink.count(Counter::Errors, errors.len() as u64);
     sink.count(Counter::ContainmentChecks, containment_checks);
     sink.count(Counter::IndexProbes, index_probes);
     sink.count(Counter::InternHits, arena.hits());

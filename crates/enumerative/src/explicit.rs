@@ -786,7 +786,14 @@ pub fn enumerate_resumed(
 
 /// Collects the full reachable set (used by the Theorem 1 cross-check).
 /// Always uses exact dedup so that every concrete state is present.
-pub fn reachable_states(spec: &ProtocolSpec, n: usize, max_states: usize) -> Vec<PackedState> {
+///
+/// Stops once the set outgrows `max_states`, returning `Err` with the
+/// number of states still queued.
+pub fn reachable_states_within(
+    spec: &ProtocolSpec,
+    n: usize,
+    max_states: usize,
+) -> Result<Vec<PackedState>, usize> {
     assert!((1..=MAX_CACHES).contains(&n));
     let mut visited: FxHashSet<PackedState> = FxHashSet::default();
     let mut work: VecDeque<PackedState> = VecDeque::new();
@@ -798,15 +805,25 @@ pub fn reachable_states(spec: &ProtocolSpec, n: usize, max_states: usize) -> Vec
         successors_into(spec, current, n, &mut succ_buf);
         for s in &succ_buf {
             if visited.insert(s.to) {
-                assert!(
-                    visited.len() <= max_states,
-                    "reachable set exceeded {max_states} states"
-                );
+                if visited.len() > max_states {
+                    return Err(work.len());
+                }
                 work.push_back(s.to);
             }
         }
     }
-    visited.into_iter().collect()
+    Ok(visited.into_iter().collect())
+}
+
+/// [`reachable_states_within`] for callers whose bound is a safety
+/// net rather than a budget.
+///
+/// # Panics
+///
+/// If the reachable set outgrows `max_states`.
+pub fn reachable_states(spec: &ProtocolSpec, n: usize, max_states: usize) -> Vec<PackedState> {
+    reachable_states_within(spec, n, max_states)
+        .unwrap_or_else(|_| panic!("reachable set exceeded {max_states} states"))
 }
 
 /// Upper bound `mⁿ` on the raw state space of §3.1 (protocol states

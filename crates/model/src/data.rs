@@ -13,8 +13,8 @@
 //! This module defines the value domains and [`DataOp`], the declarative
 //! description of how a transition moves data. The actual update rules
 //! are implemented once, in protocol-independent form, by
-//! `ccv-core::augmented` (symbolic) and `ccv-enum::concrete_data`
-//! (explicit), both driven by the same `DataOp`.
+//! `ccv-core::expand` (symbolic) and `ccv-enum::step` (explicit),
+//! both driven by the same `DataOp`.
 
 use core::fmt;
 

@@ -246,9 +246,8 @@ impl Gauge {
 /// [`EventSink::span_begin`] / [`EventSink::span_end`].
 ///
 /// Span kinds are a *stable* vocabulary: trace exporters key track
-/// names and categories off them, and the flight recorder encodes them
-/// as dense codes. Spans carry a thread id (`tid`): `0` is the
-/// coordinating thread, `w + 1` is enumeration worker `w`.
+/// names and categories off them. Spans carry a thread id (`tid`):
+/// `0` is the coordinating thread, `w + 1` is enumeration worker `w`.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {

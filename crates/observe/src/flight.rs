@@ -1,364 +1,86 @@
-//! Flight recorder: a fixed-capacity ring buffer of recent events.
+//! Flight recorder: the newest N event lines, dumped on failure.
 //!
-//! [`FlightRecorder`] is an [`EventSink`] that keeps the last *N*
-//! events in a lock-free seqlock ring — writers never block each other
-//! or take a lock on the hot path — and can replay them as NDJSON when
-//! something goes wrong. [`PostmortemGuard`] arms the dump: when the
-//! guard drops while a panic is unwinding, or after the recorder has
-//! seen a [`violation`](EventSink::violation), the retained window is
-//! written to stderr (or a file), so a failed run leaves a postmortem
-//! artifact of what the engines did just before the failure.
-//!
-//! Each record is three machine words (timestamp, packed descriptor,
-//! value). Strings (bus ops, progress notes, violation descriptions)
-//! are interned in a bounded side table; past the bound the record is
-//! kept but its string reads back as `<dropped>`. Under wrap-around
-//! races a reader can observe a torn slot; the seqlock stamps detect
-//! this and the slot is skipped rather than misreported.
+//! A [`FlightRecorder`] is an [`NdjsonSink`] whose output is a bounded
+//! [`Ring`]. It keeps the last `N` of the exact lines `--progress`
+//! streams: `t_ms` timestamps, `message` notes, `rule` rows, and no
+//! counter deltas, whose totals `--metrics-out` reports.
+//! [`PostmortemGuard`] arms the dump: when the guard drops while a
+//! panic is unwinding, or after the recorder has seen a
+//! [`violation`](crate::EventSink::violation), the retained lines are
+//! written to stderr (or a file) after one `"ev":"postmortem"` header.
 
+use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::Arc;
 
-use crate::event::{Counter, EventSink, Gauge, Phase, SpanKind, Track};
 use crate::json::Json;
+use crate::ndjson::{LineOut, NdjsonSink};
 
 /// Default ring capacity used by `--flight-recorder` without `=N`.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Most strings retained verbatim; later ones read back `<dropped>`.
-const MAX_INTERNED: usize = 1024;
+/// An [`NdjsonSink`] that keeps its newest lines in a [`Ring`].
+pub type FlightRecorder = NdjsonSink<Ring>;
 
-// Event kind codes (word 1, low byte). 0 means "slot never written".
-const K_PHASE_ENTER: u64 = 1;
-const K_PHASE_EXIT: u64 = 2;
-const K_COUNT: u64 = 3;
-const K_GAUGE: u64 = 4;
-const K_FRONTIER: u64 = 5;
-const K_CLASS_SIZE: u64 = 6;
-const K_BUS: u64 = 7;
-const K_WORKER: u64 = 8;
-const K_PROGRESS: u64 = 9;
-const K_SPAN_BEGIN: u64 = 10;
-const K_SPAN_END: u64 = 11;
-const K_SAMPLE: u64 = 12;
-const K_VIOLATION: u64 = 13;
-const K_STOPPED: u64 = 14;
+/// The bounded line store behind a [`FlightRecorder`].
+pub struct Ring {
+    lines: VecDeque<String>,
+    capacity: usize,
+    recorded: u64,
+    saw_violation: bool,
+}
 
-// Span kind codes (field `a` of span records): phases use their dense
-// index, the non-phase kinds sit above the phase range.
-const SPAN_WORKER_BUSY: u64 = 16;
-const SPAN_STEAL: u64 = 17;
-const SPAN_DRAIN: u64 = 18;
-const SPAN_CROSSCHECK_LEG: u64 = 19;
-
-fn span_code(kind: SpanKind) -> u64 {
-    match kind {
-        SpanKind::Phase(p) => p.index() as u64,
-        SpanKind::WorkerBusy => SPAN_WORKER_BUSY,
-        SpanKind::Steal => SPAN_STEAL,
-        SpanKind::Drain => SPAN_DRAIN,
-        SpanKind::CrosscheckLeg => SPAN_CROSSCHECK_LEG,
+impl LineOut for Ring {
+    fn line(&mut self, ev: &str, line: String) {
+        self.lines.push_back(line);
+        if self.lines.len() > self.capacity {
+            self.lines.pop_front();
+        }
+        self.recorded += 1;
+        self.saw_violation |= ev == "violation";
     }
-}
-
-fn span_name(code: u64) -> &'static str {
-    match code {
-        SPAN_WORKER_BUSY => SpanKind::WorkerBusy.name(),
-        SPAN_STEAL => SpanKind::Steal.name(),
-        SPAN_DRAIN => SpanKind::Drain.name(),
-        SPAN_CROSSCHECK_LEG => SpanKind::CrosscheckLeg.name(),
-        code => Phase::ALL
-            .get(code as usize)
-            .map(|p| p.name())
-            .unwrap_or("unknown"),
-    }
-}
-
-/// One ring slot. `seq` is the seqlock stamp: `2t + 1` while ticket
-/// `t`'s writer is filling the words, `2t + 2` once they are complete.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; 3],
-}
-
-/// Lock-free ring-buffer [`EventSink`] retaining the last N events.
-pub struct FlightRecorder {
-    slots: Vec<Slot>,
-    head: AtomicU64,
-    started: Instant,
-    saw_violation: AtomicBool,
-    strings: Mutex<Vec<String>>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the last `capacity` events (min 8).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(8);
-        FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            started: Instant::now(),
-            saw_violation: AtomicBool::new(false),
-            strings: Mutex::new(Vec::new()),
-        }
+    /// A recorder retaining the newest `capacity` lines.
+    pub fn with_capacity(capacity: usize) -> FlightRecorder {
+        NdjsonSink::new(Ring {
+            lines: VecDeque::new(),
+            capacity,
+            recorded: 0,
+            saw_violation: false,
+        })
     }
 
-    /// Whether a [`violation`](EventSink::violation) was recorded.
+    /// Whether a [`violation`](crate::EventSink::violation) was recorded.
     pub fn saw_violation(&self) -> bool {
-        self.saw_violation.load(Ordering::Acquire)
+        self.out().saw_violation
     }
 
-    /// Total events recorded (including ones the ring has overwritten).
+    /// Total lines recorded, including ones the ring has dropped.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.out().recorded
     }
 
-    /// Interns `s`, returning its 1-based id; 0 once the table is full.
-    fn intern(&self, s: &str) -> u64 {
-        let mut strings = self
-            .strings
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if let Some(idx) = strings.iter().position(|have| have == s) {
-            return idx as u64 + 1;
+    /// Writes the `"ev":"postmortem"` header, then the retained lines,
+    /// oldest first.
+    fn postmortem(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        let ring = self.out();
+        let header = Json::Obj(vec![
+            ("ev".to_string(), Json::str("postmortem")),
+            ("recorded".to_string(), Json::int(ring.recorded)),
+            ("retained".to_string(), Json::int(ring.lines.len() as u64)),
+            ("violation".to_string(), Json::Bool(ring.saw_violation)),
+            (
+                "panicking".to_string(),
+                Json::Bool(std::thread::panicking()),
+            ),
+        ]);
+        writeln!(out, "{}", header.render_compact())?;
+        for line in &ring.lines {
+            writeln!(out, "{line}")?;
         }
-        if strings.len() >= MAX_INTERNED {
-            return 0;
-        }
-        strings.push(s.to_string());
-        strings.len() as u64
-    }
-
-    /// Records one event: `kind` plus packed fields `a` (32 bits),
-    /// `b` (24 bits) and a full-width `value`.
-    fn record(&self, kind: u64, a: u64, b: u64, value: u64) {
-        let t_ns = self.started.elapsed().as_nanos() as u64;
-        let packed = kind | (a & 0xffff_ffff) << 8 | (b & 0xff_ffff) << 40;
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        slot.words[0].store(t_ns, Ordering::Relaxed);
-        slot.words[1].store(packed, Ordering::Relaxed);
-        slot.words[2].store(value, Ordering::Relaxed);
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
-    }
-
-    /// Replays the retained window, oldest first, as NDJSON lines.
-    ///
-    /// Records torn by concurrent wrap-around are skipped. Returns the
-    /// number of lines written.
-    pub fn dump(&self, out: &mut dyn Write) -> std::io::Result<usize> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let retained = head.min(cap);
-        let strings = self
-            .strings
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .clone();
-        let resolve = |id: u64| -> String {
-            if id == 0 {
-                "<dropped>".to_string()
-            } else {
-                strings
-                    .get(id as usize - 1)
-                    .cloned()
-                    .unwrap_or_else(|| "<dropped>".to_string())
-            }
-        };
-        let mut written = 0;
-        for ticket in head - retained..head {
-            let slot = &self.slots[(ticket % cap) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != 2 * ticket + 2 {
-                continue; // torn or already overwritten
-            }
-            let t_ns = slot.words[0].load(Ordering::Relaxed);
-            let packed = slot.words[1].load(Ordering::Relaxed);
-            let value = slot.words[2].load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq {
-                continue;
-            }
-            let kind = packed & 0xff;
-            let a = (packed >> 8) & 0xffff_ffff;
-            let b = (packed >> 40) & 0xff_ffff;
-            let mut fields = vec![("t_ns".to_string(), Json::int(t_ns))];
-            let mut ev = |name: &str, extra: Vec<(String, Json)>| {
-                fields.insert(0, ("ev".to_string(), Json::str(name)));
-                fields.extend(extra);
-            };
-            match kind {
-                K_PHASE_ENTER | K_PHASE_EXIT => {
-                    let name = if kind == K_PHASE_ENTER {
-                        "phase_enter"
-                    } else {
-                        "phase_exit"
-                    };
-                    let phase = Phase::ALL
-                        .get(a as usize)
-                        .map(|p| p.name())
-                        .unwrap_or("unknown");
-                    ev(name, vec![("phase".to_string(), Json::str(phase))]);
-                }
-                K_COUNT => {
-                    let counter = Counter::ALL
-                        .get(a as usize)
-                        .map(|c| c.name())
-                        .unwrap_or("unknown");
-                    ev(
-                        "count",
-                        vec![
-                            ("counter".to_string(), Json::str(counter)),
-                            ("delta".to_string(), Json::int(value)),
-                        ],
-                    );
-                }
-                K_GAUGE => {
-                    let gauge = Gauge::ALL
-                        .get(a as usize)
-                        .map(|g| g.name())
-                        .unwrap_or("unknown");
-                    ev(
-                        "gauge",
-                        vec![
-                            ("gauge".to_string(), Json::str(gauge)),
-                            ("value".to_string(), Json::int(value)),
-                        ],
-                    );
-                }
-                K_FRONTIER => ev(
-                    "frontier",
-                    vec![
-                        ("level".to_string(), Json::int(a)),
-                        ("size".to_string(), Json::int(value)),
-                    ],
-                ),
-                K_CLASS_SIZE => ev("class_size", vec![("size".to_string(), Json::int(value))]),
-                K_BUS => ev("bus", vec![("op".to_string(), Json::Str(resolve(a)))]),
-                K_WORKER => ev(
-                    "worker",
-                    vec![
-                        ("worker".to_string(), Json::int(a)),
-                        ("claims".to_string(), Json::int(value)),
-                    ],
-                ),
-                K_PROGRESS => ev("progress", vec![("msg".to_string(), Json::Str(resolve(a)))]),
-                K_SPAN_BEGIN | K_SPAN_END => {
-                    let name = if kind == K_SPAN_BEGIN {
-                        "span_begin"
-                    } else {
-                        "span_end"
-                    };
-                    ev(
-                        name,
-                        vec![
-                            ("span".to_string(), Json::str(span_name(a))),
-                            ("tid".to_string(), Json::int(b)),
-                        ],
-                    );
-                }
-                K_SAMPLE => {
-                    let track = if a == Track::Pending.index() as u64 {
-                        Track::Pending.name()
-                    } else {
-                        Track::Visited.name()
-                    };
-                    ev(
-                        "sample",
-                        vec![
-                            ("track".to_string(), Json::str(track)),
-                            ("value".to_string(), Json::int(value)),
-                        ],
-                    );
-                }
-                K_VIOLATION => ev(
-                    "violation",
-                    vec![("desc".to_string(), Json::Str(resolve(a)))],
-                ),
-                K_STOPPED => {
-                    let mut extra = vec![("cause".to_string(), Json::Str(resolve(a)))];
-                    if b != 0 {
-                        extra.push(("detail".to_string(), Json::Str(resolve(b))));
-                    }
-                    ev("stopped", extra);
-                }
-                _ => continue,
-            }
-            writeln!(out, "{}", Json::Obj(fields).render_compact())?;
-            written += 1;
-        }
-        Ok(written)
-    }
-}
-
-impl EventSink for FlightRecorder {
-    fn phase_enter(&self, phase: Phase) {
-        self.record(K_PHASE_ENTER, phase.index() as u64, 0, 0);
-    }
-
-    fn phase_exit(&self, phase: Phase) {
-        self.record(K_PHASE_EXIT, phase.index() as u64, 0, 0);
-    }
-
-    fn count(&self, counter: Counter, delta: u64) {
-        self.record(K_COUNT, counter.index() as u64, 0, delta);
-    }
-
-    fn gauge(&self, gauge: Gauge, value: u64) {
-        self.record(K_GAUGE, gauge.index() as u64, 0, value);
-    }
-
-    fn frontier(&self, level: usize, size: usize) {
-        self.record(K_FRONTIER, level as u64, 0, size as u64);
-    }
-
-    fn class_size(&self, size: usize) {
-        self.record(K_CLASS_SIZE, 0, 0, size as u64);
-    }
-
-    fn bus_transaction(&self, op: &str) {
-        let id = self.intern(op);
-        self.record(K_BUS, id, 0, 1);
-    }
-
-    fn worker(&self, idx: usize, claims: u64) {
-        self.record(K_WORKER, idx as u64, 0, claims);
-    }
-
-    fn progress(&self, message: &str) {
-        let id = self.intern(message);
-        self.record(K_PROGRESS, id, 0, 0);
-    }
-
-    fn span_begin(&self, kind: SpanKind, tid: u32) {
-        self.record(K_SPAN_BEGIN, span_code(kind), tid as u64, 0);
-    }
-
-    fn span_end(&self, kind: SpanKind, tid: u32) {
-        self.record(K_SPAN_END, span_code(kind), tid as u64, 0);
-    }
-
-    fn sample(&self, track: Track, value: u64) {
-        self.record(K_SAMPLE, track.index() as u64, 0, value);
-    }
-
-    fn violation(&self, description: &str) {
-        let id = self.intern(description);
-        self.record(K_VIOLATION, id, 0, 0);
-        self.saw_violation.store(true, Ordering::Release);
-    }
-
-    fn stopped(&self, cause: &str, detail: Option<&str>) {
-        let cause_id = self.intern(cause);
-        let detail_id = detail.map(|d| self.intern(d)).unwrap_or(0);
-        self.record(K_STOPPED, cause_id, detail_id, 0);
+        out.flush()
     }
 }
 
@@ -372,17 +94,17 @@ enum DumpTarget {
 ///
 /// Create it before running an engine and let it drop afterwards: if
 /// the drop happens while a panic unwinds, or if the recorder saw a
-/// violation during the run, the retained event window is written as
-/// NDJSON (prefixed by one `"ev":"postmortem"` header line) to stderr
-/// or the configured file.
+/// violation during the run, the retained lines are written (prefixed
+/// by one `"ev":"postmortem"` header line) to stderr or the configured
+/// file.
 pub struct PostmortemGuard {
-    recorder: std::sync::Arc<FlightRecorder>,
+    recorder: Arc<FlightRecorder>,
     target: DumpTarget,
 }
 
 impl PostmortemGuard {
     /// A guard dumping to stderr.
-    pub fn stderr(recorder: std::sync::Arc<FlightRecorder>) -> PostmortemGuard {
+    pub fn stderr(recorder: Arc<FlightRecorder>) -> PostmortemGuard {
         PostmortemGuard {
             recorder,
             target: DumpTarget::Stderr,
@@ -391,7 +113,7 @@ impl PostmortemGuard {
 
     /// A guard dumping to `path` (created/truncated at dump time).
     pub fn to_file(
-        recorder: std::sync::Arc<FlightRecorder>,
+        recorder: Arc<FlightRecorder>,
         path: impl Into<std::path::PathBuf>,
     ) -> PostmortemGuard {
         PostmortemGuard {
@@ -400,38 +122,13 @@ impl PostmortemGuard {
         }
     }
 
-    /// Dumps unconditionally (header line + retained events).
+    /// Dumps unconditionally (header line + retained lines).
     pub fn dump_now(&self) {
-        let rec = &self.recorder;
-        let header = Json::Obj(vec![
-            ("ev".to_string(), Json::str("postmortem")),
-            ("recorded".to_string(), Json::int(rec.recorded())),
-            (
-                "retained".to_string(),
-                Json::int(rec.recorded().min(rec.slots.len() as u64)),
-            ),
-            ("violation".to_string(), Json::Bool(rec.saw_violation())),
-            (
-                "panicking".to_string(),
-                Json::Bool(std::thread::panicking()),
-            ),
-        ]);
-        match &self.target {
-            DumpTarget::Stderr => {
-                let stderr = std::io::stderr();
-                let mut out = stderr.lock();
-                let _ = writeln!(out, "{}", header.render_compact());
-                let _ = rec.dump(&mut out);
-            }
-            DumpTarget::File(path) => {
-                if let Ok(file) = std::fs::File::create(path) {
-                    let mut out = std::io::BufWriter::new(file);
-                    let _ = writeln!(out, "{}", header.render_compact());
-                    let _ = rec.dump(&mut out);
-                    let _ = out.flush();
-                }
-            }
-        }
+        let _ = match &self.target {
+            DumpTarget::Stderr => self.recorder.postmortem(&mut std::io::stderr().lock()),
+            DumpTarget::File(path) => std::fs::File::create(path)
+                .and_then(|file| self.recorder.postmortem(&mut std::io::BufWriter::new(file))),
+        };
     }
 }
 
@@ -446,21 +143,26 @@ impl Drop for PostmortemGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::event::{Counter, EventSink, Phase, RuleStat, SpanKind, Track};
 
-    fn lines(rec: &FlightRecorder) -> Vec<Json> {
-        let mut buf = Vec::new();
-        rec.dump(&mut buf).unwrap();
-        String::from_utf8(buf)
+    fn parse(text: &[u8]) -> Vec<Json> {
+        std::str::from_utf8(text)
             .unwrap()
             .lines()
             .map(|l| Json::parse(l).unwrap())
             .collect()
     }
 
+    /// The retained lines of a postmortem, parsed, without the header.
+    fn lines(rec: &FlightRecorder) -> Vec<Json> {
+        let mut buf = Vec::new();
+        rec.postmortem(&mut buf).unwrap();
+        parse(&buf).split_off(1)
+    }
+
     #[test]
     fn records_and_replays_in_order() {
-        let rec = FlightRecorder::new(16);
+        let rec = FlightRecorder::with_capacity(16);
         rec.phase_enter(Phase::Enumerate);
         rec.count(Counter::Visits, 3);
         rec.sample(Track::Pending, 7);
@@ -471,16 +173,15 @@ mod tests {
 
         assert!(rec.saw_violation());
         let events = lines(&rec);
-        assert_eq!(events.len(), 7);
         let kinds: Vec<&str> = events
             .iter()
             .map(|e| e.get("ev").unwrap().as_str().unwrap())
             .collect();
+        // Counter deltas are totals, not lines: the ring skips them.
         assert_eq!(
             kinds,
             vec![
                 "phase_enter",
-                "count",
                 "sample",
                 "span_begin",
                 "span_end",
@@ -488,24 +189,23 @@ mod tests {
                 "phase_exit"
             ]
         );
-        assert_eq!(events[1].get("delta").unwrap().as_u64(), Some(3));
-        assert_eq!(events[3].get("span").unwrap().as_str(), Some("worker_busy"));
-        assert_eq!(events[3].get("tid").unwrap().as_u64(), Some(2));
+        assert_eq!(events[2].get("span").unwrap().as_str(), Some("worker_busy"));
+        assert_eq!(events[2].get("tid").unwrap().as_u64(), Some(2));
         assert_eq!(
-            events[5].get("desc").unwrap().as_str(),
+            events[4].get("desc").unwrap().as_str(),
             Some("stale value on cache 1")
         );
         // Timestamps never decrease across the replay.
-        let ts: Vec<u64> = events
+        let ts: Vec<f64> = events
             .iter()
-            .map(|e| e.get("t_ns").unwrap().as_u64().unwrap())
+            .map(|e| e.get("t_ms").unwrap().as_f64().unwrap())
             .collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn stopped_records_cause_and_detail() {
-        let rec = FlightRecorder::new(16);
+        let rec = FlightRecorder::with_capacity(16);
         rec.stopped("budget_exhausted", None);
         rec.stopped("worker_panic", Some("index out of bounds"));
         let events = lines(&rec);
@@ -527,42 +227,78 @@ mod tests {
 
     #[test]
     fn ring_keeps_only_the_newest_window() {
-        let rec = FlightRecorder::new(8);
+        let rec = FlightRecorder::with_capacity(8);
         for i in 0..50 {
-            rec.count(Counter::Visits, i);
+            rec.frontier(i, 1);
         }
         assert_eq!(rec.recorded(), 50);
-        let events = lines(&rec);
-        assert_eq!(events.len(), 8);
-        let deltas: Vec<u64> = events
+        let levels: Vec<u64> = lines(&rec)
             .iter()
-            .map(|e| e.get("delta").unwrap().as_u64().unwrap())
+            .map(|e| e.get("level").unwrap().as_u64().unwrap())
             .collect();
-        assert_eq!(deltas, (42..50).collect::<Vec<u64>>());
+        assert_eq!(levels, (42..50).collect::<Vec<u64>>());
+    }
+
+    /// One event sequence, including the deltas only summing sinks read.
+    fn feed(sink: &dyn EventSink) {
+        sink.phase_enter(Phase::Simulate);
+        for i in 0..20 {
+            sink.count(Counter::Accesses, 1);
+            sink.bus_transaction("BusRd");
+            sink.class_size(3);
+            sink.sample(Track::Visited, i);
+            sink.violation(&format!("access #{i}: stale"));
+        }
+        sink.rule_stats("Inv:R", RuleStat::default());
+        sink.stopped("deadline_expired", Some("30 s"));
+        sink.progress("done");
+        sink.phase_exit(Phase::Simulate);
+    }
+
+    /// `lines` with each line's `t_ms` removed.
+    fn untimed(lines: Vec<Json>) -> Vec<Json> {
+        lines
+            .into_iter()
+            .map(|line| match line {
+                Json::Obj(fields) => {
+                    Json::Obj(fields.into_iter().filter(|(k, _)| k != "t_ms").collect())
+                }
+                other => panic!("not an object: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retains_the_tail_of_the_progress_stream() {
+        let stream = NdjsonSink::new(Vec::new());
+        feed(&stream);
+        let rec = FlightRecorder::with_capacity(10);
+        feed(&rec);
+
+        let streamed = untimed(parse(&stream.out()));
+        assert_eq!(streamed.len(), 2 + 2 * 20 + 3);
+        assert_eq!(rec.recorded(), streamed.len() as u64);
+        assert_eq!(untimed(lines(&rec)), streamed[streamed.len() - 10..]);
     }
 
     #[test]
     fn concurrent_writers_do_not_corrupt_the_dump() {
-        let rec = Arc::new(FlightRecorder::new(64));
+        let rec = Arc::new(FlightRecorder::with_capacity(64));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let rec = rec.clone();
                 scope.spawn(move || {
                     for i in 0..500 {
-                        rec.count(Counter::Expansions, t * 1000 + i);
+                        rec.progress(&format!("thread {t} step {i}"));
                     }
                 });
             }
         });
         assert_eq!(rec.recorded(), 2000);
-        // Every surviving line parses cleanly. A slot whose last
-        // writer was overtaken during wrap-around may be skipped, so
-        // allow a small shortfall from the full window.
         let events = lines(&rec);
-        assert!(events.len() <= 64);
-        assert!(events.len() >= 56, "lost too many slots: {}", events.len());
+        assert_eq!(events.len(), 64);
         for e in &events {
-            assert_eq!(e.get("ev").unwrap().as_str(), Some("count"));
+            assert_eq!(e.get("ev").unwrap().as_str(), Some("progress"));
         }
     }
 
@@ -571,7 +307,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ccv-flight-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("postmortem-{}.ndjson", std::process::id()));
-        let rec = Arc::new(FlightRecorder::new(32));
+        let rec = Arc::new(FlightRecorder::with_capacity(32));
         {
             let _guard = PostmortemGuard::to_file(rec.clone(), &path);
             rec.progress("expanding");
@@ -586,12 +322,13 @@ mod tests {
             "first line is the header"
         );
         assert_eq!(parsed[0].get("violation"), Some(&Json::Bool(true)));
+        assert_eq!(parsed[0].get("retained").unwrap().as_u64(), Some(2));
         assert!(parsed
             .iter()
             .any(|e| e.get("ev").unwrap().as_str() == Some("violation")));
         assert!(parsed
             .iter()
-            .any(|e| e.get("msg").map(|m| m.as_str()) == Some(Some("expanding"))));
+            .any(|e| e.get("message").map(|m| m.as_str()) == Some(Some("expanding"))));
     }
 
     #[test]
@@ -599,7 +336,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ccv-flight-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("clean-{}.ndjson", std::process::id()));
-        let rec = Arc::new(FlightRecorder::new(32));
+        let rec = Arc::new(FlightRecorder::with_capacity(32));
         {
             let _guard = PostmortemGuard::to_file(rec.clone(), &path);
             rec.progress("all good");
@@ -608,16 +345,22 @@ mod tests {
     }
 
     #[test]
-    fn string_table_is_bounded() {
-        let rec = FlightRecorder::new(4096);
-        for i in 0..(MAX_INTERNED + 10) {
-            rec.progress(&format!("note {i}"));
+    fn every_violation_keeps_its_description() {
+        let rec = FlightRecorder::with_capacity(DEFAULT_CAPACITY);
+        for i in 0..2000 {
+            rec.violation(&format!("access #{i}: stale read"));
         }
         let events = lines(&rec);
-        let dropped = events
-            .iter()
-            .filter(|e| e.get("msg").unwrap().as_str() == Some("<dropped>"))
-            .count();
-        assert_eq!(dropped, 10);
+        let newest = events.last().unwrap();
+        assert_eq!(
+            newest.get("desc").unwrap().as_str(),
+            Some("access #1999: stale read")
+        );
+        assert!(events.iter().all(|e| e
+            .get("desc")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .starts_with("access #")));
     }
 }

@@ -14,14 +14,15 @@
 //! * [`Metrics`] — an in-memory collector (atomic counters, phase
 //!   wall-clock timers, log₂-bucket histograms) whose
 //!   [`snapshot`](Metrics::snapshot) renders to JSON via [`Json`].
-//! * [`NdjsonSink`] — streams one JSON object per event to any
-//!   writer, for live progress reporting.
+//! * [`NdjsonSink`] — renders one JSON object per event into a
+//!   [`LineOut`]: any writer, for live progress reporting, or the
+//!   flight recorder's ring.
 //! * [`TraceSink`] — exports spans, phases and counter tracks as a
 //!   Chrome-trace JSON file loadable in `chrome://tracing` and
 //!   [Perfetto](https://ui.perfetto.dev).
-//! * [`FlightRecorder`] — a lock-free ring buffer retaining the last
-//!   N events; paired with a [`PostmortemGuard`] it dumps an NDJSON
-//!   postmortem when a violation is recorded or a panic unwinds.
+//! * [`FlightRecorder`] — an [`NdjsonSink`] retaining its last N
+//!   lines in a ring; paired with a [`PostmortemGuard`] it dumps them
+//!   as a postmortem when a violation is recorded or a panic unwinds.
 //! * [`FaultHandle`] / [`FaultPlan`] — deterministic fault injection:
 //!   named sites probe the handle and a parsed plan decides which hit
 //!   fails, tears, panics, disconnects or stalls ([`fault`]).
@@ -79,7 +80,7 @@ pub use govern::{
 };
 pub use json::Json;
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use ndjson::NdjsonSink;
+pub use ndjson::{LineOut, NdjsonSink};
 pub use options::CommonOptions;
 pub use persist::{quarantine, write_atomic};
 pub use trace::TraceSink;

@@ -1,25 +1,54 @@
-//! Streaming NDJSON event sink for live progress reporting.
+//! NDJSON event encoding: one compact JSON object per event.
+//!
+//! [`NdjsonSink`] renders every event as one line and hands it to a
+//! [`LineOut`]: a writer for `--progress` and serve's streamed
+//! requests, or the bounded ring of the
+//! [`FlightRecorder`](crate::FlightRecorder). The live stream and the
+//! postmortem therefore share one encoding.
 
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::event::{Counter, EventSink, Gauge, Phase, RuleStat, SpanKind, Track};
-use crate::json::Json;
+use crate::json::{escape_into, Json};
 
-/// An [`EventSink`] that writes one compact JSON object per event.
+/// Where an [`NdjsonSink`] puts the lines it renders.
+pub trait LineOut: Send {
+    /// Takes one rendered line (no trailing newline) of event kind
+    /// `ev`, the line's `"ev"` value.
+    fn line(&mut self, ev: &str, line: String);
+
+    /// Called once when the sink drops.
+    fn finish(&mut self) {}
+}
+
+/// Any writer: each line is written and flushed at once, so a reader
+/// tailing the stream sees events as they happen.
+impl<W: Write + Send> LineOut for W {
+    fn line(&mut self, _ev: &str, line: String) {
+        let _ = writeln!(self, "{line}");
+        let _ = self.flush();
+    }
+
+    fn finish(&mut self) {
+        let _ = self.flush();
+    }
+}
+
+/// An [`EventSink`] that renders one compact JSON object per event.
 ///
 /// Records carry an `"ev"` discriminator and a `"t_ms"` timestamp
 /// relative to sink creation. High-frequency events (`count`) are not
-/// streamed — they would swamp the output; attach a
+/// rendered — they would swamp the output; attach a
 /// [`Metrics`](crate::Metrics) collector alongside for totals.
-pub struct NdjsonSink<W: Write + Send> {
+pub struct NdjsonSink<W: LineOut> {
     out: Mutex<W>,
     started: Instant,
 }
 
-impl<W: Write + Send> NdjsonSink<W> {
-    /// Streams events to `out`.
+impl<W: LineOut> NdjsonSink<W> {
+    /// Renders events into `out`.
     pub fn new(out: W) -> NdjsonSink<W> {
         NdjsonSink {
             out: Mutex::new(out),
@@ -27,35 +56,47 @@ impl<W: Write + Send> NdjsonSink<W> {
         }
     }
 
-    fn emit(&self, ev: &str, extra: Vec<(String, Json)>) {
-        let mut fields = vec![
-            ("ev".to_string(), Json::str(ev)),
-            (
-                "t_ms".to_string(),
-                Json::Num(self.started.elapsed().as_secs_f64() * 1e3),
-            ),
-        ];
-        fields.extend(extra);
-        let line = Json::Obj(fields).render_compact();
-        let mut out = self.out.lock().unwrap_or_else(|poison| poison.into_inner());
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
+    /// The output, locked.
+    pub(crate) fn out(&self) -> MutexGuard<'_, W> {
+        self.out.lock().unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// Renders `{"ev":ev,"t_ms":…,key:value,…}` and hands it on.
+    fn emit(&self, ev: &str, fields: &[(&str, Field<'_>)]) {
+        let mut line = String::with_capacity(64);
+        line.push_str("{\"ev\":");
+        escape_into(&mut line, ev);
+        line.push_str(",\"t_ms\":");
+        Json::Num(self.started.elapsed().as_secs_f64() * 1e3).write_compact(&mut line);
+        for (key, value) in fields {
+            line.push(',');
+            escape_into(&mut line, key);
+            line.push(':');
+            match value {
+                Field::Str(s) => escape_into(&mut line, s),
+                Field::Int(n) => Json::int(*n).write_compact(&mut line),
+            }
+        }
+        line.push('}');
+        self.out().line(ev, line);
     }
 }
 
-impl<W: Write + Send> EventSink for NdjsonSink<W> {
+/// A field value of an event line.
+enum Field<'a> {
+    Str(&'a str),
+    Int(u64),
+}
+
+use Field::{Int, Str};
+
+impl<W: LineOut> EventSink for NdjsonSink<W> {
     fn phase_enter(&self, phase: Phase) {
-        self.emit(
-            "phase_enter",
-            vec![("phase".to_string(), Json::str(phase.name()))],
-        );
+        self.emit("phase_enter", &[("phase", Str(phase.name()))]);
     }
 
     fn phase_exit(&self, phase: Phase) {
-        self.emit(
-            "phase_exit",
-            vec![("phase".to_string(), Json::str(phase.name()))],
-        );
+        self.emit("phase_exit", &[("phase", Str(phase.name()))]);
     }
 
     fn count(&self, _counter: Counter, _delta: u64) {
@@ -65,104 +106,81 @@ impl<W: Write + Send> EventSink for NdjsonSink<W> {
     fn gauge(&self, gauge: Gauge, value: u64) {
         self.emit(
             "gauge",
-            vec![
-                ("gauge".to_string(), Json::str(gauge.name())),
-                ("value".to_string(), Json::int(value)),
-            ],
+            &[("gauge", Str(gauge.name())), ("value", Int(value))],
         );
     }
 
     fn frontier(&self, level: usize, size: usize) {
         self.emit(
             "frontier",
-            vec![
-                ("level".to_string(), Json::int(level as u64)),
-                ("size".to_string(), Json::int(size as u64)),
-            ],
+            &[("level", Int(level as u64)), ("size", Int(size as u64))],
         );
     }
 
     fn worker(&self, idx: usize, claims: u64) {
         self.emit(
             "worker",
-            vec![
-                ("worker".to_string(), Json::int(idx as u64)),
-                ("claims".to_string(), Json::int(claims)),
-            ],
+            &[("worker", Int(idx as u64)), ("claims", Int(claims))],
         );
     }
 
     fn progress(&self, message: &str) {
-        self.emit(
-            "progress",
-            vec![("message".to_string(), Json::str(message))],
-        );
+        self.emit("progress", &[("message", Str(message))]);
     }
 
     fn span_begin(&self, kind: SpanKind, tid: u32) {
         self.emit(
             "span_begin",
-            vec![
-                ("span".to_string(), Json::str(kind.name())),
-                ("tid".to_string(), Json::int(tid as u64)),
-            ],
+            &[("span", Str(kind.name())), ("tid", Int(tid as u64))],
         );
     }
 
     fn span_end(&self, kind: SpanKind, tid: u32) {
         self.emit(
             "span_end",
-            vec![
-                ("span".to_string(), Json::str(kind.name())),
-                ("tid".to_string(), Json::int(tid as u64)),
-            ],
+            &[("span", Str(kind.name())), ("tid", Int(tid as u64))],
         );
     }
 
     fn sample(&self, track: Track, value: u64) {
         self.emit(
             "sample",
-            vec![
-                ("track".to_string(), Json::str(track.name())),
-                ("value".to_string(), Json::int(value)),
-            ],
+            &[("track", Str(track.name())), ("value", Int(value))],
         );
     }
 
     fn violation(&self, description: &str) {
-        self.emit(
-            "violation",
-            vec![("desc".to_string(), Json::str(description))],
-        );
+        self.emit("violation", &[("desc", Str(description))]);
     }
 
     fn rule_stats(&self, rule: &str, stat: RuleStat) {
         self.emit(
             "rule",
-            vec![
-                ("rule".to_string(), Json::str(rule)),
-                ("firings".to_string(), Json::int(stat.firings)),
-                ("states".to_string(), Json::int(stat.states)),
-                ("dedup_hits".to_string(), Json::int(stat.dedup_hits)),
-                ("violations".to_string(), Json::int(stat.violations)),
-                ("wall_ns".to_string(), Json::int(stat.nanos)),
+            &[
+                ("rule", Str(rule)),
+                ("firings", Int(stat.firings)),
+                ("states", Int(stat.states)),
+                ("dedup_hits", Int(stat.dedup_hits)),
+                ("violations", Int(stat.violations)),
+                ("wall_ns", Int(stat.nanos)),
             ],
         );
     }
 
     fn stopped(&self, cause: &str, detail: Option<&str>) {
-        let mut fields = vec![("cause".to_string(), Json::str(cause))];
-        if let Some(detail) = detail {
-            fields.push(("detail".to_string(), Json::str(detail)));
+        match detail {
+            Some(detail) => self.emit("stopped", &[("cause", Str(cause)), ("detail", Str(detail))]),
+            None => self.emit("stopped", &[("cause", Str(cause))]),
         }
-        self.emit("stopped", fields);
     }
 }
 
-impl<W: Write + Send> Drop for NdjsonSink<W> {
+impl<W: LineOut> Drop for NdjsonSink<W> {
     fn drop(&mut self) {
-        let out = self.out.get_mut().unwrap_or_else(|p| p.into_inner());
-        let _ = out.flush();
+        self.out
+            .get_mut()
+            .unwrap_or_else(|p| p.into_inner())
+            .finish();
     }
 }
 

@@ -18,9 +18,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ccv_core::api::{ApiError, ErrorCode, Request, RunContext};
-use ccv_observe::{CancelToken, FaultKind, Json, NdjsonSink, SinkHandle};
+use ccv_observe::{CancelToken, FaultKind, Json, LineOut, NdjsonSink, SinkHandle};
 
-use crate::Service;
+use crate::{Service, MAX_REQUEST_BYTES};
 
 /// Applies the `serve.response` fault site just before response bytes
 /// go out. `true` means drop the connection without responding — an
@@ -133,28 +133,13 @@ impl WireWriter {
     }
 }
 
-/// `Write` adapter feeding an [`NdjsonSink`]'s output through the
-/// shared [`WireWriter`] a whole line at a time, so progress events
-/// and heartbeats never interleave mid-line.
-struct SinkWriter {
-    wire: Arc<WireWriter>,
-    buf: Vec<u8>,
-}
+/// Feeds an [`NdjsonSink`]'s lines through the shared [`WireWriter`]
+/// whole, so progress events and heartbeats never interleave mid-line.
+struct SinkLines(Arc<WireWriter>);
 
-impl Write for SinkWriter {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(bytes);
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            if let Ok(text) = std::str::from_utf8(&line[..line.len() - 1]) {
-                self.wire.write_line(text);
-            }
-        }
-        Ok(())
+impl LineOut for SinkLines {
+    fn line(&mut self, _ev: &str, line: String) {
+        self.0.write_line(&line);
     }
 }
 
@@ -269,17 +254,14 @@ fn read_request_line(stream: &TcpStream, max: usize) -> Result<String, ApiError>
 fn handle_ndjson(service: &Arc<Service>, stream: TcpStream) {
     let cfg = service.config();
     let cancel = CancelToken::new();
-    let line = read_request_line(&stream, cfg.max_request_bytes);
+    let line = read_request_line(&stream, MAX_REQUEST_BYTES);
     let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
     let mut probe_thread = None;
     let outcome = match line.and_then(|line| Request::parse(line.trim())) {
         Err(e) => service.process_text_error(e),
         Ok(req) => {
             let sink = if req.stream {
-                SinkHandle::new(Arc::new(NdjsonSink::new(SinkWriter {
-                    wire: Arc::clone(&wire),
-                    buf: Vec::new(),
-                })))
+                SinkHandle::new(Arc::new(NdjsonSink::new(SinkLines(Arc::clone(&wire)))))
             } else {
                 SinkHandle::disabled()
             };
@@ -363,7 +345,7 @@ fn read_head(stream: &mut TcpStream, max: usize) -> io::Result<(String, Vec<u8>)
 /// `GET /v1/healthz`.
 fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
     let cfg = service.config();
-    let Ok((head, mut body)) = read_head(&mut stream, cfg.max_request_bytes) else {
+    let Ok((head, mut body)) = read_head(&mut stream, MAX_REQUEST_BYTES) else {
         return;
     };
     let mut lines = head.lines();
@@ -386,10 +368,10 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
             http_response((200, "OK"), &[], &service.metrics_json().render_compact())
         }
         ("POST", "/v1/requests") => {
-            if content_length > cfg.max_request_bytes {
+            if content_length > MAX_REQUEST_BYTES {
                 let out = service.process_text_error(ApiError::bad_request(format!(
                     "request exceeds {} bytes",
-                    cfg.max_request_bytes
+                    MAX_REQUEST_BYTES
                 )));
                 http_response(http_status(out.code), &[("x-ccv-cache", "miss")], &out.body)
             } else {

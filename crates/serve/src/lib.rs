@@ -88,6 +88,17 @@ use ccv_observe::{CancelToken, FaultHandle, FaultKind, Json};
 use admission::Admission;
 use cache::VerdictCache;
 
+/// Verdict-cache shard count.
+const CACHE_SHARDS: usize = 8;
+/// Upper clamp (and default) for the enumeration state budget.
+const MAX_STATES_CAP: usize = 1 << 22;
+/// Upper clamp (and default) for the per-run memory budget.
+const MAX_BYTES_CAP: u64 = 256 << 20;
+/// Upper clamp for the symbolic visit budget.
+const MAX_BUDGET: usize = 1 << 24;
+/// Largest accepted request document, in bytes.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Tunables of one server instance. [`ServerConfig::default`] is the
 /// production shape; [`ServerConfig::loopback`] binds an ephemeral
 /// port for tests.
@@ -103,8 +114,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Total verdict-cache entries (split across shards).
     pub cache_capacity: usize,
-    /// Verdict-cache shard count.
-    pub cache_shards: usize,
     /// Largest accepted cache count `n`; larger requests are rejected
     /// (`bad_request`), because explicit state spaces grow
     /// exponentially in `n`.
@@ -118,14 +127,6 @@ pub struct ServerConfig {
     pub default_deadline: Duration,
     /// Upper clamp for client-supplied deadlines.
     pub max_deadline: Duration,
-    /// Upper clamp (and default) for the enumeration state budget.
-    pub max_states_cap: usize,
-    /// Upper clamp (and default) for the per-run memory budget.
-    pub max_bytes_cap: u64,
-    /// Upper clamp for the symbolic visit budget.
-    pub max_budget: usize,
-    /// Largest accepted request document, in bytes.
-    pub max_request_bytes: usize,
     /// Heartbeat / disconnect-probe interval for NDJSON connections.
     pub ping_interval: Duration,
     /// Allow requests that touch server-side files
@@ -151,15 +152,10 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 8,
             cache_capacity: 256,
-            cache_shards: 8,
             max_n: 8,
             max_threads: 4,
             default_deadline: Duration::from_secs(30),
             max_deadline: Duration::from_secs(120),
-            max_states_cap: 1 << 22,
-            max_bytes_cap: 256 << 20,
-            max_budget: 1 << 24,
-            max_request_bytes: 1 << 20,
             ping_interval: Duration::from_millis(200),
             allow_files: false,
             cache_dir: None,
@@ -216,14 +212,11 @@ impl ServerConfig {
         );
         o.max_states = Some(
             o.max_states
-                .map_or(self.max_states_cap, |s| s.min(self.max_states_cap)),
+                .map_or(MAX_STATES_CAP, |s| s.min(MAX_STATES_CAP)),
         );
-        o.max_bytes = Some(
-            o.max_bytes
-                .map_or(self.max_bytes_cap, |b| b.min(self.max_bytes_cap)),
-        );
+        o.max_bytes = Some(o.max_bytes.map_or(MAX_BYTES_CAP, |b| b.min(MAX_BYTES_CAP)));
         if let Some(b) = o.budget {
-            o.budget = Some(b.min(self.max_budget));
+            o.budget = Some(b.min(MAX_BUDGET));
         }
         Ok(r)
     }
@@ -273,7 +266,7 @@ impl Service {
     /// directory that cannot be used degrades the cache to memory-only
     /// (see [`Service::cache_degraded`]) instead of failing startup.
     pub fn new(config: ServerConfig) -> Arc<Service> {
-        let mut cache = VerdictCache::new(config.cache_shards, config.cache_capacity);
+        let mut cache = VerdictCache::new(CACHE_SHARDS, config.cache_capacity);
         let mut cache_recovery = None;
         let mut cache_degraded = None;
         if let Some(dir) = &config.cache_dir {
@@ -723,6 +716,29 @@ mod tests {
         assert!(out.body.contains("\"verdict\":\"VERIFIED\""));
         let doc = Json::parse(&out.body).expect("body is valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(RESPONSE_SCHEMA));
+    }
+
+    #[test]
+    fn crosscheck_past_its_state_budget_is_an_uncached_inconclusive_body() {
+        let s = service();
+        let text = r#"{"schema":"ccv-request-v1","action":"crosscheck","protocol":{"name":"illinois"},"options":{"n":4,"max_states":3}}"#;
+        for _ in 0..2 {
+            let out = s.process_text(text, &RunContext::default());
+            assert_eq!(out.code, None, "{}", out.body);
+            assert!(!out.cached, "an inconclusive body is never cached");
+            let doc = Json::parse(&out.body).expect("body is valid JSON");
+            assert_eq!(doc.get("complete"), Some(&Json::Bool(false)));
+            let stop = doc.get("stop").expect("stop object");
+            assert_eq!(
+                stop.get("cause").and_then(Json::as_str),
+                Some("budget_exhausted")
+            );
+            assert_eq!(
+                stop.get("detail").and_then(Json::as_str),
+                Some("reachable set exceeded 3 states")
+            );
+        }
+        assert_eq!(s.cache().hits(), 0);
     }
 
     #[test]

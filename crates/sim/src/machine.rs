@@ -153,6 +153,8 @@ pub struct Machine {
     stats: Stats,
     violations: Vec<CoherenceViolation>,
     access_index: usize,
+    /// Loads compared against the oracle so far.
+    oracle_checks: u64,
 }
 
 impl Machine {
@@ -185,6 +187,7 @@ impl Machine {
             stats: Stats::default(),
             violations: Vec::new(),
             access_index: 0,
+            oracle_checks: 0,
         }
     }
 
@@ -260,6 +263,8 @@ impl Machine {
             self.cfg.common.sink.span_begin(SpanKind::WorkerBusy, 0);
         }
         let violations_before = self.violations.len();
+        let accesses_before = self.stats.accesses;
+        let checks_before = self.oracle_checks;
         for &a in &trace.accesses {
             self.step(a);
             if self.cfg.common.stop_at_first_error && self.violations.len() > violations_before {
@@ -267,6 +272,11 @@ impl Machine {
             }
         }
         let sink = &self.cfg.common.sink;
+        sink.count(
+            Counter::Accesses,
+            (self.stats.accesses - accesses_before) as u64,
+        );
+        sink.count(Counter::OracleChecks, self.oracle_checks - checks_before);
         if events {
             sink.span_end(SpanKind::WorkerBusy, 0);
             let new_violations = self.violations.len() - violations_before;
@@ -313,7 +323,8 @@ impl Machine {
         self.memory.get(&block).copied().unwrap_or(0)
     }
 
-    /// Executes one access.
+    /// Executes one access. Its `Accesses` and `OracleChecks` counts
+    /// reach the sink in the totals [`Machine::run`] reports.
     pub fn step(&mut self, access: Access) {
         let idx = self.access_index;
         self.access_index += 1;
@@ -331,8 +342,6 @@ impl Machine {
             AccessKind::Read => self.stats.reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
-        self.cfg.common.sink.count(Counter::Accesses, 1);
-
         let ctx = self.context_of(proc, block);
         let outcome = self.spec.outcome(state, event, ctx);
         if self.spec.attrs(state).holds_copy {
@@ -484,7 +493,7 @@ impl Machine {
 
     /// Oracle check: a load must observe the latest stored version.
     fn oracle_check(&mut self, idx: usize, access: Access, got: u64) {
-        self.cfg.common.sink.count(Counter::OracleChecks, 1);
+        self.oracle_checks += 1;
         let expected = self.latest.get(&access.block).copied().unwrap_or(0);
         if got != expected {
             self.cfg.common.sink.violation(&format!(
