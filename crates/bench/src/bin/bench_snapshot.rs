@@ -1,23 +1,19 @@
-//! Performance snapshot of the verification engines.
+//! Performance snapshot of the verification engines: the CI
+//! regression gate.
 //!
-//! Runs a fixed matrix of enumeration workloads — protocol × machine
-//! size × thread count — and writes a machine-readable JSON snapshot
-//! with throughput (states/s and visits/s), peak pending-work depth
-//! and the `ccv-observe` phase wall time per configuration. Since the
-//! interned-arena refactor the snapshot also carries a `symbolic`
-//! section: one row per protocol through a warm batch session, plus
-//! the Illinois single-mutant sweep measured twice — through the
-//! batch API (`sym-sweep/batch`) and through the retained naive
-//! reference engine (`sym-sweep/reference`) — so the batch speedup is
-//! computable from a single snapshot on a single machine. Schema v3
-//! adds a `serve` section measured against a loopback `ccv serve`
-//! daemon over real TCP: cached vs uncached request latency, and
-//! uncached throughput at 1, 4 and 8 concurrent clients. Schema v4
-//! adds a `spill` row (Illinois n=12 through the spill-backed visited
-//! table). Schema v5 replaces the reference workload (below) with a
-//! loop outside the engines, reported as `ops_per_sec`. The
-//! checked-in `BENCH_PR7.json` at the repository root is the reference
-//! snapshot.
+//! Runs a fixed matrix of exact enumeration workloads — Illinois and
+//! Dragon at n = 12, once per thread count — plus a `spill` row
+//! (Illinois n = 12 through the spill-backed visited table), and
+//! writes a machine-readable JSON snapshot (schema
+//! `ccv-bench-snapshot-v6`) with throughput (states/s and visits/s),
+//! peak pending-work depth and the `ccv-observe` phase wall time per
+//! row. A `symbolic` section adds one row per protocol through a warm
+//! batch session, plus the Illinois single-mutant sweep measured twice
+//! — through the batch API (`sym-sweep/batch`) and through the
+//! retained naive reference engine (`sym-sweep/reference`) — so the
+//! batch speedup is computable from a single snapshot on a single
+//! machine. The checked-in `BENCH_PR7.json` at the repository root is
+//! the baseline snapshot.
 //!
 //! Because absolute rates vary wildly across machines, every snapshot
 //! also measures a *reference workload* in the same process: a fixed
@@ -27,19 +23,17 @@
 //! engine elsewhere: only a change in a gated row's own speed does.
 //!
 //! ```text
-//! bench_snapshot [--out FILE] [--reduced] [--heavy] [--threads A,B,..]
+//! bench_snapshot [--out FILE] [--threads A,B,..]
 //!                [--check BASELINE [--tolerance F]]
 //!                [--min-sweep-speedup F]
 //! ```
 //!
 //! * `--out FILE` — write the snapshot JSON (default: stdout only).
-//! * `--reduced` — CI matrix: the two heaviest protocols at one size.
-//! * `--heavy` — add `n ∈ {12, 14}` rows to the full matrix.
-//! * `--threads` — override the thread counts (default `1` and one
-//!   per available core).
+//! * `--threads` — the enumeration rows' thread counts (default `1`
+//!   and one per available core).
 //! * `--check BASELINE` — compare against a previous snapshot; exit 1
-//!   if any config's normalised rate regressed by more than
-//!   `--tolerance` (default 0.30). Only configs present in both
+//!   if any row's normalised rate regressed by more than
+//!   `--tolerance` (default 0.30). Only rows present in both
 //!   snapshots are compared.
 //! * `--min-sweep-speedup F` — exit 1 unless the batch mutation sweep
 //!   beats the naive reference engine by at least `F`× *in this run*
@@ -58,26 +52,17 @@ use std::time::Instant;
 /// wall time, so small state spaces still give stable rates.
 const MIN_SAMPLE_MS: u128 = 250;
 
-/// Hard cap on repetitions for tiny workloads.
-const MAX_REPS: u32 = 2_000;
+/// Fewest repetitions of a workload, however long each one takes.
+const MIN_REPS: u32 = 5;
 
-#[derive(Clone)]
-struct Config {
-    protocol: &'static str,
-    n: usize,
-    threads: usize,
-}
-
-impl Config {
-    /// Stable identity used to match rows across snapshots.
-    fn key(&self) -> String {
-        format!("{}/n{}/t{}", self.protocol, self.n, self.threads)
-    }
-}
+/// The cache count of every enumeration row.
+const N: usize = 12;
 
 struct Row {
+    /// Stable identity used to match rows across snapshots.
     key: String,
-    config: Config,
+    protocol: &'static str,
+    threads: usize,
     reps: u32,
     distinct: usize,
     visits: usize,
@@ -88,28 +73,12 @@ struct Row {
     phase_wall_ms: f64,
 }
 
-fn spec_of(name: &str) -> ProtocolSpec {
-    match name {
-        "illinois" => protocols::illinois(),
-        "dragon" => protocols::dragon(),
-        "berkeley" => protocols::berkeley(),
-        other => panic!("unknown benchmark protocol {other}"),
-    }
-}
-
 fn run_once(spec: &ProtocolSpec, opts: &EnumOptions, threads: usize) -> EnumResult {
     if threads > 1 {
         enumerate_parallel(spec, opts, threads)
     } else {
         enumerate(spec, opts)
     }
-}
-
-/// Times one configuration: repeat until [`MIN_SAMPLE_MS`] of wall
-/// time, then one instrumented run for the observe-side numbers.
-fn measure(config: &Config) -> Row {
-    let opts = EnumOptions::new(config.n).exact();
-    measure_with(config.key(), config, opts)
 }
 
 /// Illinois n=12 through the spill-backed visited table, at a
@@ -119,27 +88,25 @@ fn measure(config: &Config) -> Row {
 fn measure_spill() -> Row {
     let dir = std::env::temp_dir().join(format!("ccv-bench-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = Config {
-        protocol: "illinois",
-        n: 12,
-        threads: 1,
-    };
-    let opts = EnumOptions::new(12)
+    let opts = EnumOptions::new(N)
         .exact()
         .spill(SpillConfig::new(&dir, Some(256 * 1024)));
-    let row = measure_with("spill".to_string(), &config, opts);
+    let row = measure("spill".to_string(), "illinois", 1, opts);
     let _ = std::fs::remove_dir_all(&dir);
     row
 }
 
-fn measure_with(key: String, config: &Config, opts: EnumOptions) -> Row {
-    let spec = spec_of(config.protocol);
+/// Times one configuration: repeat until [`MIN_SAMPLE_MS`] of wall
+/// time and [`MIN_REPS`] repetitions, then one instrumented run for
+/// the observe-side numbers.
+fn measure(key: String, protocol: &'static str, threads: usize, opts: EnumOptions) -> Row {
+    let spec = protocols::by_name(protocol).expect("library protocol");
 
     let mut reps = 0u32;
     let t0 = Instant::now();
     let mut result = None;
-    while t0.elapsed().as_millis() < MIN_SAMPLE_MS && reps < MAX_REPS {
-        result = Some(run_once(&spec, &opts, config.threads));
+    while t0.elapsed().as_millis() < MIN_SAMPLE_MS || reps < MIN_REPS {
+        result = Some(run_once(&spec, &opts, threads));
         reps += 1;
     }
     let wall = t0.elapsed();
@@ -148,7 +115,7 @@ fn measure_with(key: String, config: &Config, opts: EnumOptions) -> Row {
 
     let metrics = Arc::new(Metrics::new());
     let instrumented = opts.clone().sink(metrics.clone() as Arc<dyn EventSink>);
-    let check = run_once(&spec, &instrumented, config.threads);
+    let check = run_once(&spec, &instrumented, threads);
     assert_eq!(check.distinct, result.distinct);
     let snap = metrics.snapshot();
 
@@ -156,7 +123,8 @@ fn measure_with(key: String, config: &Config, opts: EnumOptions) -> Row {
     let per_rep = secs / reps as f64;
     Row {
         key,
-        config: config.clone(),
+        protocol,
+        threads,
         reps,
         distinct: result.distinct,
         visits: result.visits,
@@ -180,7 +148,8 @@ struct SymRow {
 }
 
 /// Times `work` (which returns (essential, visits) per repetition)
-/// until [`MIN_SAMPLE_MS`] of wall time has accrued.
+/// until [`MIN_SAMPLE_MS`] of wall time and [`MIN_REPS`] repetitions
+/// have accrued.
 fn time_symbolic(key: &str, mut work: impl FnMut() -> (usize, usize)) -> SymRow {
     // One untimed pass warms scratch buffers, index buckets and the
     // arena pool, so the row measures the steady state.
@@ -188,7 +157,7 @@ fn time_symbolic(key: &str, mut work: impl FnMut() -> (usize, usize)) -> SymRow 
 
     let mut reps = 0u32;
     let t0 = Instant::now();
-    while t0.elapsed().as_millis() < MIN_SAMPLE_MS && reps < MAX_REPS {
+    while t0.elapsed().as_millis() < MIN_SAMPLE_MS || reps < MIN_REPS {
         let (e, v) = work();
         assert_eq!((e, v), (essential, visits), "{key}: unstable result");
         reps += 1;
@@ -260,178 +229,6 @@ fn measure_symbolic() -> (Vec<SymRow>, f64) {
     (rows, speedup)
 }
 
-/// One `ccv serve` measurement: requests pushed through a loopback
-/// daemon over real TCP, NDJSON framing.
-struct ServeRow {
-    key: String,
-    clients: usize,
-    requests: u32,
-    wall_ms_per_request: f64,
-    requests_per_sec: f64,
-}
-
-/// Sends one NDJSON request line to `addr` and reads to the response
-/// envelope; returns true if it was served from the verdict cache.
-fn serve_round_trip(addr: std::net::SocketAddr, line: &str) -> bool {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to bench server");
-    stream.write_all(line.as_bytes()).expect("send request");
-    stream.write_all(b"\n").expect("send newline");
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        let n = reader.read_line(&mut buf).expect("read event");
-        assert!(n > 0, "server closed before responding");
-        if let Some(rest) = buf.strip_prefix("{\"ev\":\"response\",\"cached\":") {
-            assert!(
-                buf.contains("\"truncated\":false") && !buf.contains("\"error\""),
-                "bench request failed: {buf}"
-            );
-            return rest.starts_with("true");
-        }
-    }
-}
-
-/// An enumeration request heavy enough (~tens of ms of engine time)
-/// that serving it from the verdict cache is visibly cheaper than
-/// recomputing it. Distinct `budget` values (all far above the real
-/// visit count, and part of the semantic key) give distinct cache
-/// keys, so `bust != 0` defeats the cache without changing the work.
-fn serve_request(bust: usize) -> String {
-    use ccv_core::{ProtocolSource, Request};
-    let mut req = Request::enumerate(ProtocolSource::Spec(protocols::illinois()), 12);
-    req.options.exact = true;
-    if bust != 0 {
-        req.options.budget = Some(10_000_000 + bust);
-    }
-    req.to_json().render_compact()
-}
-
-/// The daemon rows: cached and uncached single-client latency, then
-/// uncached throughput at 1, 4 and 8 concurrent clients.
-fn measure_serve() -> Vec<ServeRow> {
-    use ccv_serve::{Server, ServerConfig};
-    let mut config = ServerConfig::loopback();
-    config.workers = 8;
-    config.queue_depth = 32;
-    config.cache_capacity = 1 << 14;
-    // The workload is enumerate illinois n=12; keep each request on
-    // one engine thread so the concurrency scaling measured here is
-    // the daemon's, not the engine's.
-    config.max_n = 12;
-    config.max_threads = 1;
-    let server = Server::bind(config)
-        .expect("bind loopback bench server")
-        .spawn();
-    let addr = server.addr();
-
-    let mut rows = Vec::new();
-    let mut bust = 0usize;
-    let mut next_bust = || {
-        bust += 1;
-        bust
-    };
-
-    // Warm the runner pool and the cached entry.
-    serve_round_trip(addr, &serve_request(0));
-
-    for (key, cached) in [
-        ("serve/latency/cached", true),
-        ("serve/latency/uncached", false),
-    ] {
-        let mut reps = 0u32;
-        let t0 = Instant::now();
-        while t0.elapsed().as_millis() < MIN_SAMPLE_MS && reps < MAX_REPS {
-            let line = if cached {
-                serve_request(0)
-            } else {
-                serve_request(next_bust())
-            };
-            assert_eq!(serve_round_trip(addr, &line), cached, "{key}");
-            reps += 1;
-        }
-        let per_req = t0.elapsed().as_secs_f64() / reps as f64;
-        rows.push(ServeRow {
-            key: key.to_string(),
-            clients: 1,
-            requests: reps,
-            wall_ms_per_request: per_req * 1e3,
-            requests_per_sec: 1.0 / per_req,
-        });
-    }
-
-    for clients in [1usize, 4, 8] {
-        // A fixed uncached batch per client keeps the comparison
-        // apples-to-apples across concurrency levels.
-        const PER_CLIENT: u32 = 24;
-        let batches: Vec<Vec<String>> = (0..clients)
-            .map(|_| {
-                (0..PER_CLIENT)
-                    .map(|_| serve_request(next_bust()))
-                    .collect()
-            })
-            .collect();
-        let t0 = Instant::now();
-        let joins: Vec<_> = batches
-            .into_iter()
-            .map(|batch| {
-                std::thread::spawn(move || {
-                    for line in &batch {
-                        assert!(!serve_round_trip(addr, line), "bench request cached");
-                    }
-                })
-            })
-            .collect();
-        for j in joins {
-            j.join().expect("bench client");
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let total = PER_CLIENT * clients as u32;
-        rows.push(ServeRow {
-            key: format!("serve/throughput/c{clients}"),
-            clients,
-            requests: total,
-            wall_ms_per_request: secs * 1e3 / total as f64,
-            requests_per_sec: total as f64 / secs,
-        });
-    }
-    server.shutdown();
-    rows
-}
-
-fn matrix(reduced: bool, heavy: bool, threads: &[usize]) -> Vec<Config> {
-    let mut configs = Vec::new();
-    if reduced {
-        for protocol in ["illinois", "dragon"] {
-            for &t in threads {
-                configs.push(Config {
-                    protocol,
-                    n: 12,
-                    threads: t,
-                });
-            }
-        }
-        return configs;
-    }
-    for protocol in ["illinois", "dragon", "berkeley"] {
-        let mut sizes = vec![4usize, 5, 6, 7, 8];
-        if heavy {
-            sizes.extend([12, 14]);
-        }
-        for n in sizes {
-            for &t in threads {
-                configs.push(Config {
-                    protocol,
-                    n,
-                    threads: t,
-                });
-            }
-        }
-    }
-    configs
-}
-
 /// Xorshift steps per timing of the reference loop.
 const REFERENCE_STEPS: u64 = 1 << 24;
 
@@ -462,15 +259,9 @@ fn reference_rate() -> f64 {
     rates[rates.len() / 2]
 }
 
-fn to_json(
-    rows: &[Row],
-    sym_rows: &[SymRow],
-    serve_rows: &[ServeRow],
-    sweep_speedup: f64,
-    reference: f64,
-) -> Json {
+fn to_json(rows: &[Row], sym_rows: &[SymRow], sweep_speedup: f64, reference: f64) -> Json {
     Json::Obj(vec![
-        ("schema".into(), Json::str("ccv-bench-snapshot-v5")),
+        ("schema".into(), Json::str("ccv-bench-snapshot-v6")),
         (
             "reference".into(),
             Json::Obj(vec![
@@ -485,9 +276,9 @@ fn to_json(
                     .map(|r| {
                         Json::Obj(vec![
                             ("key".into(), Json::str(r.key.as_str())),
-                            ("protocol".into(), Json::str(r.config.protocol)),
-                            ("n".into(), Json::int(r.config.n as u64)),
-                            ("threads".into(), Json::int(r.config.threads as u64)),
+                            ("protocol".into(), Json::str(r.protocol)),
+                            ("n".into(), Json::int(N as u64)),
+                            ("threads".into(), Json::int(r.threads as u64)),
                             ("reps".into(), Json::int(r.reps as u64)),
                             ("distinct".into(), Json::int(r.distinct as u64)),
                             ("visits".into(), Json::int(r.visits as u64)),
@@ -524,29 +315,6 @@ fn to_json(
                 ),
                 ("sweep_speedup".into(), Json::Num(sweep_speedup)),
             ]),
-        ),
-        (
-            "serve".into(),
-            Json::Obj(vec![(
-                "rows".into(),
-                Json::Arr(
-                    serve_rows
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("key".into(), Json::str(r.key.as_str())),
-                                ("clients".into(), Json::int(r.clients as u64)),
-                                ("requests".into(), Json::int(r.requests as u64)),
-                                (
-                                    "wall_ms_per_request".into(),
-                                    Json::Num(r.wall_ms_per_request),
-                                ),
-                                ("requests_per_sec".into(), Json::Num(r.requests_per_sec)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )]),
         ),
     ])
 }
@@ -589,14 +357,45 @@ fn normalised_rates(doc: &Json) -> Vec<(String, f64)> {
         .collect()
 }
 
+/// One row of a `--check` comparison: a key present in both
+/// snapshots, with its normalised baseline and current rates.
+struct Checked {
+    key: String,
+    base: f64,
+    now: f64,
+    /// The current rate fell below `1 - tolerance` of the baseline.
+    regressed: bool,
+}
+
+/// Compares `current`'s normalised rates against `baseline`'s, one
+/// entry per key present in both (keys on only one side are
+/// skipped). Zero overlap is an error: the gate would check nothing.
+fn compare(baseline: &Json, current: &Json, tolerance: f64) -> Result<Vec<Checked>, String> {
+    let current = normalised_rates(current);
+    let checked: Vec<Checked> = normalised_rates(baseline)
+        .into_iter()
+        .filter_map(|(key, base)| {
+            let now = current.iter().find(|(k, _)| *k == key)?.1;
+            Some(Checked {
+                regressed: now / base < 1.0 - tolerance,
+                key,
+                base,
+                now,
+            })
+        })
+        .collect();
+    if checked.is_empty() {
+        return Err("no rows in common with the baseline".into());
+    }
+    Ok(checked)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut tolerance = 0.30f64;
     let mut min_sweep_speedup: Option<f64> = None;
-    let mut reduced = false;
-    let mut heavy = false;
     let mut threads: Option<Vec<usize>> = None;
     let mut i = 0;
     while i < args.len() {
@@ -630,14 +429,6 @@ fn main() {
                 );
                 i += 2;
             }
-            "--reduced" => {
-                reduced = true;
-                i += 1;
-            }
-            "--heavy" => {
-                heavy = true;
-                i += 1;
-            }
             other => panic!("unknown argument {other}"),
         }
     }
@@ -649,15 +440,22 @@ fn main() {
     let reference = reference_rate();
     eprintln!("reference: {:.0} ops/s", reference);
 
-    let configs = matrix(reduced, heavy, &threads);
-    let mut rows = Vec::with_capacity(configs.len() + 1);
-    for config in &configs {
-        let row = measure(config);
-        eprintln!(
-            "{:<22} {:>9} distinct {:>10} visits  {:>9.1} ms  {:>11.0} visits/s  peak {}",
-            row.key, row.distinct, row.visits, row.wall_ms, row.visits_per_sec, row.peak_pending
-        );
-        rows.push(row);
+    let mut rows = Vec::new();
+    for protocol in ["illinois", "dragon"] {
+        for &t in &threads {
+            let key = format!("{protocol}/n{N}/t{t}");
+            let row = measure(key, protocol, t, EnumOptions::new(N).exact());
+            eprintln!(
+                "{:<22} {:>9} distinct {:>10} visits  {:>9.1} ms  {:>11.0} visits/s  peak {}",
+                row.key,
+                row.distinct,
+                row.visits,
+                row.wall_ms,
+                row.visits_per_sec,
+                row.peak_pending
+            );
+            rows.push(row);
+        }
     }
 
     eprintln!("measuring spill workload (out-of-core visited table)...");
@@ -687,16 +485,7 @@ fn main() {
         }
     }
 
-    eprintln!("measuring serve workloads (loopback daemon)...");
-    let serve_rows = measure_serve();
-    for r in &serve_rows {
-        eprintln!(
-            "{:<24} {:>2} clients {:>6} requests  {:>9.3} ms/req  {:>9.1} req/s",
-            r.key, r.clients, r.requests, r.wall_ms_per_request, r.requests_per_sec
-        );
-    }
-
-    let doc = to_json(&rows, &sym_rows, &serve_rows, sweep_speedup, reference);
+    let doc = to_json(&rows, &sym_rows, sweep_speedup, reference);
     let rendered = doc.render();
     match &out {
         Some(path) => {
@@ -710,28 +499,21 @@ fn main() {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("reading {baseline_path}: {e}"));
         let baseline = Json::parse(&text).expect("baseline parses");
-        let base_rates = normalised_rates(&baseline);
-        let current: Vec<(String, f64)> = normalised_rates(&doc);
-        let mut failed = false;
-        let mut compared = 0usize;
-        for (key, base) in &base_rates {
-            let Some((_, now)) = current.iter().find(|(k, _)| k == key) else {
-                continue;
-            };
-            compared += 1;
-            let ratio = now / base;
-            let verdict = if ratio < 1.0 - tolerance {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
+        let checked = compare(&baseline, &doc, tolerance).unwrap_or_else(|e| {
+            eprintln!("FAIL: {baseline_path}: {e}");
+            std::process::exit(1);
+        });
+        for c in &checked {
             eprintln!(
-                "check {key:<22} baseline {base:>7.3} now {now:>7.3} ratio {ratio:>5.2}  {verdict}"
+                "check {:<22} baseline {:>7.3} now {:>7.3} ratio {:>5.2}  {}",
+                c.key,
+                c.base,
+                c.now,
+                c.now / c.base,
+                if c.regressed { "REGRESSED" } else { "ok" }
             );
         }
-        assert!(compared > 0, "no overlapping configs with {baseline_path}");
-        if failed {
+        if checked.iter().any(|c| c.regressed) {
             eprintln!(
                 "FAIL: normalised throughput regressed more than {:.0}%",
                 tolerance * 100.0
@@ -739,8 +521,65 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "check passed: {compared} configs within {:.0}%",
+            "check passed: {} configs within {:.0}%",
+            checked.len(),
             tolerance * 100.0
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Gates `now` against `base` at the CI tolerance: rows are
+    /// `(key, visits_per_sec)` at reference rate 1, with `sym*` keys in
+    /// the symbolic section. Returns each compared key and its verdict.
+    fn gate(base: &[(&str, f64)], now: &[(&str, f64)]) -> Result<Vec<String>, String> {
+        let doc = |rows: &[(&str, f64)]| {
+            let section = |sym: bool| {
+                let rows = rows.iter().filter(|(key, _)| key.starts_with("sym") == sym);
+                let rows =
+                    rows.map(|(key, r)| format!(r#"{{"key":"{key}","visits_per_sec":{r}}}"#));
+                rows.collect::<Vec<_>>().join(",")
+            };
+            let (plain, sym) = (section(false), section(true));
+            let text = format!(
+                r#"{{"reference":{{"ops_per_sec":1}},"rows":[{plain}],"symbolic":{{"rows":[{sym}]}}}}"#
+            );
+            Json::parse(&text).expect("test snapshot parses")
+        };
+        let checked = compare(&doc(base), &doc(now), 0.30)?;
+        let verdict = |c: Checked| format!("{} {}", c.key, if c.regressed { "fail" } else { "ok" });
+        Ok(checked.into_iter().map(verdict).collect())
+    }
+
+    #[test]
+    fn a_row_fails_below_the_tolerance_and_passes_above_it() {
+        let base = [("illinois/n12/t1", 100.0), ("sym/MSI", 100.0)];
+        let now = [("illinois/n12/t1", 69.0), ("sym/MSI", 71.0)];
+        assert_eq!(
+            gate(&base, &now).unwrap(),
+            ["illinois/n12/t1 fail", "sym/MSI ok"]
+        );
+    }
+
+    #[test]
+    fn the_naive_reference_sweep_never_gates() {
+        let base = [("sym-sweep/batch", 100.0), ("sym-sweep/reference", 100.0)];
+        let now = [("sym-sweep/batch", 100.0), ("sym-sweep/reference", 1.0)];
+        assert_eq!(gate(&base, &now).unwrap(), ["sym-sweep/batch ok"]);
+    }
+
+    #[test]
+    fn keys_on_one_side_only_are_skipped() {
+        let base = [("spill", 100.0), ("dragon/n12/t4", 100.0)];
+        let now = [("spill", 100.0), ("dragon/n12/t2", 1.0)];
+        assert_eq!(gate(&base, &now).unwrap(), ["spill ok"]);
+    }
+
+    #[test]
+    fn zero_overlap_is_an_error() {
+        assert!(gate(&[("dragon/n12/t4", 100.0)], &[("dragon/n12/t2", 100.0)]).is_err());
     }
 }

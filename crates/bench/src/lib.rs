@@ -19,7 +19,8 @@
 //! | `table_cost_sweep` | E11 | line-size sensitivity of the E8 comparison |
 //! | `table_recovery` | E12 | recovery analysis / invariant strength |
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! `bench_snapshot` is not an experiment: it is the CI throughput
+//! regression gate against `BENCH_PR7.json` (`docs/perf.md` §6).
 //!
 //! This library crate holds the small shared helpers: an aligned text
 //! table printer and the paper's reference data (the 22 transitions of

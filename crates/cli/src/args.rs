@@ -16,6 +16,7 @@
 
 use std::fmt::Write as _;
 use std::str::FromStr;
+use std::time::Duration;
 
 /// One option flag accepted by a subcommand.
 pub struct Flag {
@@ -61,7 +62,8 @@ pub struct ParsedArgs {
     /// [`ArgSpec::help`] and succeed without running.
     pub help: bool,
     positionals: Vec<String>,
-    values: Vec<(&'static str, String)>,
+    /// Option name, raw value and the value's 1-based position.
+    values: Vec<(&'static str, String, usize)>,
     switches: Vec<&'static str>,
 }
 
@@ -138,7 +140,7 @@ impl ArgSpec {
                 p.help = true;
             } else if let Some(f) = self.find_flag(name) {
                 match (f.value, inline) {
-                    (Some(_), Some(v)) => p.values.push((f.name, v.to_string())),
+                    (Some(_), Some(v)) => p.values.push((f.name, v.to_string(), at)),
                     (Some(mv), None) if mv.starts_with('[') => {
                         // Optional value, not supplied: plain switch.
                         p.switches.push(f.name);
@@ -147,7 +149,7 @@ impl ArgSpec {
                         let raw = args.get(i + 1).ok_or_else(|| {
                             format!("option {} (argument {at}) needs a {mv} value", f.name)
                         })?;
-                        p.values.push((f.name, raw.clone()));
+                        p.values.push((f.name, raw.clone(), at + 1));
                         i += 1;
                     }
                     (None, Some(_)) => {
@@ -201,13 +203,32 @@ impl ParsedArgs {
     /// The value of option `name`, parsed as `T` (last occurrence
     /// wins), or `None` if absent.
     pub fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.values.iter().rev().find(|(n, _)| *n == name) {
-            Some((_, raw)) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("invalid value '{raw}' for {name}")),
-            None => Ok(None),
-        }
+        self.convert(name, |raw| raw.parse().ok())
+    }
+
+    /// The value of option `name` as a span of (fractional) seconds,
+    /// or `None` if absent. Negative, NaN, infinite and overflowing
+    /// values are usage errors.
+    pub fn seconds(&self, name: &str) -> Result<Option<Duration>, String> {
+        self.convert(name, |raw| {
+            Duration::try_from_secs_f64(raw.parse().ok()?).ok()
+        })
+        .map_err(|e| format!("{e}: expected a finite, non-negative number of seconds"))
+    }
+
+    /// The last value of option `name` through `convert`; a value it
+    /// rejects is an error naming the option and its position.
+    fn convert<T>(
+        &self,
+        name: &str,
+        convert: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let Some((_, raw, at)) = self.values.iter().rev().find(|(n, ..)| *n == name) else {
+            return Ok(None);
+        };
+        convert(raw)
+            .map(Some)
+            .ok_or_else(|| format!("invalid value '{raw}' for {name} (argument {at})"))
     }
 
     /// The value of option `name`, or `default` if absent.
@@ -298,7 +319,20 @@ mod tests {
     fn bad_value_types_are_reported_at_access() {
         let p = SPEC.parse(&args(&["illinois", "-n", "lots"])).unwrap();
         let e = p.value::<usize>("-n").unwrap_err();
-        assert!(e.contains("invalid value 'lots' for -n"), "{e}");
+        assert!(
+            e.contains("invalid value 'lots' for -n (argument 3)"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn seconds_reject_what_a_duration_cannot_hold() {
+        let seconds = |raw: &str| SPEC.parse(&args(&["a", "-n", raw])).unwrap().seconds("-n");
+        assert_eq!(seconds("1.5"), Ok(Some(Duration::from_millis(1500))));
+        for raw in ["-1", "nan", "inf", "1e300", "soon"] {
+            let e = seconds(raw).unwrap_err();
+            assert!(e.contains(&format!("'{raw}' for -n (argument 3)")), "{e}");
+        }
     }
 
     #[test]

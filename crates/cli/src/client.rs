@@ -149,14 +149,12 @@ pub fn client(args: &[String]) -> CmdResult {
     if let Some(t) = p.value::<usize>("--threads")? {
         req.options.threads = t;
     }
-    if let Some(secs) = p.value::<f64>("--deadline")? {
-        req.options.deadline = Some(Duration::from_secs_f64(secs));
-    }
+    req.options.deadline = p.seconds("--deadline")?;
     let addr: String = p.value_or("--addr", "127.0.0.1:7878".into())?;
     let http = p.flag("--http");
     let retries: u32 = p.value_or("--retries", 4)?;
     let backoff_ms: u64 = p.value_or("--backoff", 100)?;
-    let timeout = Duration::from_secs_f64(p.value_or("--timeout", 10.0)?);
+    let timeout = p.seconds("--timeout")?.unwrap_or(Duration::from_secs(10));
     let fault = match p.value::<String>("--fault-plan")? {
         Some(spec) => FaultHandle::from_spec(&spec).map_err(|e| format!("--fault-plan: {e}"))?,
         None => FaultHandle::disabled(),

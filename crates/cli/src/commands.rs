@@ -15,10 +15,9 @@ use std::sync::Arc;
 
 use crate::args::{ArgSpec, Flag, ParsedArgs, Positional};
 use ccv_core::{
-    essential_states_json, verify_with, Batch, Options, Outcome, Payload, ProtocolSource, Pruning,
-    Request, RunContext, SessionRunner, Verdict,
+    essential_states_json, Batch, Outcome, Payload, ProtocolSource, Pruning, Request, RunContext,
+    SessionRunner, Verdict,
 };
-use ccv_enum::{enumerate as run_enumerate, enumerate_parallel, EnumOptions};
 use ccv_model::{protocols, ProtocolSpec};
 use ccv_observe::{
     CancelToken, EventSink, FlightRecorder, Metrics, NdjsonSink, PostmortemGuard, SinkHandle, Tee,
@@ -464,9 +463,7 @@ pub fn verify(args: &[String]) -> CmdResult {
     };
     req.options.record_trace = record_trace;
     req.options.rule_stats = rule_stats;
-    if let Some(secs) = p.value::<f64>("--deadline")? {
-        req.options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
+    req.options.deadline = p.seconds("--deadline")?;
     req.options.max_bytes = p.value::<u64>("--max-bytes")?;
     let mut extra: Vec<Arc<dyn EventSink>> = Vec::new();
     if let Some(m) = &rule_metrics {
@@ -804,9 +801,7 @@ pub fn enumerate(args: &[String]) -> CmdResult {
     req.options.rule_stats = rule_stats;
     req.options.exact = p.flag("--exact");
     req.options.max_states = p.value::<usize>("--max-states")?;
-    if let Some(secs) = p.value::<f64>("--deadline")? {
-        req.options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
+    req.options.deadline = p.seconds("--deadline")?;
     req.options.max_bytes = p.value::<u64>("--max-bytes")?;
     req.options.fault_plan = p.value("--fault-plan")?;
     req.options.checkpoint_out = p.value("--checkpoint-out")?;
@@ -1038,12 +1033,8 @@ pub fn serve(args: &[String]) -> CmdResult {
     }
     config.max_n = p.value_or("--max-n", config.max_n)?;
     config.max_threads = p.value_or("--max-threads", config.max_threads)?;
-    if let Some(secs) = p.value::<f64>("--deadline")? {
-        config.default_deadline = std::time::Duration::from_secs_f64(secs);
-    }
-    if let Some(secs) = p.value::<f64>("--max-deadline")? {
-        config.max_deadline = std::time::Duration::from_secs_f64(secs);
-    }
+    config.default_deadline = p.seconds("--deadline")?.unwrap_or(config.default_deadline);
+    config.max_deadline = p.seconds("--max-deadline")?.unwrap_or(config.max_deadline);
     config.allow_files = p.flag("--allow-files");
     let workers = config.workers;
     let queue = config.queue_depth;
@@ -1122,6 +1113,9 @@ pub fn simulate(args: &[String]) -> CmdResult {
         ));
     }
     let procs: usize = p.value_or("--procs", 4)?;
+    if procs == 0 {
+        return Err("--procs must be at least 1".into());
+    }
     let accesses: usize = p.value_or("--accesses", 100_000)?;
     let seed: u64 = p.value_or("--seed", 0xCC5EED)?;
     let which: String = p.value_or("--workload", "hot-block".into())?;
@@ -1205,7 +1199,7 @@ const PROFILE_SPEC: ArgSpec = ArgSpec {
         Flag {
             name: "--threads",
             value: Some("T"),
-            help: "parallel enumeration workers (default 1)",
+            help: "parallel enumeration workers; 0 = one per available core (default 1)",
         },
         Flag {
             name: "--symbolic",
@@ -1224,40 +1218,52 @@ pub fn profile(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&PROFILE_SPEC, args)? else {
         return Ok(CmdStatus::Success);
     };
-    let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
+    let source = ProtocolSource::Spec(resolve_spec(p.require_pos(0, "protocol name")?)?);
     let obs = Obs::from_args(&p)?;
-    let metrics = Arc::new(Metrics::new());
-    let handle = obs.handle(vec![metrics.clone() as Arc<dyn EventSink>]);
-
-    let clean = if p.flag("--symbolic") {
-        let opts = Options::default().sink(handle).rule_stats(true);
-        let report = verify_with(&spec, &opts);
-        println!(
-            "protocol {} symbolic expansion: {} visits, {} essential states",
-            spec.name(),
-            report.visits(),
-            report.num_essential()
-        );
-        report.verdict == Verdict::Verified
+    let mut req = if p.flag("--symbolic") {
+        Request::verify(source)
     } else {
-        let n: usize = p.value_or("-n", 5)?;
-        let threads: usize = p.value_or("--threads", 1)?;
-        let opts = EnumOptions::new(n).sink(handle).rule_stats(true);
-        let r = if threads > 1 {
-            enumerate_parallel(&spec, &opts, threads)
-        } else {
-            run_enumerate(&spec, &opts)
-        };
-        println!(
-            "protocol {} enumeration n={n} threads={threads}: {} distinct states, {} visits",
-            spec.name(),
-            r.distinct,
-            r.visits
-        );
-        r.is_clean()
+        let mut req = Request::enumerate(source, p.value_or("-n", 5)?);
+        req.options.threads = p.value_or("--threads", 1)?;
+        req
+    };
+    req.options.rule_stats = true;
+    let metrics = Arc::new(Metrics::new());
+    let ctx = RunContext::new(
+        CancelToken::global(),
+        obs.handle(vec![metrics.clone() as Arc<dyn EventSink>]),
+    );
+    let status = match SessionRunner::new().run(&req, &ctx).result {
+        Ok(Payload::Verify(v)) => {
+            let report = &v.report;
+            println!(
+                "protocol {} symbolic expansion: {} visits, {} essential states",
+                report.protocol,
+                report.visits(),
+                report.num_essential()
+            );
+            match report.verdict {
+                Verdict::Verified => CmdStatus::Success,
+                Verdict::Erroneous => CmdStatus::Failure,
+                Verdict::Inconclusive => CmdStatus::Inconclusive,
+            }
+        }
+        Ok(Payload::Enumerate(r)) => {
+            println!(
+                "protocol {} enumeration n={} threads={}: {} distinct states, {} visits",
+                r.protocol, r.n, r.threads, r.distinct, r.visits
+            );
+            if r.stopped.is_some() {
+                CmdStatus::Inconclusive
+            } else {
+                CmdStatus::from_ok(r.errors.is_empty())
+            }
+        }
+        Ok(_) => return Err("unexpected response payload".into()),
+        Err(e) => return Err(e.message),
     };
 
     print!("\n{}", crate::report::rule_table(&metrics.snapshot()));
     obs.finish()?;
-    Ok(CmdStatus::from_ok(clean))
+    Ok(status)
 }

@@ -705,6 +705,58 @@ fn profile_reports_the_split_mutant() {
 }
 
 #[test]
+fn profile_rejects_an_unsupported_cache_count() {
+    for n in ["0", "17"] {
+        let o = ccv(&["profile", "illinois", "-n", n]);
+        assert_eq!(o.status.code(), Some(2), "-n {n}: {}", stderr(&o));
+        assert!(
+            stderr(&o).contains(&format!("n must be in 1..=16 (got {n})")),
+            "-n {n}: {}",
+            stderr(&o)
+        );
+    }
+}
+
+#[test]
+fn seconds_flags_reject_negative_nan_and_infinite_values() {
+    let cases: [&[&str]; 6] = [
+        &["verify", "illinois", "--deadline", "-1"],
+        &["enumerate", "illinois", "-n", "2", "--deadline", "nan"],
+        &["serve", "--addr", "127.0.0.1:0", "--deadline", "inf"],
+        &["serve", "--addr", "127.0.0.1:0", "--max-deadline", "-1"],
+        &["client", "illinois", "--deadline", "-0.5"],
+        &["client", "illinois", "--timeout", "nan"],
+    ];
+    for args in cases {
+        let o = ccv(args);
+        let err = stderr(&o);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("number of seconds"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn simulate_rejects_zero_processors() {
+    for workload in ["hot-block", "migratory"] {
+        let o = ccv(&[
+            "simulate",
+            "illinois",
+            "--procs",
+            "0",
+            "--workload",
+            workload,
+        ]);
+        assert_eq!(o.status.code(), Some(2), "{workload}: {}", stderr(&o));
+        assert!(
+            stderr(&o).contains("--procs must be at least 1"),
+            "{}",
+            stderr(&o)
+        );
+    }
+}
+
+#[test]
 fn flight_recorder_dumps_a_postmortem_on_violation() {
     let o = ccv(&[
         "enumerate",

@@ -59,6 +59,7 @@
 //! assert!(snap.to_json().render().contains("\"visits\": 22"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

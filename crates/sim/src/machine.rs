@@ -496,10 +496,13 @@ impl Machine {
         self.oracle_checks += 1;
         let expected = self.latest.get(&access.block).copied().unwrap_or(0);
         if got != expected {
-            self.cfg.common.sink.violation(&format!(
-                "access #{idx}: proc {} read v{got} from block {}, latest write was v{expected}",
-                access.proc, access.block
-            ));
+            let sink = &self.cfg.common.sink;
+            if sink.is_enabled() {
+                sink.violation(&format!(
+                    "access #{idx}: proc {} read v{got} from block {}, latest write was v{expected}",
+                    access.proc, access.block
+                ));
+            }
             self.violations.push(CoherenceViolation {
                 access_index: idx,
                 access,
