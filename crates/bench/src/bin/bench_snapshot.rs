@@ -390,48 +390,70 @@ fn compare(baseline: &Json, current: &Json, tolerance: f64) -> Result<Vec<Checke
     Ok(checked)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut tolerance = 0.30f64;
-    let mut min_sweep_speedup: Option<f64> = None;
-    let mut threads: Option<Vec<usize>> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--check" => {
-                check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--tolerance" => {
-                tolerance = args[i + 1].parse().expect("--tolerance takes a fraction");
-                i += 2;
-            }
-            "--min-sweep-speedup" => {
-                min_sweep_speedup = Some(
-                    args[i + 1]
-                        .parse()
-                        .expect("--min-sweep-speedup takes a factor"),
-                );
-                i += 2;
-            }
+/// Printed with every command-line error.
+const USAGE: &str = "usage: bench_snapshot [--out FILE] [--threads A,B,..] \
+                     [--check BASELINE [--tolerance F]] [--min-sweep-speedup F]";
+
+/// The command line, parsed.
+#[derive(Debug, PartialEq)]
+struct Args {
+    out: Option<String>,
+    check: Option<String>,
+    tolerance: f64,
+    min_sweep_speedup: Option<f64>,
+    threads: Option<Vec<usize>>,
+}
+
+/// Parses the command line; an error names the flag at fault.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        out: None,
+        check: None,
+        tolerance: 0.30,
+        min_sweep_speedup: None,
+        threads: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--out" => parsed.out = Some(value()?.clone()),
+            "--check" => parsed.check = Some(value()?.clone()),
+            "--tolerance" => parsed.tolerance = number(flag, value()?)?,
+            "--min-sweep-speedup" => parsed.min_sweep_speedup = Some(number(flag, value()?)?),
             "--threads" => {
-                threads = Some(
-                    args[i + 1]
-                        .split(',')
-                        .map(|t| t.parse().expect("--threads takes a comma list"))
-                        .collect(),
-                );
-                i += 2;
+                let text = value()?;
+                let counts = text.split(',').map(|t| t.parse().ok().filter(|&t| t > 0));
+                parsed.threads = Some(counts.collect::<Option<_>>().ok_or_else(|| {
+                    format!("--threads takes a comma list of positive counts, got '{text}'")
+                })?);
             }
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    Ok(parsed)
+}
+
+/// A finite, non-negative number for `flag`.
+fn number(flag: &str, text: &str) -> Result<f64, String> {
+    text.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+        .ok_or_else(|| format!("{flag} takes a non-negative number, got '{text}'"))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        out,
+        check,
+        tolerance,
+        min_sweep_speedup,
+        threads,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let threads = threads.unwrap_or_else(|| if cores > 1 { vec![1, cores] } else { vec![1] });
@@ -552,6 +574,70 @@ mod tests {
         let checked = compare(&doc(base), &doc(now), 0.30)?;
         let verdict = |c: Checked| format!("{} {}", c.key, if c.regressed { "fail" } else { "ok" });
         Ok(checked.into_iter().map(verdict).collect())
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_flag_parses_and_the_defaults_hold() {
+        let all = parse(&[
+            "--out",
+            "snap.json",
+            "--check",
+            "BENCH.json",
+            "--tolerance",
+            "0.25",
+            "--min-sweep-speedup",
+            "1.2",
+            "--threads",
+            "1,2",
+        ])
+        .unwrap();
+        assert_eq!(
+            all,
+            Args {
+                out: Some("snap.json".into()),
+                check: Some("BENCH.json".into()),
+                tolerance: 0.25,
+                min_sweep_speedup: Some(1.2),
+                threads: Some(vec![1, 2]),
+            }
+        );
+        let none = parse(&[]).unwrap();
+        assert_eq!((none.tolerance, none.threads), (0.30, None));
+    }
+
+    #[test]
+    fn bad_flags_are_errors_not_panics() {
+        let flags = [
+            "--out",
+            "--check",
+            "--tolerance",
+            "--min-sweep-speedup",
+            "--threads",
+        ];
+        for flag in flags {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.contains("needs a value"), "{flag}: {err}");
+        }
+        for (flag, bad) in [
+            ("--tolerance", "x"),
+            ("--tolerance", "-0.1"),
+            ("--min-sweep-speedup", "nan"),
+            ("--threads", "x"),
+            ("--threads", "1,,2"),
+            ("--threads", "0"),
+        ] {
+            let err = parse(&[flag, bad]).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains(bad),
+                "{flag} {bad}: {err}"
+            );
+        }
+        let err = parse(&["--frobnicate"]).unwrap_err();
+        assert!(err.contains("unknown argument '--frobnicate'"), "{err}");
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! Run: `cargo run --release -p ccv-bench --bin fig4_illinois`
 
 use ccv_bench::{Table, FIG4_TABLE};
-use ccv_core::{run_expansion, verify, FVal, Options};
+use ccv_core::{global_graph, run_expansion, verify, FVal, Options};
 use ccv_model::{protocols, CData};
 
 fn main() {
     let spec = protocols::illinois();
     let report = verify(&spec);
+    let graph = global_graph(&spec, &report.expansion);
     println!("== Figure 4: the global transition diagram for the Illinois protocol ==\n");
     println!(
         "verdict: {}   essential states: {}   state visits: {}\n",
@@ -21,21 +22,21 @@ fn main() {
 
     // --- Vertices -------------------------------------------------------
     println!("essential states:");
-    for (i, s) in report.graph.states.iter().enumerate() {
+    for (i, s) in graph.states.iter().enumerate() {
         println!("  s{i}: {}", s.render(&spec));
     }
     println!();
 
     // --- Edges (grouped, paper-style labels) -----------------------------
     println!("transitions:");
-    for (from, to, labels) in report.graph.grouped_edges() {
+    for (from, to, labels) in graph.grouped_edges() {
         println!("  s{from} --[{}]--> s{to}", labels.join(", "));
     }
     println!();
 
     // --- The Fig. 4 context-variable table -------------------------------
     let mut table = Table::new(vec!["state", "sharing(F)", "cdata", "mdata"]);
-    for s in &report.graph.states {
+    for s in &graph.states {
         let f = match s.f {
             FVal::Null => "-".to_string(),
             other => other.to_string(),
@@ -99,5 +100,5 @@ fn main() {
     );
 
     // --- DOT output -------------------------------------------------------
-    println!("\n-- graphviz --\n{}", report.graph.to_dot(&spec));
+    println!("\n-- graphviz --\n{}", graph.to_dot(&spec));
 }

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p ccv-bench --bin table_all_protocols`
 
 use ccv_bench::Table;
-use ccv_core::verify;
+use ccv_core::{global_graph, verify};
 use ccv_enum::{enumerate, EnumOptions};
 use ccv_model::protocols::all_correct;
 use std::time::Instant;
@@ -48,7 +48,8 @@ fn main() {
             format!("{elapsed:.2?}"),
         ]);
         details.push_str(&format!("\n{}:\n", spec.name()));
-        for (i, s) in v.graph.states.iter().enumerate() {
+        let graph = global_graph(&spec, &v.expansion);
+        for (i, s) in graph.states.iter().enumerate() {
             details.push_str(&format!("  s{i}: {}\n", s.render(&spec)));
         }
     }

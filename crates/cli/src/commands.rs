@@ -15,13 +15,13 @@ use std::sync::Arc;
 
 use crate::args::{ArgSpec, Flag, ParsedArgs, Positional};
 use ccv_core::{
-    essential_states_json, Batch, Outcome, Payload, ProtocolSource, Pruning, Request, RunContext,
-    SessionRunner, Verdict,
+    essential_states_json, global_graph, Batch, Outcome, Payload, ProtocolSource, Pruning, Request,
+    RunContext, SessionRunner, Verdict,
 };
 use ccv_model::{protocols, ProtocolSpec};
 use ccv_observe::{
-    CancelToken, EventSink, FlightRecorder, Metrics, NdjsonSink, PostmortemGuard, SinkHandle, Tee,
-    TraceSink,
+    CancelToken, EventSink, FlightRecorder, Metrics, NdjsonSink, Phase, PostmortemGuard,
+    SinkHandle, Tee, TraceSink,
 };
 use ccv_sim::{workload, Machine, MachineConfig, Trace, WorkloadParams};
 
@@ -56,10 +56,8 @@ usage:
                                             submit to a daemon, with retries
   ccv simulate   <protocol> [--workload W | --trace-file F] [--accesses N]
                  [--procs P] [--seed S]
-  ccv profile    <protocol> [-n N] [--threads T] [--symbolic]
-                                            per-rule firing/time heat table
 
-verify, enumerate, crosscheck, simulate and profile all accept the
+verify, enumerate, crosscheck and simulate all accept the
 observability trio: [--metrics-out FILE] [--trace-out FILE]
 [--flight-recorder[=N]].
 
@@ -482,6 +480,9 @@ pub fn verify(args: &[String]) -> CmdResult {
     };
     let report = &v.report;
     let spec = &v.spec;
+    ctx.sink.phase_enter(Phase::Graph);
+    let graph = global_graph(spec, &report.expansion);
+    ctx.sink.phase_exit(Phase::Graph);
 
     println!("protocol : {}", report.protocol);
     println!("verdict  : {}", report.verdict);
@@ -494,11 +495,11 @@ pub fn verify(args: &[String]) -> CmdResult {
         report.expansion.expanded,
         report.num_essential()
     );
-    for (i, s) in report.graph.states.iter().enumerate() {
+    for (i, s) in graph.states.iter().enumerate() {
         println!("  s{i}: {}", s.render(spec));
     }
     println!("transitions:");
-    for (from, to, labels) in report.graph.grouped_edges() {
+    for (from, to, labels) in graph.grouped_edges() {
         println!("  s{from} --[{}]--> s{to}", labels.join(", "));
     }
     if record_trace {
@@ -523,16 +524,11 @@ pub fn verify(args: &[String]) -> CmdResult {
         println!("\n... and {} more error findings", report.reports.len() - 5);
     }
     if let Some(path) = p.value::<String>("--dot")? {
-        write_out(&path, report.graph.to_dot(spec).as_bytes())?;
+        write_out(&path, graph.to_dot(spec).as_bytes())?;
         println!("\nDOT written to {path}");
     }
     if let Some(path) = p.value::<String>("--essential-out")? {
-        let pruning = if p.flag("--equality") {
-            Pruning::Equality
-        } else {
-            Pruning::Containment
-        };
-        let json = essential_states_json(spec, report, pruning);
+        let json = essential_states_json(spec, report, req.options.pruning);
         write_out(&path, json.render().as_bytes())?;
         println!("\nessential states written to {path}");
     }
@@ -561,7 +557,7 @@ pub fn graph(args: &[String]) -> CmdResult {
     };
     let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
     let report = ccv_core::verify(&spec);
-    print!("{}", report.graph.to_dot(&spec));
+    print!("{}", global_graph(&spec, &report.expansion).to_dot(&spec));
     Ok(CmdStatus::Success)
 }
 
@@ -1184,86 +1180,4 @@ pub fn simulate(args: &[String]) -> CmdResult {
     }
     obs.finish()?;
     Ok(CmdStatus::from_ok(coherent))
-}
-
-const PROFILE_SPEC: ArgSpec = ArgSpec {
-    cmd: "profile",
-    summary: "attribute firings, produced states and kernel time to protocol rules",
-    positionals: &[PROTOCOL_POS],
-    flags: &[
-        Flag {
-            name: "-n",
-            value: Some("N"),
-            help: "cache count for the enumeration engine (default 5)",
-        },
-        Flag {
-            name: "--threads",
-            value: Some("T"),
-            help: "parallel enumeration workers; 0 = one per available core (default 1)",
-        },
-        Flag {
-            name: "--symbolic",
-            value: None,
-            help: "profile the symbolic expansion instead of enumeration",
-        },
-        METRICS_OUT_FLAG,
-        TRACE_OUT_FLAG,
-        FLIGHT_FLAG,
-    ],
-};
-
-/// `ccv profile <protocol> [-n N] [--threads T] [--symbolic]
-/// [--metrics-out FILE] [--trace-out FILE] [--flight-recorder[=N]]`
-pub fn profile(args: &[String]) -> CmdResult {
-    let Some(p) = parse_or_help(&PROFILE_SPEC, args)? else {
-        return Ok(CmdStatus::Success);
-    };
-    let source = ProtocolSource::Spec(resolve_spec(p.require_pos(0, "protocol name")?)?);
-    let obs = Obs::from_args(&p)?;
-    let mut req = if p.flag("--symbolic") {
-        Request::verify(source)
-    } else {
-        let mut req = Request::enumerate(source, p.value_or("-n", 5)?);
-        req.options.threads = p.value_or("--threads", 1)?;
-        req
-    };
-    req.options.rule_stats = true;
-    let metrics = Arc::new(Metrics::new());
-    let ctx = RunContext::new(
-        CancelToken::global(),
-        obs.handle(vec![metrics.clone() as Arc<dyn EventSink>]),
-    );
-    let status = match SessionRunner::new().run(&req, &ctx).result {
-        Ok(Payload::Verify(v)) => {
-            let report = &v.report;
-            println!(
-                "protocol {} symbolic expansion: {} visits, {} essential states",
-                report.protocol,
-                report.visits(),
-                report.num_essential()
-            );
-            match report.verdict {
-                Verdict::Verified => CmdStatus::Success,
-                Verdict::Erroneous => CmdStatus::Failure,
-                Verdict::Inconclusive => CmdStatus::Inconclusive,
-            }
-        }
-        Ok(Payload::Enumerate(r)) => {
-            println!(
-                "protocol {} enumeration n={} threads={}: {} distinct states, {} visits",
-                r.protocol, r.n, r.threads, r.distinct, r.visits
-            );
-            if r.stopped.is_some() {
-                CmdStatus::Inconclusive
-            } else {
-                CmdStatus::from_ok(r.errors.is_empty())
-            }
-        }
-        Ok(_) => return Err("unexpected response payload".into()),
-        Err(e) => return Err(e.message),
-    };
-
-    print!("\n{}", crate::report::rule_table(&metrics.snapshot()));
-    obs.finish()?;
-    Ok(status)
 }

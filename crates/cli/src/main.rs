@@ -80,7 +80,6 @@ fn main() -> ExitCode {
         "serve" => commands::serve(rest),
         "client" => client::client(rest),
         "simulate" => commands::simulate(rest),
-        "profile" => commands::profile(rest),
         "help" | "--help" | "-h" => {
             println!("{}", commands::USAGE);
             Ok(commands::CmdStatus::Success)

@@ -8,7 +8,9 @@
 //! counterexample paths and the shortest executable violation
 //! scenario.
 
-use ccv_core::{analyze_recovery, find_state_witness, Tolerance, Verdict, VerificationReport};
+use ccv_core::{
+    analyze_recovery, find_state_witness, global_graph, Tolerance, Verdict, VerificationReport,
+};
 use ccv_enum::find_violation_witness;
 use ccv_model::{CData, GlobalCtx, ProcEvent, ProtocolSpec};
 use ccv_observe::{Counter, MetricsSnapshot};
@@ -112,6 +114,7 @@ fn format_nanos(nanos: u64) -> String {
 /// already-computed verification report (build one with
 /// [`ccv_core::verify()`]).
 pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
+    let graph = global_graph(spec, &v.expansion);
     let mut md = String::new();
 
     // --- Header -----------------------------------------------------------
@@ -133,20 +136,6 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
         v.visits(),
         v.num_essential()
     );
-    if let Some(cc) = &v.crosscheck {
-        let _ = writeln!(
-            md,
-            "- Theorem 1 crosscheck (n={}): {}/{} concrete states covered — {}",
-            cc.n,
-            cc.covered,
-            cc.total_concrete,
-            if cc.complete() {
-                "complete"
-            } else {
-                "INCOMPLETE"
-            }
-        );
-    }
     let _ = writeln!(md);
 
     // --- State table --------------------------------------------------------
@@ -249,7 +238,7 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
     let _ = writeln!(md, "Essential states (valid for any number of caches):\n");
     let _ = writeln!(md, "| # | state | F | cdata | mdata |");
     let _ = writeln!(md, "|---|---|---|---|---|");
-    for (i, s) in v.graph.states.iter().enumerate() {
+    for (i, s) in graph.states.iter().enumerate() {
         let mut cdatas: Vec<&str> = s
             .classes()
             .iter()
@@ -270,7 +259,7 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
         );
     }
     let _ = writeln!(md, "\nTransitions:\n");
-    for (from, to, labels) in v.graph.grouped_edges() {
+    for (from, to, labels) in graph.grouped_edges() {
         let _ = writeln!(md, "- s{from} —[{}]→ s{to}", labels.join(", "));
     }
 
@@ -291,7 +280,7 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
             md,
             "Each essential family instantiated by a concrete scenario:\n"
         );
-        for (i, s) in v.graph.states.iter().enumerate() {
+        for (i, s) in graph.states.iter().enumerate() {
             if let Some(w) = find_state_witness(spec, s, 3, 1 << 20) {
                 let script: Vec<String> = w
                     .steps
@@ -349,7 +338,7 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
 
     // --- DOT ------------------------------------------------------------------
     let _ = writeln!(md, "## Global diagram (Graphviz)\n");
-    let _ = writeln!(md, "```dot\n{}```", v.graph.to_dot(spec));
+    let _ = writeln!(md, "```dot\n{}```", graph.to_dot(spec));
 
     md
 }
@@ -390,23 +379,6 @@ mod tests {
         assert!(md.contains("### Counterexamples"));
         assert!(md.contains("### Shortest executable violation"));
         assert!(md.contains("witness with"));
-    }
-
-    #[test]
-    fn crosscheck_summary_appears_when_attached() {
-        let spec = protocols::illinois();
-        let mut v = verify(&spec);
-        ccv_core::attach_crosscheck(
-            &spec,
-            &mut v,
-            3,
-            1 << 20,
-            false,
-            &ccv_observe::SinkHandle::disabled(),
-        );
-        let md = protocol_report(&spec, &v);
-        assert!(md.contains("Theorem 1 crosscheck (n=3)"), "{md}");
-        assert!(md.contains("complete"));
     }
 
     #[test]

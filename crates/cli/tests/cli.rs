@@ -479,6 +479,48 @@ fn metrics_out_writes_metrics_for_verify() {
     assert!(json.contains("\"visits\": 22"), "{json}");
 }
 
+#[test]
+fn only_commands_that_draw_the_diagram_record_a_graph_phase() {
+    use ccv_core::api::{Action, ProtocolSource, Request, RunContext, SessionRunner};
+    use ccv_observe::{CancelToken, EventSink, Metrics, Phase, SinkHandle};
+    use std::sync::Arc;
+
+    // The request runner returns the run, not its views: neither a
+    // verify nor a crosscheck builds the global diagram, and a
+    // crosscheck runs no verdict check either.
+    let illinois = || ProtocolSource::Name("illinois".into());
+    for req in [
+        Request::verify(illinois()),
+        Request::crosscheck(illinois(), 3),
+    ] {
+        let metrics = Arc::new(Metrics::new());
+        let sink = SinkHandle::new(metrics.clone() as Arc<dyn EventSink>);
+        let resp = SessionRunner::new().run(&req, &RunContext::new(CancelToken::new(), sink));
+        assert!(resp.result.is_ok(), "{:?}", resp.result.err());
+        let snap = metrics.snapshot();
+        assert!(snap.phase_nanos(Phase::Expand) > 0, "{:?}", req.action);
+        assert_eq!(snap.phase_nanos(Phase::Graph), 0, "{:?}", req.action);
+        if req.action == Action::Crosscheck {
+            assert_eq!(snap.phase_nanos(Phase::Check), 0);
+        }
+    }
+
+    // `ccv verify` draws the diagram, and its metrics keep the phase.
+    let dir = std::env::temp_dir().join("ccv-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("verify-graph-phase.json");
+    let o = ccv(&[
+        "verify",
+        "illinois",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    let json = ccv_observe::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let phases = json.get("phases").expect("phases object");
+    assert!(phases.get("graph").is_some(), "{}", json.render());
+}
+
 /// Validates a Chrome-trace file: parseable JSON, balanced begin/end
 /// spans per (tid, name), globally monotonic timestamps, and at least
 /// one complete span on every expected worker track. Returns the
@@ -604,8 +646,16 @@ fn observability_artifacts_schema_check() {
 }
 
 #[test]
-fn profile_prints_a_rule_heat_table() {
-    let o = ccv(&["profile", "illinois"]);
+fn rule_stats_print_a_rule_heat_table() {
+    let o = ccv(&[
+        "enumerate",
+        "illinois",
+        "-n",
+        "5",
+        "--threads",
+        "1",
+        "--rule-stats",
+    ]);
     assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
     let out = stdout(&o);
     assert!(out.contains("firings"), "{out}");
@@ -627,34 +677,38 @@ fn profile_prints_a_rule_heat_table() {
 }
 
 #[test]
-fn profile_total_firings_equal_the_rule_firings_counter() {
+fn rule_stats_total_firings_equal_the_rule_firings_counter() {
     let dir = std::env::temp_dir().join("ccv-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("profile-metrics.json");
-    let o = ccv(&[
-        "profile",
-        "illinois",
-        "--metrics-out",
-        path.to_str().unwrap(),
-    ]);
-    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
-    let total: u64 = stdout(&o)
-        .lines()
-        .find(|l| l.starts_with("total"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .unwrap()
-        .parse()
-        .unwrap();
-    let mjson = ccv_observe::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let counter = mjson
-        .get("counters")
-        .and_then(|c| c.get("rule_firings"))
-        .and_then(|v| v.as_u64())
-        .expect("rule_firings counter");
-    assert_eq!(total, counter);
+    for cmd in ["enumerate", "verify"] {
+        let path = dir.join(format!("rule-stats-{cmd}-metrics.json"));
+        let o = ccv(&[
+            cmd,
+            "illinois",
+            "--rule-stats",
+            "--metrics-out",
+            path.to_str().unwrap(),
+        ]);
+        assert_eq!(o.status.code(), Some(0), "{cmd}: {}", stderr(&o));
+        let total: u64 = stdout(&o)
+            .lines()
+            .find(|l| l.starts_with("total"))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let mjson = ccv_observe::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let counter = mjson
+            .get("counters")
+            .and_then(|c| c.get("rule_firings"))
+            .and_then(|v| v.as_u64())
+            .expect("rule_firings counter");
+        assert_eq!(total, counter, "{cmd}");
+        assert!(total > 0, "{cmd}");
+    }
 }
 
-/// The rule names of a `--rule-stats` / `profile` table.
+/// The rule names of a `--rule-stats` table.
 fn rule_rows(out: &str) -> Vec<&str> {
     out.lines()
         .skip_while(|l| !l.starts_with("rule "))
@@ -699,15 +753,28 @@ fn rule_stats_keep_the_split_mutant_verdict() {
 }
 
 #[test]
-fn profile_reports_the_split_mutant() {
-    let o = ccv(&["profile", "split-msi-upgrade-race-lost", "-n", "3"]);
-    assert_eq!(o.status.code(), Some(1), "{}", stdout(&o));
+fn rule_stats_report_the_split_mutant() {
+    for args in [
+        &[
+            "enumerate",
+            "split-msi-upgrade-race-lost",
+            "-n",
+            "3",
+            "--threads",
+            "1",
+        ][..],
+        &["verify", "split-msi-upgrade-race-lost"][..],
+    ] {
+        let o = ccv(&[args, &["--rule-stats"]].concat());
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stdout(&o));
+        assert!(stdout(&o).contains("total"), "{args:?}: {}", stdout(&o));
+    }
 }
 
 #[test]
-fn profile_rejects_an_unsupported_cache_count() {
+fn rule_stats_reject_an_unsupported_cache_count() {
     for n in ["0", "17"] {
-        let o = ccv(&["profile", "illinois", "-n", n]);
+        let o = ccv(&["enumerate", "illinois", "-n", n, "--rule-stats"]);
         assert_eq!(o.status.code(), Some(2), "-n {n}: {}", stderr(&o));
         assert!(
             stderr(&o).contains(&format!("n must be in 1..=16 (got {n})")),
@@ -715,6 +782,9 @@ fn profile_rejects_an_unsupported_cache_count() {
             stderr(&o)
         );
     }
+    let o = ccv(&["enumerate", "illinois", "-n", "-1", "--rule-stats"]);
+    assert_eq!(o.status.code(), Some(2), "-n -1: {}", stderr(&o));
+    assert!(!stderr(&o).contains("panicked"), "-n -1: {}", stderr(&o));
 }
 
 #[test]

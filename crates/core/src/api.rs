@@ -42,8 +42,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
+use crate::composite::Composite;
 use crate::crosscheck::crosscheck_with;
-use crate::engine::{EngineScratch, Options, Pruning};
+use crate::engine::{expand_with, EngineScratch, Options, Pruning};
 use crate::verify::{verify_with_scratch, Outcome, Verdict, VerificationReport};
 use ccv_enum::{
     enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, SpillConfig, MAX_CACHES,
@@ -654,14 +655,11 @@ impl std::fmt::Display for ApiError {
 }
 
 /// The payload of a successful verify request: the resolved spec
-/// (needed to render states), the pruning in effect and the full
-/// report.
+/// (needed to render states) and the full report.
 #[derive(Clone, Debug)]
 pub struct VerifyResponse {
     /// The resolved protocol.
     pub spec: ProtocolSpec,
-    /// The pruning discipline the run used.
-    pub pruning: Pruning,
     /// The complete verification report.
     pub report: VerificationReport,
 }
@@ -1239,11 +1237,7 @@ impl SessionRunner {
             opts = opts.sink(ctx.sink.clone());
         }
         let report = verify_with_scratch(&spec, &opts, &mut self.scratch);
-        VerifyResponse {
-            spec,
-            pruning: o.pruning,
-            report,
-        }
+        VerifyResponse { spec, report }
     }
 
     fn run_enumerate(
@@ -1364,21 +1358,24 @@ impl SessionRunner {
         let opts = Options::default()
             .sink(ctx.sink.clone())
             .cancel(ctx.cancel.clone());
-        let report = verify_with_scratch(spec, &opts, &mut self.scratch);
-        let essential = report.expansion.essential_states();
+        // Only the essential states are read, so the symbolic leg is a
+        // bare expansion whose arena goes back to the scratch pool.
+        let expansion = expand_with(spec, Composite::initial(spec), &opts, &mut self.scratch);
         let budget = o.max_states.unwrap_or(1 << 24);
         let cc = crosscheck_with(
             spec,
             o.n,
-            &essential,
+            &expansion.essential_states(),
             budget,
             o.stop_at_first_error,
             &ctx.sink,
         );
+        let essential = expansion.essential.len();
+        self.scratch.recycle(expansion);
         Ok(CrosscheckResponse {
             protocol: spec.name().to_string(),
             n: o.n,
-            essential: essential.len(),
+            essential,
             total_concrete: cc.total_concrete,
             covered: cc.covered,
             complete: cc.complete(),

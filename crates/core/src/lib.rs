@@ -56,7 +56,7 @@
 //! | [`engine`] | essential-states worklist (Fig. 3, Def. 10) |
 //! | [`reference`](mod@reference) | retained naive engine — differential-test oracle |
 //! | [`graph`] | global transition diagram (Fig. 4) + DOT export |
-//! | [`verify`](mod@verify) | bundled verification reports |
+//! | [`verify`](mod@verify) | verification reports: the run and its verdict |
 //! | [`session`] | batch verification sessions |
 //! | [`crosscheck`](mod@crosscheck) | Theorem 1 check against `ccv-enum`'s explicit states |
 //! | [`api`] | versioned request/response API and its runner, [`SessionRunner`] |
@@ -112,8 +112,7 @@ pub use check::{check as check_state, Violation};
 pub use compare::{compare_protocols, DiffReport, Role};
 pub use composite::{ClassKey, ClassSig, Composite, MAX_INLINE_CLASSES};
 pub use crosscheck::{
-    attach_crosscheck, concrete_covered_by, crosscheck, crosscheck_with, find_state_witness,
-    CrossCheck,
+    concrete_covered_by, crosscheck, crosscheck_with, find_state_witness, CrossCheck,
 };
 pub use engine::{
     expand as run_expansion, expand_from, expand_with, EngineScratch, Expansion, NodeId, Options,

@@ -1,15 +1,15 @@
 //! Top-level verification entry points.
 //!
-//! Bundles the worklist expansion, the permissibility checks and the
-//! global-graph construction into a single report: run
-//! [`verify`] on a [`ProtocolSpec`] and inspect the [`Verdict`].
+//! Bundles the worklist expansion and the permissibility checks into a
+//! single report: run [`verify`] on a [`ProtocolSpec`] and inspect the
+//! [`Verdict`]. The report holds the run, not its views: a caller that
+//! draws the global diagram (Fig. 4) builds it from the report's
+//! expansion with [`global_graph`](crate::global_graph).
 
 use crate::check::Violation;
 use crate::composite::Composite;
-use crate::crosscheck::CrossCheck;
 use crate::engine::{expand_with, EngineScratch, Expansion, NodeId, Options};
 use crate::expand::StepError;
-use crate::graph::{global_graph, GlobalGraph};
 use ccv_model::ProtocolSpec;
 use ccv_observe::Phase;
 use core::fmt;
@@ -130,16 +130,15 @@ pub struct ErrorReport {
     pub path: String,
 }
 
-/// A complete verification report — the single result type shared by
-/// `verify`, the crosscheck and the CLI's report rendering.
+/// A complete verification report: the run and its verdict, the single
+/// result type shared by `verify`, the request API and the CLI's
+/// report rendering.
 #[derive(Clone, Debug)]
 pub struct VerificationReport {
     /// Name of the verified protocol.
     pub protocol: String,
     /// The raw expansion (arena, essential states, visit counts).
     pub expansion: Expansion,
-    /// The global transition diagram over essential states.
-    pub graph: GlobalGraph,
     /// The verdict.
     pub verdict: Verdict,
     /// The detailed outcome behind the verdict; for inconclusive runs
@@ -147,8 +146,6 @@ pub struct VerificationReport {
     pub outcome: Outcome,
     /// Rendered error findings (empty iff `verdict == Verified`).
     pub reports: Vec<ErrorReport>,
-    /// Theorem 1 crosscheck result, when one was run and attached.
-    pub crosscheck: Option<CrossCheck>,
 }
 
 impl VerificationReport {
@@ -199,9 +196,6 @@ pub fn verify_with_scratch(
 ) -> VerificationReport {
     let sink = &opts.common.sink;
     let expansion = expand_with(spec, Composite::initial(spec), opts, scratch);
-    sink.phase_enter(Phase::Graph);
-    let graph = global_graph(spec, &expansion);
-    sink.phase_exit(Phase::Graph);
     sink.phase_enter(Phase::Check);
     let outcome = Outcome::of_expansion(&expansion);
     let verdict = outcome.verdict();
@@ -229,11 +223,9 @@ pub fn verify_with_scratch(
     VerificationReport {
         protocol: spec.name().to_string(),
         expansion,
-        graph,
         verdict,
         outcome,
         reports,
-        crosscheck: None,
     }
 }
 

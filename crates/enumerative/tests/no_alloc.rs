@@ -7,12 +7,15 @@
 //! that the hot loop never touches the allocator. This test installs a
 //! counting `GlobalAlloc` and asserts that a warm kernel pass over an
 //! entire reachable state space performs **zero** heap allocations.
+//! Only the allocations of the thread running the pass are counted:
+//! the test harness's own threads allocate at times of their choosing.
 //!
 //! (This lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; implementing `GlobalAlloc` requires
 //! `unsafe` and belongs in a separate compilation unit.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ccv_enum::{is_violating, reachable_states, successors_into, ConcreteStep};
@@ -22,9 +25,20 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread whose allocations are counted.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,6 +67,7 @@ fn warm_kernel_pass_performs_zero_allocations() {
     let mut buf: Vec<ConcreteStep> = Vec::with_capacity(1024);
 
     // Hot phase: one full kernel pass over every reachable state.
+    COUNTED.with(|c| c.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut violations = 0usize;
     let mut successors = 0usize;
@@ -69,6 +84,7 @@ fn warm_kernel_pass_performs_zero_allocations() {
         }
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTED.with(|c| c.set(false));
 
     assert_eq!(
         after - before,

@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run -p ccv-examples --bin custom_protocol`
 
-use ccv_core::{verify, Verdict};
+use ccv_core::{global_graph, verify, Verdict};
 use ccv_model::{
     BusOp, DataOp, Outcome, ProcEvent, ProtocolSpec, SnoopOutcome, SpecBuilder, StateAttrs,
 };
@@ -75,7 +75,11 @@ fn main() {
         report.num_essential(),
         report.visits()
     );
-    for (i, s) in report.graph.states.iter().enumerate() {
+    for (i, s) in global_graph(&spec, &report.expansion)
+        .states
+        .iter()
+        .enumerate()
+    {
         println!("      s{i}: {}", s.render(&spec));
     }
     assert_eq!(report.verdict, Verdict::Verified);

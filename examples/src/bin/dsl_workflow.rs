@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p ccv-examples --bin dsl_workflow`
 
-use ccv_core::{verify, Verdict};
+use ccv_core::{global_graph, verify, Verdict};
 use ccv_model::dsl::{parse_protocol, to_dsl};
 
 const SOURCE: &str = r#"
@@ -81,7 +81,11 @@ fn main() {
         report.num_essential(),
         report.visits()
     );
-    for (i, s) in report.graph.states.iter().enumerate() {
+    for (i, s) in global_graph(&spec, &report.expansion)
+        .states
+        .iter()
+        .enumerate()
+    {
         println!("      s{i}: {}", s.render(&spec));
     }
     assert_eq!(report.verdict, Verdict::Verified);

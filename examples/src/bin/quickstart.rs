@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run -p ccv-examples --bin quickstart`
 
-use ccv_core::{verify, Verdict};
+use ccv_core::{global_graph, verify, Verdict};
 use ccv_model::protocols;
 
 fn main() {
@@ -18,7 +18,9 @@ fn main() {
     // 2. Verify: symbolic reachability over composite states.
     let report = verify(&spec);
 
-    // 3. Inspect the result.
+    // 3. Inspect the result, and draw the global diagram (Fig. 4)
+    //    over the essential states.
+    let graph = global_graph(&spec, &report.expansion);
     println!("protocol : {}", report.protocol);
     println!("verdict  : {}", report.verdict);
     println!(
@@ -27,12 +29,12 @@ fn main() {
         report.num_essential()
     );
     println!("\nessential states (valid for ANY number of caches):");
-    for (i, s) in report.graph.states.iter().enumerate() {
+    for (i, s) in graph.states.iter().enumerate() {
         println!("  s{i}: {}", s.render(&spec));
     }
 
     println!("\nglobal transition diagram:");
-    for (from, to, labels) in report.graph.grouped_edges() {
+    for (from, to, labels) in graph.grouped_edges() {
         println!("  s{from} --[{}]--> s{to}", labels.join(", "));
     }
 

@@ -2,31 +2,36 @@
 //! the whole protocol library.
 
 use ccv_core::{
-    global_graph, reference_expand, run_expansion, successors, verify_with, Composite, Expansion,
-    Options, Pruning, Verdict,
+    global_graph, reference_expand, run_expansion, successors, verify_with, Batch, Composite,
+    Expansion, Options, Pruning, Verdict,
 };
-use ccv_model::{protocols, ProcEvent};
+use ccv_model::dsl::parse_protocol;
+use ccv_model::mutate::single_mutants;
+use ccv_model::{protocols, ProcEvent, ProtocolSpec};
+
+/// Closure: every successor of every essential state is contained in
+/// an essential state (Theorem 1 fixpoint).
+fn assert_closed(spec: &ProtocolSpec, exp: &Expansion, what: &str) {
+    let states = exp.essential_states();
+    for s in &states {
+        for t in successors(spec, s) {
+            assert!(
+                states.iter().any(|e| t.to.contained_in(e)),
+                "{what}: successor of {} escapes the essential set",
+                s.render(spec)
+            );
+        }
+    }
+}
 
 #[test]
 fn graphs_are_closed_and_rooted_for_every_protocol() {
     for spec in protocols::all_correct() {
         let exp = run_expansion(&spec, &Options::default());
+        assert_closed(&spec, &exp, spec.name());
         let graph = global_graph(&spec, &exp);
         let n = graph.num_states();
         assert!(n >= 2, "{}", spec.name());
-
-        // Closure: every successor of every essential state is
-        // contained in an essential state (Theorem 1 fixpoint).
-        for s in &graph.states {
-            for t in successors(&spec, s) {
-                assert!(
-                    graph.states.iter().any(|e| t.to.contained_in(e)),
-                    "{}: successor of {} escapes the essential set",
-                    spec.name(),
-                    s.render(&spec)
-                );
-            }
-        }
 
         // Rootedness: the initial state's family is covered, and every
         // essential state is reachable from it within the graph.
@@ -53,6 +58,37 @@ fn graphs_are_closed_and_rooted_for_every_protocol() {
             spec.name()
         );
     }
+
+    // The closure also holds for every input that verifies: each
+    // library protocol's single mutants and each protocol file.
+    let mut batch = Batch::with_options(Options::default().max_visits(100_000));
+    let mut closed = 0;
+    for spec in protocols::all_correct() {
+        for m in single_mutants(&spec) {
+            let report = batch.verify(&m.spec);
+            if report.verdict == Verdict::Verified {
+                let what = format!("{}: {}", spec.name(), m.description);
+                assert_closed(&m.spec, &report.expansion, &what);
+                closed += 1;
+            }
+        }
+    }
+    assert!(closed > 0, "no single mutant verifies");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../protocols");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).expect("protocols/ directory") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "ccv") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let spec = parse_protocol(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let report = batch.verify(&spec);
+            if report.verdict == Verdict::Verified {
+                assert_closed(&spec, &report.expansion, &path.display().to_string());
+            }
+            files += 1;
+        }
+    }
+    assert!(files > 0, "no protocol files under {dir}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ccv_core::{attach_crosscheck, verify, verify_with, Options};
+use ccv_core::{crosscheck_with, verify, verify_with, Options};
 use ccv_enum::{enumerate, enumerate_parallel, EnumOptions};
 use ccv_model::protocols;
 use ccv_observe::{Counter, EventSink, Gauge, Json, Metrics, Phase, SinkHandle};
@@ -118,17 +118,16 @@ fn parallel_enumeration_reports_workers_and_the_same_totals() {
 fn crosscheck_metrics_report_class_sizes() {
     let metrics = Arc::new(Metrics::new());
     let spec = protocols::illinois();
-    let mut report = verify(&spec);
-    let cc = attach_crosscheck(
+    let report = verify(&spec);
+    let cc = crosscheck_with(
         &spec,
-        &mut report,
         3,
+        &report.expansion.essential_states(),
         1 << 20,
         false,
         &SinkHandle::new(sink_of(&metrics)),
     );
     assert!(cc.complete());
-    assert!(report.crosscheck.as_ref().unwrap().complete());
 
     let snap = metrics.snapshot();
     assert!(snap.counter(Counter::OracleChecks) > 0);
@@ -182,11 +181,11 @@ fn one_metrics_collector_can_span_engines() {
     // crosscheck: phase timings accumulate side by side.
     let metrics = Arc::new(Metrics::new());
     let spec = protocols::illinois();
-    let mut report = verify_with(&spec, &Options::default().sink(sink_of(&metrics)));
-    attach_crosscheck(
+    let report = verify_with(&spec, &Options::default().sink(sink_of(&metrics)));
+    crosscheck_with(
         &spec,
-        &mut report,
         3,
+        &report.expansion.essential_states(),
         1 << 20,
         false,
         &SinkHandle::new(sink_of(&metrics)),

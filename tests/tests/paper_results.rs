@@ -21,8 +21,7 @@ fn illinois_verifies_with_exactly_five_essential_states() {
     let spec = protocols::illinois();
     let report = verify(&spec);
     assert_eq!(report.verdict, Verdict::Verified);
-    let rendered: Vec<String> = report
-        .graph
+    let rendered: Vec<String> = global_graph(&spec, &report.expansion)
         .states
         .iter()
         .map(|s| s.render(&spec))
@@ -159,10 +158,9 @@ fn the_global_diagram_is_strongly_connected() {
     // the induced global diagram over essential states inherits the
     // property for every shipped protocol.
     for spec in protocols::all_correct() {
-        let report = verify(&spec);
-        let n = report.graph.num_states();
-        let edges: Vec<(usize, usize)> =
-            report.graph.edges.iter().map(|e| (e.from, e.to)).collect();
+        let graph = global_graph(&spec, &verify(&spec).expansion);
+        let n = graph.num_states();
+        let edges: Vec<(usize, usize)> = graph.edges.iter().map(|e| (e.from, e.to)).collect();
         assert!(
             ccv_model::strongly_connected(n, &edges),
             "{}: global diagram not strongly connected",
