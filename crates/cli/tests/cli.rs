@@ -1197,3 +1197,81 @@ fn simulate_rejects_split_protocols_cleanly() {
     assert!(err.contains("transient"), "{err}");
     assert!(err.contains("atomic bus"), "{err}");
 }
+
+/// `text` with each duration (`123.06us`, `790ns`) and the share column
+/// after it masked, and runs of spaces collapsed, so that only the
+/// counts remain.
+fn mask_timings(text: &str) -> String {
+    let is_duration = |t: &str| {
+        let digits = ["ns", "us", "ms", "s"]
+            .iter()
+            .find_map(|unit| t.strip_suffix(unit));
+        digits.is_some_and(|d| !d.is_empty() && d.parse::<f64>().is_ok())
+    };
+    let mut out = String::new();
+    for line in text.lines() {
+        let mut after_duration = false;
+        let masked: Vec<&str> = line
+            .split_whitespace()
+            .map(|t| {
+                let share = after_duration && t.ends_with('%');
+                after_duration = is_duration(t);
+                if after_duration || share {
+                    "<time>"
+                } else {
+                    t
+                }
+            })
+            .collect();
+        out.push_str(&masked.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn enumerate_rule_stats_and_counters_match_the_golden_run() {
+    // Recorded before a successor equal to its parent stopped being
+    // claimed: the skip must leave every count in place. The sequential
+    // engine reports `claim_probes` (added with the probe counter) as 0;
+    // it is checked here and left out of the recording.
+    let dir = std::env::temp_dir().join(format!("ccv-cli-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("metrics.json");
+    let o = ccv(&[
+        "enumerate",
+        "dragon",
+        "-n",
+        "6",
+        "--exact",
+        "--threads",
+        "1",
+        "--rule-stats",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    let json = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut got: String = stdout(&o)
+        .lines()
+        .filter(|l| !l.starts_with("metrics written to"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let counters = json
+        .lines()
+        .skip_while(|l| !l.contains("\"counters\""))
+        .take_while(|l| !l.trim_start().starts_with('}'));
+    for line in counters {
+        if line.contains("\"claim_probes\"") {
+            assert_eq!(line.trim(), "\"claim_probes\": 0,");
+            continue;
+        }
+        match line.split_once("_ns\": ") {
+            Some((name, _)) => got.push_str(&format!("{name}_ns\": <time>\n")),
+            None => got.push_str(&format!("{line}\n")),
+        }
+    }
+    let want = include_str!("golden/enumerate_dragon_n6_rule_stats.txt");
+    assert_eq!(mask_timings(&got), want);
+}

@@ -542,10 +542,11 @@ impl<'a> Search<'a> {
     }
 
     /// The per-successor bookkeeping: records a stale access, claims
-    /// the successor's dedup key, checks a newly claimed key for
-    /// violations and schedules it through `push`. Returns `true`
-    /// when a violation stops the run (`stop_at_first_error`); the
-    /// violating key is then not scheduled.
+    /// the successor's dedup key unless it is `from`'s own, checks a
+    /// newly claimed key for violations and schedules it through
+    /// `push`. Returns `true` when a violation stops the run
+    /// (`stop_at_first_error`); the violating key is then not
+    /// scheduled.
     #[inline]
     fn successor(
         &self,
@@ -579,7 +580,10 @@ impl<'a> Search<'a> {
             }
         }
         let key = self.dedup.canon(s.to, self.n);
-        if !claim(key) {
+        // `from` is a dedup key already in the set, so a successor that
+        // is its parent again (a stall loop, a silent hit) is a hit
+        // without a claim.
+        if key == from || !claim(key) {
             tally.dedup_hits += 1;
             if self.rules {
                 tally.rules[rule()].dedup_hits += 1;

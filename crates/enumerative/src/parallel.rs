@@ -102,6 +102,7 @@ struct WorkerStats {
     tally: Tally,
     steals: u64,
     claim_races: u64,
+    claim_probes: u64,
     peak_pending: usize,
 }
 
@@ -173,6 +174,7 @@ fn expand(
         |key| {
             let claim = sh.visited.claim(key);
             stats.claim_races += claim.races as u64;
+            stats.claim_probes += claim.probes as u64;
             claim.claimed
         },
         |key| {
@@ -396,11 +398,13 @@ pub fn enumerate_parallel_resumed(
     }
     let mut steals = 0u64;
     let mut claim_races = 0u64;
+    let mut claim_probes = 0u64;
     let mut peak_pending = 1usize;
     for stats in &mut worker_stats {
         tally.merge(&mut stats.tally);
         steals += stats.steals;
         claim_races += stats.claim_races;
+        claim_probes += stats.claim_probes;
         peak_pending = peak_pending.max(stats.peak_pending);
     }
     let panic_note = panic_note
@@ -412,6 +416,7 @@ pub fn enumerate_parallel_resumed(
     if events {
         sink.count(Counter::Steals, steals);
         sink.count(Counter::ClaimRaces, claim_races);
+        sink.count(Counter::ClaimProbes, claim_probes);
         sink.gauge(Gauge::DistinctStates, distinct as u64);
         sink.gauge(Gauge::PeakPending, peak_pending as u64);
         sink.sample(Track::Pending, sh.pending.load(Ordering::Relaxed) as u64);

@@ -484,6 +484,13 @@ mod tests {
     }
 
     #[test]
+    fn reachable_states_spread_evenly_over_the_shards() {
+        let states =
+            crate::explicit::reachable_states(&ccv_model::protocols::illinois(), 12, 1 << 20);
+        crate::visited::tests::assert_balanced(&states, SHARDS, shard_of);
+    }
+
+    #[test]
     fn behaves_like_a_set_across_flushes() {
         let dir = tmp_dir("set");
         // ~64-byte budget per shard: constant flushing.

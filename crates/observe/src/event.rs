@@ -86,6 +86,9 @@ pub enum Counter {
     /// Visited-set claim attempts that collided with a concurrent
     /// claimer (lost CAS or observed an in-flight reservation).
     ClaimRaces,
+    /// Visited-set slots examined by claims: `claim_probes` over the
+    /// claims made is the mean probe depth of the lock-free table.
+    ClaimProbes,
     /// Candidate composite states examined through the symbolic
     /// engine's containment index (signature prefilter passes that led
     /// to a full pairwise containment evaluation are counted by
@@ -124,7 +127,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::Visits,
         Counter::Prunes,
         Counter::ContainmentChecks,
@@ -138,6 +141,7 @@ impl Counter {
         Counter::BusOps,
         Counter::Steals,
         Counter::ClaimRaces,
+        Counter::ClaimProbes,
         Counter::IndexProbes,
         Counter::InternHits,
         Counter::BudgetPolls,
@@ -166,6 +170,7 @@ impl Counter {
             Counter::BusOps => "bus_ops",
             Counter::Steals => "steals",
             Counter::ClaimRaces => "claim_races",
+            Counter::ClaimProbes => "claim_probes",
             Counter::IndexProbes => "index_probes",
             Counter::InternHits => "intern_hits",
             Counter::BudgetPolls => "budget_polls",

@@ -6,7 +6,7 @@ use ccv_core::{crosscheck, run_expansion, Options};
 use ccv_enum::{enumerate, enumerate_parallel, Dedup, EnumOptions, EnumResult};
 use ccv_model::protocols::{all_buggy, all_correct, all_non_atomic, illinois};
 use ccv_model::StateAttrs;
-use ccv_observe::{EventSink, Metrics};
+use ccv_observe::{Counter, EventSink, Metrics, MetricsSnapshot};
 use std::sync::Arc;
 
 #[test]
@@ -116,6 +116,24 @@ fn violation_set(r: &EnumResult) -> Vec<(u128, Vec<String>)> {
     v
 }
 
+/// A run's `--rule-stats` rows as `(rule, firings, states)`.
+type RuleRows = Vec<(String, u64, u64)>;
+
+/// A run's rule rows, and their summed `(dedup_hits, violations)`.
+/// Wall times are left out.
+fn rule_rows(snap: &MetricsSnapshot) -> (RuleRows, (u64, u64)) {
+    let rows = snap
+        .rules
+        .iter()
+        .map(|(name, r)| (name.clone(), r.firings, r.states))
+        .collect();
+    let totals = snap
+        .rules
+        .values()
+        .fold((0, 0), |(d, v), r| (d + r.dedup_hits, v + r.violations));
+    (rows, totals)
+}
+
 #[test]
 fn differential_matrix_work_stealing_equals_sequential() {
     // The PR 2 acceptance matrix: every bundled protocol (correct,
@@ -129,7 +147,10 @@ fn differential_matrix_work_stealing_equals_sequential() {
     //
     // Rule attribution is one more input: with a collecting sink and
     // `rule_stats` on, the sequential engine and a work-stealing pool
-    // must still explore exactly the plain run's space.
+    // must still explore exactly the plain run's space, and report the
+    // same rule rows. Which rule's successor claims a state first is
+    // scheduling-dependent, so a row's dedup hits and violations agree
+    // as totals; firings and states agree row by row.
     let mut specs: Vec<_> = all_correct();
     specs.extend(all_non_atomic());
     specs.extend(all_buggy().into_iter().map(|(s, _)| s));
@@ -146,18 +167,32 @@ fn differential_matrix_work_stealing_equals_sequential() {
                     assert_eq!(par.visits, seq.visits, "{tag}: visits");
                     assert_eq!(violation_set(&par), seq_violations, "{tag}: violations");
                 }
-                let attributed = || {
-                    let sink = Arc::new(Metrics::new()) as Arc<dyn EventSink>;
-                    opts.clone().sink(sink).rule_stats(true)
+                let attributed = |threads: Option<usize>| {
+                    let metrics = Arc::new(Metrics::new());
+                    let opts = opts
+                        .clone()
+                        .sink(metrics.clone() as Arc<dyn EventSink>)
+                        .rule_stats(true);
+                    let r = match threads {
+                        None => enumerate(spec, &opts),
+                        Some(t) => enumerate_parallel(spec, &opts, t),
+                    };
+                    (r, metrics.snapshot())
                 };
-                for (engine, r) in [
-                    ("sequential", enumerate(spec, &attributed())),
-                    ("t=2", enumerate_parallel(spec, &attributed(), 2)),
-                ] {
+                let runs = [
+                    ("sequential", attributed(None)),
+                    ("t=2", attributed(Some(2))),
+                ];
+                let (seq_rows, seq_totals) = rule_rows(&runs[0].1 .1);
+                for (engine, (r, snap)) in &runs {
                     let tag = format!("{} n={n} {dedup:?} {engine} rule_stats", spec.name());
                     assert_eq!(r.distinct, seq.distinct, "{tag}: distinct");
                     assert_eq!(r.visits, seq.visits, "{tag}: visits");
-                    assert_eq!(violation_set(&r), seq_violations, "{tag}: violations");
+                    assert_eq!(violation_set(r), seq_violations, "{tag}: violations");
+                    let (rows, totals) = rule_rows(snap);
+                    assert_eq!(rows, seq_rows, "{tag}: rule rows");
+                    assert_eq!(totals, seq_totals, "{tag}: rule dedup hits, violations");
+                    assert_eq!(totals.0, snap.counter(Counter::DedupHits), "{tag}");
                 }
             }
         }
