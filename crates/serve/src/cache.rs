@@ -103,7 +103,7 @@ fn decode_entry(text: &str) -> Result<(String, String), String> {
 struct Shard {
     /// hash → (full key, stored body). The full key is kept so a
     /// 64-bit collision degrades to a miss, never to a wrong body.
-    entries: FxHashMap<u64, (String, Arc<str>)>,
+    entries: FxHashMap<u64, (String, Arc<String>)>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
 }
@@ -171,7 +171,7 @@ impl VerdictCache {
                 .and_then(|text| decode_entry(&text))
             {
                 Ok((key, body)) => {
-                    self.store(&key, body.into());
+                    self.store(&key, Arc::new(body));
                     report.loaded += 1;
                 }
                 Err(_) => {
@@ -205,7 +205,7 @@ impl VerdictCache {
 
     /// Returns the stored body for `seed` (a shared reference, not a
     /// copy), counting a hit or a miss.
-    pub fn lookup(&self, seed: &str) -> Option<Arc<str>> {
+    pub fn lookup(&self, seed: &str) -> Option<Arc<String>> {
         let hash = key_hash(seed);
         let shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
         match shard.entries.get(&hash) {
@@ -225,7 +225,7 @@ impl VerdictCache {
     /// also written as one atomic, fsynced file; a failed write (disk
     /// trouble, injected fault) degrades to memory-only — it never
     /// fails the request that produced the body.
-    pub fn insert(&self, seed: &str, body: Arc<str>) {
+    pub fn insert(&self, seed: &str, body: Arc<String>) {
         let (hash, evicted) = self.store(seed, Arc::clone(&body));
         if let Some(path) = self.entry_path(hash) {
             let text = encode_entry(seed, &body);
@@ -241,7 +241,7 @@ impl VerdictCache {
     /// The in-memory half of [`VerdictCache::insert`]: returns the
     /// entry's hash and the hash of any entry FIFO-evicted to make
     /// room.
-    fn store(&self, seed: &str, body: Arc<str>) -> (u64, Option<u64>) {
+    fn store(&self, seed: &str, body: Arc<String>) -> (u64, Option<u64>) {
         let hash = key_hash(seed);
         let mut evicted = None;
         let mut shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
@@ -301,12 +301,21 @@ impl VerdictCache {
 mod tests {
     use super::*;
 
+    fn body(text: &str) -> Arc<String> {
+        Arc::new(text.to_string())
+    }
+
+    /// The body stored under `seed`, as an owned string to compare.
+    fn stored(cache: &VerdictCache, seed: &str) -> Option<String> {
+        cache.lookup(seed).map(|b| b.to_string())
+    }
+
     #[test]
     fn lookup_after_insert_returns_identical_body() {
         let cache = VerdictCache::new(4, 16);
         assert_eq!(cache.lookup("k1"), None);
-        cache.insert("k1", "{\"x\":1}".into());
-        assert_eq!(cache.lookup("k1").as_deref(), Some("{\"x\":1}"));
+        cache.insert("k1", body("{\"x\":1}"));
+        assert_eq!(stored(&cache, "k1").as_deref(), Some("{\"x\":1}"));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.insertions(), 1);
@@ -316,13 +325,13 @@ mod tests {
     fn capacity_evicts_fifo_per_shard() {
         // One shard, capacity 2: the third insert evicts the first.
         let cache = VerdictCache::new(1, 2);
-        cache.insert("a", "1".into());
-        cache.insert("b", "2".into());
-        cache.insert("c", "3".into());
+        cache.insert("a", body("1"));
+        cache.insert("b", body("2"));
+        cache.insert("c", body("3"));
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.lookup("a"), None);
-        assert_eq!(cache.lookup("c").as_deref(), Some("3"));
+        assert_eq!(stored(&cache, "c").as_deref(), Some("3"));
     }
 
     #[test]
@@ -333,18 +342,18 @@ mod tests {
             let mut cache = VerdictCache::new(2, 8);
             let r = cache.attach_dir(&dir, FaultHandle::disabled()).unwrap();
             assert_eq!(r, DirReport::default());
-            cache.insert("verify|illinois", "{\"verdict\":\"VERIFIED\"}".into());
-            cache.insert("verify|dragon", "{\"verdict\":\"VERIFIED\",\"n\":2}".into());
+            cache.insert("verify|illinois", body("{\"verdict\":\"VERIFIED\"}"));
+            cache.insert("verify|dragon", body("{\"verdict\":\"VERIFIED\",\"n\":2}"));
         }
         let mut fresh = VerdictCache::new(2, 8);
         let r = fresh.attach_dir(&dir, FaultHandle::disabled()).unwrap();
         assert_eq!((r.loaded, r.quarantined), (2, 0));
         assert_eq!(
-            fresh.lookup("verify|illinois").as_deref(),
+            stored(&fresh, "verify|illinois").as_deref(),
             Some("{\"verdict\":\"VERIFIED\"}")
         );
         assert_eq!(
-            fresh.lookup("verify|dragon").as_deref(),
+            stored(&fresh, "verify|dragon").as_deref(),
             Some("{\"verdict\":\"VERIFIED\",\"n\":2}")
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -357,7 +366,7 @@ mod tests {
         {
             let mut cache = VerdictCache::new(1, 8);
             cache.attach_dir(&dir, FaultHandle::disabled()).unwrap();
-            cache.insert("k", "{\"verdict\":\"VERIFIED\"}".into());
+            cache.insert("k", body("{\"verdict\":\"VERIFIED\"}"));
         }
         // Tear the entry file mid-body, then flip one body byte of a
         // second, full-length copy: both must be rejected.
@@ -388,10 +397,10 @@ mod tests {
         let fault = FaultHandle::from_spec("cache.write:io").unwrap();
         let mut cache = VerdictCache::new(1, 8);
         cache.attach_dir(&dir, fault).unwrap();
-        cache.insert("k", "body".into());
+        cache.insert("k", body("body"));
         assert_eq!(cache.persist_errors(), 1);
         // The entry is still served from memory...
-        assert_eq!(cache.lookup("k").as_deref(), Some("body"));
+        assert_eq!(stored(&cache, "k").as_deref(), Some("body"));
         // ...but was never written, so a reload starts empty.
         let mut fresh = VerdictCache::new(1, 8);
         let r = fresh.attach_dir(&dir, FaultHandle::disabled()).unwrap();
@@ -405,9 +414,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut cache = VerdictCache::new(1, 2);
         cache.attach_dir(&dir, FaultHandle::disabled()).unwrap();
-        cache.insert("a", "1".into());
-        cache.insert("b", "2".into());
-        cache.insert("c", "3".into());
+        cache.insert("a", body("1"));
+        cache.insert("b", body("2"));
+        cache.insert("c", body("3"));
         assert_eq!(cache.evictions(), 1);
         let count = std::fs::read_dir(&dir)
             .unwrap()
@@ -421,10 +430,10 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place_without_growing() {
         let cache = VerdictCache::new(1, 4);
-        cache.insert("a", "old".into());
-        cache.insert("a", "new".into());
+        cache.insert("a", body("old"));
+        cache.insert("a", body("new"));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup("a").as_deref(), Some("new"));
+        assert_eq!(stored(&cache, "a").as_deref(), Some("new"));
         assert_eq!(cache.evictions(), 0);
     }
 }

@@ -10,7 +10,7 @@
 //! reports as the `disconnected` stop cause. Cache hits and rejected
 //! requests are answered without one.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,6 +38,26 @@ fn response_fault(service: &Service) -> bool {
         }
         _ => false,
     }
+}
+
+/// Writes every byte of `parts`, in order, with vectored writes, then
+/// flushes: a response's head, body and tail go out from where they
+/// lie, never joined into one buffer. A partial write resumes mid-part
+/// and `Interrupted` is retried; a write that takes no bytes fails
+/// with `WriteZero` instead of spinning.
+fn write_parts(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    // Drop leading empty parts, so an all-empty response is no
+    // zero-byte write.
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match out.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    out.flush()
 }
 
 /// The serialized write side of one connection. Progress lines, ping
@@ -99,10 +119,10 @@ impl WireWriter {
         if self.done.load(Ordering::Acquire) {
             return false;
         }
-        let r = out
-            .write_all(line.as_bytes())
-            .and_then(|_| out.write_all(b"\n"))
-            .and_then(|_| out.flush());
+        let r = write_parts(
+            &mut *out,
+            &mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")],
+        );
         if r.is_err() {
             self.cancel.request_cancel();
         }
@@ -113,10 +133,10 @@ impl WireWriter {
     /// one critical section — no heartbeat can trail the response.
     /// Shutting the read half wakes a watchdog blocked reading the
     /// socket; the condvar wakes one waiting between heartbeats.
-    fn finish(&self, bytes: &[u8]) {
+    fn finish(&self, parts: &mut [IoSlice<'_>]) {
         let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
         self.done.store(true, Ordering::Release);
-        let _ = out.write_all(bytes).and_then(|_| out.flush());
+        let _ = write_parts(&mut *out, parts);
         let _ = out.shutdown(Shutdown::Read);
         self.finished.notify_all();
     }
@@ -210,11 +230,16 @@ fn spawn_watchdog(
 /// Sends the final bytes of a connection, or drops it without them on
 /// an injected `serve.response` fault, then joins the watchdog, which
 /// either ending wakes.
-fn respond(service: &Service, wire: &WireWriter, bytes: &[u8], watchdog: Option<JoinHandle<()>>) {
+fn respond(
+    service: &Service,
+    wire: &WireWriter,
+    parts: &mut [IoSlice<'_>],
+    watchdog: Option<JoinHandle<()>>,
+) {
     if response_fault(service) {
         wire.abort(); // dropped mid-response: the client sees EOF, not a reply
     } else {
-        wire.finish(bytes);
+        wire.finish(parts);
     }
     if let Some(watchdog) = watchdog {
         let _ = watchdog.join();
@@ -274,11 +299,19 @@ fn handle_ndjson(service: &Arc<Service>, stream: TcpStream) {
             })
         }
     };
-    let envelope = format!(
-        "{{\"ev\":\"response\",\"cached\":{},\"body\":{}}}\n",
-        outcome.cached, outcome.body
-    );
-    respond(service, &wire, envelope.as_bytes(), probe_thread);
+    // The envelope `{"ev":"response","cached":<b>,"body":<body>}\n`,
+    // written around the body rather than copied with it.
+    let head: &[u8] = if outcome.cached {
+        b"{\"ev\":\"response\",\"cached\":true,\"body\":"
+    } else {
+        b"{\"ev\":\"response\",\"cached\":false,\"body\":"
+    };
+    let parts = &mut [
+        IoSlice::new(head),
+        IoSlice::new(outcome.body.as_bytes()),
+        IoSlice::new(b"}\n"),
+    ];
+    respond(service, &wire, parts, probe_thread);
 }
 
 /// HTTP status line for an outcome.
@@ -293,13 +326,12 @@ fn http_status(code: Option<ErrorCode>) -> (u16, &'static str) {
     }
 }
 
-/// Renders a full HTTP/1.1 response.
-fn http_response(status: (u16, &'static str), extra: &[(&str, &str)], body: &str) -> Vec<u8> {
+/// Renders the head of an HTTP/1.1 response (status line and headers
+/// through the blank line) for a body of `body_len` bytes.
+fn http_head(status: (u16, &'static str), extra: &[(&str, &str)], body_len: usize) -> String {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
-        status.0,
-        status.1,
-        body.len()
+        status.0, status.1, body_len
     );
     for (name, value) in extra {
         head.push_str(name);
@@ -308,9 +340,7 @@ fn http_response(status: (u16, &'static str), extra: &[(&str, &str)], body: &str
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    bytes.extend_from_slice(body.as_bytes());
-    bytes
+    head
 }
 
 fn find_blank_line(buf: &[u8]) -> Option<usize> {
@@ -319,14 +349,20 @@ fn find_blank_line(buf: &[u8]) -> Option<usize> {
 
 /// Reads the request head (start line + headers) and returns it with
 /// whatever body bytes were read past the blank line.
-fn read_head(stream: &mut TcpStream, max: usize) -> io::Result<(String, Vec<u8>)> {
+fn read_head(stream: &mut impl Read, max: usize) -> io::Result<(String, Vec<u8>)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
+    // No blank line starts before `from`: each read resumes the search
+    // three bytes before the old end.
+    let mut from = 0;
     loop {
-        if let Some(pos) = find_blank_line(&buf) {
+        if let Some(pos) = find_blank_line(&buf[from..]) {
+            let pos = from + pos;
             let head = String::from_utf8_lossy(&buf[..pos]).into_owned();
-            return Ok((head, buf[pos + 4..].to_vec()));
+            buf.drain(..pos + 4);
+            return Ok((head, buf));
         }
+        from = buf.len().saturating_sub(3);
         if buf.len() > max {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -362,57 +398,167 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
         }
     }
 
-    let response = match (method.as_str(), path.as_str()) {
-        ("GET", "/v1/healthz") => http_response((200, "OK"), &[], "{\"ok\":true}"),
-        ("GET", "/v1/metrics") => {
-            http_response((200, "OK"), &[], &service.metrics_json().render_compact())
+    let (status, extra, reply) = match (method.as_str(), path.as_str()) {
+        ("GET", "/v1/healthz") => ((200, "OK"), None, "{\"ok\":true}".to_string()),
+        ("GET", "/v1/metrics") => ((200, "OK"), None, service.metrics_json().render_compact()),
+        ("POST", "/v1/requests") if content_length > MAX_REQUEST_BYTES => {
+            let out = service.process_text_error(ApiError::bad_request(format!(
+                "request exceeds {} bytes",
+                MAX_REQUEST_BYTES
+            )));
+            let status = http_status(out.code);
+            (
+                status,
+                Some(("x-ccv-cache", "miss")),
+                Arc::unwrap_or_clone(out.body),
+            )
         }
         ("POST", "/v1/requests") => {
-            if content_length > MAX_REQUEST_BYTES {
-                let out = service.process_text_error(ApiError::bad_request(format!(
-                    "request exceeds {} bytes",
-                    MAX_REQUEST_BYTES
-                )));
-                http_response(http_status(out.code), &[("x-ccv-cache", "miss")], &out.body)
-            } else {
-                while body.len() < content_length {
-                    let mut chunk = vec![0u8; content_length - body.len()];
-                    match stream.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => body.extend_from_slice(&chunk[..n]),
-                        Err(_) => break,
-                    }
-                }
-                let text = String::from_utf8_lossy(&body).into_owned();
-                let cancel = CancelToken::new();
-                let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
-                let ctx = RunContext::new(cancel, SinkHandle::disabled());
-                let mut probe_thread = None;
-                let out = service.process_text_with(&text, &ctx, || {
-                    // HTTP clients never half-close: any EOF or error
-                    // on the probe is a disconnect.
-                    probe_thread = spawn_watchdog(&wire, cfg.ping_interval, false);
-                });
-                let cache_state = if out.cached { "hit" } else { "miss" };
-                // HTTP carries the busy hint as a standard
-                // `retry-after` header (whole seconds, rounded up).
-                let retry_secs = out
-                    .retry_after_ms
-                    .map(|ms| ms.div_ceil(1000).max(1).to_string());
-                let mut headers: Vec<(&str, &str)> = vec![("x-ccv-cache", cache_state)];
-                if let Some(secs) = retry_secs.as_deref() {
-                    headers.push(("retry-after", secs));
-                }
-                let bytes = http_response(http_status(out.code), &headers, &out.body);
-                respond(service, &wire, &bytes, probe_thread);
-                return;
+            // The rest of the body goes into the buffer the head read
+            // started; a short read (EOF, timeout) keeps what came.
+            let rest = content_length.saturating_sub(body.len());
+            body.reserve(rest);
+            let _ = (&mut stream).take(rest as u64).read_to_end(&mut body);
+            let text = String::from_utf8(body)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            let cancel = CancelToken::new();
+            let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
+            let ctx = RunContext::new(cancel, SinkHandle::disabled());
+            let mut probe_thread = None;
+            let out = service.process_text_with(&text, &ctx, || {
+                // HTTP clients never half-close: any EOF or error
+                // on the probe is a disconnect.
+                probe_thread = spawn_watchdog(&wire, cfg.ping_interval, false);
+            });
+            let cache_state = if out.cached { "hit" } else { "miss" };
+            // HTTP carries the busy hint as a standard
+            // `retry-after` header (whole seconds, rounded up).
+            let retry_secs = out
+                .retry_after_ms
+                .map(|ms| ms.div_ceil(1000).max(1).to_string());
+            let mut headers: Vec<(&str, &str)> = vec![("x-ccv-cache", cache_state)];
+            if let Some(secs) = retry_secs.as_deref() {
+                headers.push(("retry-after", secs));
             }
+            let head = http_head(http_status(out.code), &headers, out.body.len());
+            let parts = &mut [
+                IoSlice::new(head.as_bytes()),
+                IoSlice::new(out.body.as_bytes()),
+            ];
+            respond(service, &wire, parts, probe_thread);
+            return;
         }
         _ => {
             let err = ApiError::bad_request(format!("no such endpoint: {method} {path}"));
             let body = Json::Obj(vec![("error".into(), err.to_json())]).render_compact();
-            http_response((404, "Not Found"), &[], &body)
+            ((404, "Not Found"), None, body)
         }
     };
-    let _ = stream.write_all(&response).and_then(|_| stream.flush());
+    let head = http_head(status, extra.as_slice(), reply.len());
+    let parts = &mut [
+        IoSlice::new(head.as_bytes()),
+        IoSlice::new(reply.as_bytes()),
+    ];
+    let _ = write_parts(&mut stream, parts);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Write` that fails its first call with `Interrupted`, then
+    /// takes at most `max` bytes per call, across part boundaries. It
+    /// panics past `CALLS` calls, so a write loop that spins fails.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        interrupted: bool,
+        calls: usize,
+    }
+
+    const CALLS: usize = 10_000;
+
+    impl Trickle {
+        fn new(max: usize) -> Trickle {
+            Trickle {
+                out: Vec::new(),
+                max,
+                interrupted: false,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            assert!(self.calls <= CALLS, "the write loop spins");
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let start = self.out.len();
+            for buf in bufs {
+                let room = self.max - (self.out.len() - start);
+                self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_parts_resumes_partial_and_interrupted_writes() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let parts: [&[u8]; 5] = [b"", b"{\"cached\":false,\"body\":", b"", &body, b"}\n"];
+        for max in 1..=7 {
+            let mut out = Trickle::new(max);
+            write_parts(&mut out, &mut parts.map(IoSlice::new)).expect("all parts written");
+            assert!(out.interrupted);
+            assert!(out.out == parts.concat(), "max {max}: bytes differ");
+        }
+    }
+
+    /// A `Read` that hands out one byte per call.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            buf[0] = first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn read_head_finds_a_blank_line_split_across_reads() {
+        let request = b"POST /v1/requests HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}";
+        let want = "POST /v1/requests HTTP/1.1\r\ncontent-length: 2";
+        // One byte per read: the blank line arrives split every way.
+        let (head, rest) = read_head(&mut OneByte(request), 1 << 10).expect("head found");
+        assert_eq!((head.as_str(), rest.as_slice()), (want, &b""[..]));
+        // One read: the body bytes past the blank line come back.
+        let (head, rest) = read_head(&mut &request[..], 1 << 10).expect("head found");
+        assert_eq!((head.as_str(), rest.as_slice()), (want, &b"{}"[..]));
+    }
+
+    #[test]
+    fn a_write_that_takes_nothing_ends_in_write_zero() {
+        let mut out = Trickle::new(0);
+        let err = write_parts(&mut out, &mut [IoSlice::new(b"{}")]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        // Empty parts need no write at all.
+        let empty: [&[u8]; 2] = [b"", b""];
+        write_parts(&mut Trickle::new(0), &mut empty.map(IoSlice::new)).expect("nothing to write");
+    }
 }

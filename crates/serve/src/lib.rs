@@ -226,10 +226,12 @@ impl ServerConfig {
 /// transport-relevant facts about how it was produced.
 #[derive(Clone, Debug)]
 pub struct Outcome {
-    /// Compact-rendered `ccv-response-v1` body. A cacheable miss shares
-    /// this one allocation with the verdict cache, and a hit hands out
-    /// another reference to the stored body.
-    pub body: Arc<str>,
+    /// Compact-rendered `ccv-response-v1` body: the `String` the
+    /// renderer wrote, never copied. A cacheable miss shares it with
+    /// the verdict cache, a hit hands out another reference to the
+    /// stored one, and the connection writes it to the socket from
+    /// there.
+    pub body: Arc<String>,
     /// Served from the verdict cache without running an engine.
     pub cached: bool,
     /// `None` for a successful payload, the error class otherwise.
@@ -413,11 +415,10 @@ impl Service {
             Some(_) => self.errors.fetch_add(1, Ordering::Relaxed),
         };
         let conclusive = resp.is_conclusive();
-        let text = resp.render_compact();
+        let body = Arc::new(resp.render_compact());
         // Free the report (its paths are as large as the body) before
-        // the body is copied into its shared allocation.
+        // the body is persisted and written.
         drop(resp);
-        let body: Arc<str> = text.into();
         if cacheable && !disconnected && conclusive {
             self.cache.insert(&seed, Arc::clone(&body));
         }
@@ -457,7 +458,7 @@ impl Service {
         let retry_after_ms = err.retry_after_ms;
         fields.push(("error".to_string(), err.to_json()));
         Outcome {
-            body: Json::Obj(fields).render_compact().into(),
+            body: Arc::new(Json::Obj(fields).render_compact()),
             cached: false,
             code: Some(err.code),
             disconnected: false,

@@ -16,6 +16,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ccv_core::api::{ProtocolSource, Request, RunContext, SessionRunner};
+use ccv_model::dsl::to_dsl;
+use ccv_model::mutate::single_mutants;
+use ccv_model::protocols::split_mesi;
 use ccv_observe::{CancelToken, Json, SinkHandle};
 use ccv_serve::{Server, ServerConfig, ServerHandle};
 
@@ -43,10 +46,8 @@ fn spawn_server(config: ServerConfig) -> ServerHandle {
 }
 
 /// Sends one NDJSON request line and reads events until the response
-/// envelope arrives. Returns `(cached, body)` with the body extracted
-/// verbatim from the envelope (no re-rendering, so byte comparisons
-/// are honest).
-fn ndjson_round_trip(addr: std::net::SocketAddr, line: &str) -> (bool, String) {
+/// envelope arrives. Returns the envelope line verbatim, `\n` included.
+fn ndjson_envelope(addr: std::net::SocketAddr, line: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -54,25 +55,34 @@ fn ndjson_round_trip(addr: std::net::SocketAddr, line: &str) -> (bool, String) {
     stream.write_all(line.as_bytes()).expect("send request");
     stream.write_all(b"\n").expect("send newline");
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
     loop {
-        buf.clear();
+        let mut buf = String::new();
         let n = reader.read_line(&mut buf).expect("read event line");
         assert!(n > 0, "connection closed before a response envelope");
-        let line = buf.trim_end();
-        for (prefix, cached) in [
-            ("{\"ev\":\"response\",\"cached\":false,\"body\":", false),
-            ("{\"ev\":\"response\",\"cached\":true,\"body\":", true),
-        ] {
-            if let Some(rest) = line.strip_prefix(prefix) {
-                let body = rest.strip_suffix('}').expect("envelope closes");
-                return (cached, body.to_string());
-            }
+        if buf.starts_with("{\"ev\":\"response\",") {
+            return buf;
         }
         // Anything else is a ping or a streamed progress event; both
         // must at least be well-formed JSON lines.
-        ccv_observe::Json::parse(line).expect("non-response event parses");
+        ccv_observe::Json::parse(buf.trim_end()).expect("non-response event parses");
     }
+}
+
+/// [`ndjson_envelope`], returning `(cached, body)` with the body
+/// extracted verbatim from the envelope (no re-rendering, so byte
+/// comparisons are honest).
+fn ndjson_round_trip(addr: std::net::SocketAddr, line: &str) -> (bool, String) {
+    let envelope = ndjson_envelope(addr, line);
+    for (prefix, cached) in [
+        ("{\"ev\":\"response\",\"cached\":false,\"body\":", false),
+        ("{\"ev\":\"response\",\"cached\":true,\"body\":", true),
+    ] {
+        if let Some(rest) = envelope.trim_end().strip_prefix(prefix) {
+            let body = rest.strip_suffix('}').expect("envelope closes");
+            return (cached, body.to_string());
+        }
+    }
+    panic!("malformed response envelope");
 }
 
 /// Runs `req` directly through a [`SessionRunner`] after applying the
@@ -150,6 +160,60 @@ fn ten_protocols_from_eight_concurrent_clients_match_direct_runs() {
         j.join().expect("client thread");
     }
     assert_eq!(server.service().disconnects(), 0);
+}
+
+#[test]
+fn a_multi_megabyte_counterexample_body_crosses_the_wire_intact() {
+    // split-mesi single mutant 38 has the corpus's largest verify
+    // body, 16.5 MB of counterexample paths: far more than a socket
+    // buffer holds, so the daemon's write of it waits on the client's
+    // reads many times over.
+    let spec = single_mutants(&split_mesi()).swap_remove(38).spec;
+    let req = verify_request(&to_dsl(&spec));
+    let config = ServerConfig::loopback();
+    let effective = config.admit(&req).expect("request within caps");
+    let want = SessionRunner::new()
+        .run(&effective, &RunContext::default())
+        .render_compact();
+    assert!(want.len() > 16_000_000, "body of {} bytes", want.len());
+    assert!(want.contains("\"verdict\":\"ERRONEOUS\""));
+
+    for stream in [false, true] {
+        // A fresh daemon per mode, so the first answer is a miss.
+        let server = spawn_server(config.clone());
+        let mut req = req.clone();
+        req.stream = stream;
+        let wire = req.to_json().render_compact();
+        for cached in [false, true] {
+            let envelope = ndjson_envelope(server.addr(), &wire);
+            let expected = format!("{{\"ev\":\"response\",\"cached\":{cached},\"body\":{want}}}\n");
+            // Not assert_eq!: a failure would print 33 MB.
+            assert!(
+                envelope == expected,
+                "stream {stream}, cached {cached}: envelope of {} bytes differs",
+                envelope.len()
+            );
+        }
+    }
+
+    let server = spawn_server(config);
+    let wire = req.to_json().render_compact();
+    for cache in ["miss", "hit"] {
+        let response = http_exchange(server.addr(), "POST", "/v1/requests", Some(&wire));
+        let (head, body) = response.split_once("\r\n\r\n").expect("blank line");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(
+            head.contains(&format!("\r\nx-ccv-cache: {cache}")),
+            "{head}"
+        );
+        let length = format!("\r\ncontent-length: {}\r\n", want.len());
+        assert!(head.contains(&length), "{head}");
+        assert!(
+            body == want,
+            "{cache}: HTTP body of {} bytes differs",
+            body.len()
+        );
+    }
 }
 
 #[test]
