@@ -1,11 +1,18 @@
 //! A hand-rolled JSON value: renderer and parser.
 //!
 //! Deliberately dependency-free. The renderer produces pretty-printed,
-//! deterministic output (object keys keep insertion order); the parser
-//! accepts standard JSON and exists mostly so tests can read back what
-//! the metrics exporter wrote.
+//! deterministic output (object keys keep insertion order). The parser
+//! accepts standard JSON and reads every `ccv serve` request, every
+//! persisted verdict-cache entry and every `ccv client` reply, so it
+//! runs in linear time and bounds its recursion ([`MAX_DEPTH`]).
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so without a bound a request
+/// line of `[`s could overflow the stack of the thread reading it.
+/// Nothing `ccv` writes nests deeper than a dozen levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -179,14 +186,14 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document. Trailing whitespace is allowed; any
-    /// other trailing content is an error.
+    /// Parses a JSON document in time linear in its length. Trailing
+    /// whitespace is allowed; any other trailing content, and arrays
+    /// and objects nested deeper than [`MAX_DEPTH`], are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -248,14 +255,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays
+/// and objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
+    match open {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -265,7 +281,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -287,13 +303,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -306,7 +322,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -319,73 +335,88 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `pos`.
+///
+/// The text is already UTF-8 and both `"` and `\` are ASCII, so each
+/// run between them ends on a char boundary: it is found by a byte
+/// scan and copied with one `push_str`, and only escapes are decoded.
+/// Raw control characters are taken as they are.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (bytes is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let Some(run) = run else {
+            return Err("unterminated string".to_string());
+        };
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut code = hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // A high surrogate followed by an escaped low one is a
+                // pair; any other surrogate stands alone and becomes
+                // U+FFFD. A malformed second escape is left for the
+                // next turn of the loop to report.
+                if (0xd800..0xdc00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                {
+                    if let Ok(low @ 0xdc00..=0xdfff) = hex4(bytes, *pos + 3) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        *pos += 6;
+                    }
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value of the four hex digits of a `\u` escape, starting at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())
+}
+
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
+    let number = &text[start..*pos];
+    number
+        .parse::<f64>()
         .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        .map_err(|_| format!("invalid number {number:?} at byte {start}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
 
     #[test]
     fn roundtrip_pretty() {
@@ -492,5 +523,93 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn string_errors_name_the_first_fault() {
+        for (text, error) in [
+            ("\"open", "unterminated string"),
+            ("\"open\\", "bad escape None"),
+            ("\"a\\q\"", "bad escape Some(113)"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\u12\"}\"", "bad \\u escape"),
+            ("\"\\u12é\"", "bad \\u escape"),
+            ("\"\\ud83e\\uzzzz\"", "bad \\u escape"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("[1 2]", "expected ',' or ']', got Some(50) at 3"),
+            ("[tru]", "invalid literal at byte 1"),
+            ("[1.2.3]", "invalid number \"1.2.3\" at byte 1"),
+        ] {
+            assert_eq!(Json::parse(text), Err(error.to_string()), "{text}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_become_replacement_characters() {
+        let parse = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(parse(r#""\ud83e\udd80""#), Json::str("🦀"));
+        assert_eq!(parse(r#""a\uD83E\uDD80b""#), Json::str("a🦀b"));
+        assert_eq!(parse(r#""\ud800\udc00""#), Json::str("\u{10000}"));
+        assert_eq!(parse(r#""\udbff\udfff""#), Json::str("\u{10ffff}"));
+        // Lone halves, a high one before a non-surrogate escape, and a
+        // low one before a high one.
+        assert_eq!(parse(r#""\ud83e""#), Json::str("\u{fffd}"));
+        assert_eq!(parse(r#""\udd80x""#), Json::str("\u{fffd}x"));
+        assert_eq!(parse(r#""\ud83ex""#), Json::str("\u{fffd}x"));
+        assert_eq!(parse(r#""\ud83e\n""#), Json::str("\u{fffd}\n"));
+        assert_eq!(parse(r#""\ud83e\u0041""#), Json::str("\u{fffd}A"));
+        assert_eq!(parse(r#""\ud83e\ud83e\udd80""#), Json::str("\u{fffd}🦀"));
+        assert_eq!(parse(r#""\udd80\ud83e""#), Json::str("\u{fffd}\u{fffd}"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let refused =
+            |text: &str| Json::parse(text).is_err_and(|e| e.starts_with("nesting deeper"));
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"x\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&arrays(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        assert!(refused(&objects(MAX_DEPTH + 1)));
+        // Far past the bound: refused, not a stack overflow.
+        assert!(refused(&format!("{{\"x\":{}", "[".repeat(100_000))));
+    }
+
+    /// Runs `f` on its own thread and fails if it takes longer than
+    /// `secs`: a reader that is quadratic in the document's length
+    /// fails in seconds instead of running for hours.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(value) => {
+                worker.join().expect("worker exits after sending");
+                value
+            }
+            // A late worker is left running: a thread cannot be stopped,
+            // and the test binary's exit ends it.
+            Err(RecvTimeoutError::Timeout) => panic!("not finished within {secs} s"),
+            Err(RecvTimeoutError::Disconnected) => panic!("the timed call panicked"),
+        }
+    }
+
+    #[test]
+    fn a_sixteen_megabyte_string_parses_and_round_trips() {
+        // Multi-byte text and escapes throughout, so every path of the
+        // string reader runs millions of times.
+        let unit = "(I⁺, M¹) --PrRd/BusRd--> \"S*\"\\\n🦀\t\u{1}";
+        let value = unit.repeat((16 << 20) / unit.len() + 1);
+        assert!(value.len() >= 16 << 20);
+        let text = Json::str(value.as_str()).render_compact();
+        let parsed = within(10, move || Json::parse(&text));
+        assert!(parsed.unwrap() == Json::Str(value), "round trip differs");
     }
 }

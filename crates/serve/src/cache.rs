@@ -78,25 +78,29 @@ fn encode_entry(key: &str, body: &str) -> String {
 /// bad JSON, wrong schema, missing field, digest mismatch — is an
 /// error; the caller quarantines the file.
 fn decode_entry(text: &str) -> Result<(String, String), String> {
-    let doc = Json::parse(text).map_err(|e| format!("entry is not JSON: {e}"))?;
+    let mut doc = Json::parse(text).map_err(|e| format!("entry is not JSON: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
         Some(CACHE_ENTRY_SCHEMA) => {}
         other => return Err(format!("bad entry schema {other:?}")),
     }
-    let digest = doc
-        .get("digest")
-        .and_then(Json::as_str)
-        .ok_or("missing digest")?;
-    let key = doc.get("key").and_then(Json::as_str).ok_or("missing key")?;
-    let body = doc
-        .get("body")
-        .and_then(Json::as_str)
-        .ok_or("missing body")?;
-    let expect = format!("{:016x}", entry_digest(key, body));
+    let digest = take_str(&mut doc, "digest").ok_or("missing digest")?;
+    let key = take_str(&mut doc, "key").ok_or("missing key")?;
+    let body = take_str(&mut doc, "body").ok_or("missing body")?;
+    let expect = format!("{:016x}", entry_digest(&key, &body));
     if digest != expect {
         return Err(format!("digest mismatch: {digest} != {expect}"));
     }
-    Ok((key.to_string(), body.to_string()))
+    Ok((key, body))
+}
+
+/// Moves the string field `name` out of the object `doc`, so a
+/// multi-megabyte body is not copied on its way into the cache.
+fn take_str(doc: &mut Json, name: &str) -> Option<String> {
+    let Json::Obj(fields) = doc else { return None };
+    match fields.iter_mut().find(|(k, _)| k == name)? {
+        (_, Json::Str(s)) => Some(std::mem::take(s)),
+        _ => None,
+    }
 }
 
 #[derive(Default)]

@@ -7,11 +7,14 @@
 //! the verdict cache with identical bodies; a full admission gate
 //! answers BUSY instead of queueing unboundedly; an over-budget
 //! request comes back INCONCLUSIVE without disturbing other in-flight
-//! sessions; and a client that vanishes mid-request is detected and
-//! counted.
+//! sessions; a client that vanishes mid-request is detected and
+//! counted; a request nested too deeply to parse is refused without
+//! harming the daemon; and the largest requests and persisted verdicts
+//! are read in bounded time.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,7 +23,7 @@ use ccv_model::dsl::to_dsl;
 use ccv_model::mutate::single_mutants;
 use ccv_model::protocols::split_mesi;
 use ccv_observe::{CancelToken, Json, SinkHandle};
-use ccv_serve::{Server, ServerConfig, ServerHandle};
+use ccv_serve::{Server, ServerConfig, ServerHandle, Service};
 
 /// Every checked-in protocol description, name → DSL text.
 fn corpus() -> Vec<(String, String)> {
@@ -214,6 +217,119 @@ fn a_multi_megabyte_counterexample_body_crosses_the_wire_intact() {
             body.len()
         );
     }
+}
+
+/// Runs `f` on its own thread and fails the test if it takes longer
+/// than `secs`: a JSON reader quadratic in the document's length then
+/// fails in seconds instead of holding the suite for hours.
+fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(secs)) {
+        Ok(value) => {
+            worker.join().expect("worker exits after sending");
+            value
+        }
+        // A late worker is left running: a thread cannot be stopped,
+        // and the test binary's exit ends it.
+        Err(RecvTimeoutError::Timeout) => panic!("not finished within {secs} s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the timed call panicked"),
+    }
+}
+
+#[test]
+fn a_persisted_multi_megabyte_verdict_reloads_byte_identically() {
+    let spec = single_mutants(&split_mesi()).swap_remove(38).spec;
+    let req = verify_request(&to_dsl(&spec));
+    let dir = std::env::temp_dir().join(format!("ccv-loopback-reload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::loopback()
+    };
+    let first = Service::new(config.clone()).process(&req, &RunContext::default());
+    assert_eq!(first.code, None);
+    assert!(!first.cached);
+    assert!(
+        first.body.len() > 16_000_000,
+        "body of {} bytes",
+        first.body.len()
+    );
+
+    // A fresh daemon reloads the entry (its file is larger still: the
+    // body is escaped inside it) before it accepts a connection.
+    let server = within(10, move || spawn_server(config));
+    let recovery = server.service().cache_recovery();
+    let recovery = recovery.map(|r| (r.loaded, r.quarantined));
+    assert_eq!(recovery, Some((1, 0)), "entries (loaded, quarantined)");
+    let wire = req.to_json().render_compact();
+    let envelope = ndjson_envelope(server.addr(), &wire);
+    let expected = format!(
+        "{{\"ev\":\"response\",\"cached\":true,\"body\":{}}}\n",
+        first.body
+    );
+    // Not assert_eq!: a failure would print 33 MB.
+    assert!(
+        envelope == expected,
+        "reloaded envelope of {} bytes differs",
+        envelope.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_at_the_size_limit_is_answered_in_bounded_time() {
+    // Illinois padded with DSL comments until the request line, its
+    // newline included, is exactly the 1 MiB limit: one JSON string as
+    // long as a request can carry, with escapes and multi-byte text
+    // all through it. The comments change neither the fingerprint nor
+    // the body.
+    const LIMIT: usize = 1 << 20;
+    let config = ServerConfig::loopback();
+    let (_, illinois) = corpus()
+        .into_iter()
+        .find(|(n, _)| n == "illinois.ccv")
+        .unwrap();
+    let line = "# padding: (I⁺, S*) \"quoted\" \\ \t tab\n";
+    // Bytes on the wire: the request, a `#x…x\n` comment (`\n` is
+    // escaped as two) that takes up the slack, and each escaped line.
+    let free = LIMIT - 1 - verify_request(&illinois).to_json().render_compact().len() - 3;
+    let per_line = Json::str(line).render_compact().len() - 2;
+    let lines = free / per_line;
+    let filler = "x".repeat(free - lines * per_line);
+    let dsl = format!("{illinois}#{filler}\n{}", line.repeat(lines));
+    let wire = verify_request(&dsl).to_json().render_compact();
+    assert_eq!(wire.len() + 1, LIMIT);
+
+    let want = direct_body(&config, &verify_request(&illinois));
+    let server = spawn_server(config);
+    let addr = server.addr();
+    let (cached, body) = within(10, move || ndjson_round_trip(addr, &wire));
+    assert!(!cached);
+    assert_eq!(body, want);
+    assert!(body.contains("\"verdict\":\"VERIFIED\""), "{body}");
+}
+
+#[test]
+fn a_deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+    // 100,000 open brackets in a 100 KB line: a reader that recursed
+    // once per level without a bound would overflow the connection
+    // thread's stack and abort the whole daemon.
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let line = format!("{{\"x\":{}", "[".repeat(100_000));
+    let (cached, body) = within(10, move || ndjson_round_trip(addr, &line));
+    assert!(!cached);
+    assert!(body.contains("\"code\":\"bad_request\""), "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let (_, body) = ndjson_round_trip(addr, &wire);
+    assert!(body.contains("\"verdict\":\"VERIFIED\""), "{body}");
 }
 
 #[test]
