@@ -29,19 +29,20 @@ fn main() {
         let v = verify(&spec);
         let rejected = v.verdict == ccv_core::Verdict::Erroneous;
         all_rejected &= rejected;
-        let first = v.reports.first();
-        let path_len = first.map(|r| r.path.matches("-->").count()).unwrap_or(0);
+        let first = v.expansion.errors.first();
+        let path = first.map(|f| v.expansion.render_path(&spec, f.node));
+        let path_len = path.as_ref().map_or(0, |p| p.matches("-->").count());
         table.row(vec![
             spec.name().to_string(),
             why.to_string(),
             v.verdict.to_string(),
             first
-                .map(|r| r.descriptions.join("; "))
+                .map(|f| f.descriptions(&spec).join("; "))
                 .unwrap_or_else(|| "-".into()),
             path_len.to_string(),
         ]);
-        if let Some(r) = first {
-            paths.push_str(&format!("\n{}:\n  {}\n", spec.name(), r.path));
+        if let Some(path) = path {
+            paths.push_str(&format!("\n{}:\n  {path}\n", spec.name()));
         }
     }
 

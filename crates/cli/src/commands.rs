@@ -515,13 +515,14 @@ pub fn verify(args: &[String]) -> CmdResult {
             );
         }
     }
-    for r in report.reports.iter().take(5) {
-        println!("\nERROR: {}", r.descriptions.join("; "));
-        println!("  state: {}", r.state);
-        println!("  path : {}", r.path);
+    let exp = &report.expansion;
+    for f in exp.errors.iter().take(5) {
+        println!("\nERROR: {}", f.descriptions(spec).join("; "));
+        println!("  state: {}", exp.composite(f.node).render(spec));
+        println!("  path : {}", exp.render_path(spec, f.node));
     }
-    if report.reports.len() > 5 {
-        println!("\n... and {} more error findings", report.reports.len() - 5);
+    if exp.errors.len() > 5 {
+        println!("\n... and {} more error findings", exp.errors.len() - 5);
     }
     if let Some(path) = p.value::<String>("--dot")? {
         write_out(&path, graph.to_dot(spec).as_bytes())?;

@@ -265,9 +265,10 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
 
     if v.verdict == Verdict::Erroneous {
         let _ = writeln!(md, "\n### Counterexamples\n");
-        for r in v.reports.iter().take(3) {
-            let _ = writeln!(md, "- **{}**", r.descriptions.join("; "));
-            let _ = writeln!(md, "  - path: `{}`", r.path);
+        for f in v.expansion.errors.iter().take(3) {
+            let _ = writeln!(md, "- **{}**", f.descriptions(spec).join("; "));
+            let path = v.expansion.render_path(spec, f.node);
+            let _ = writeln!(md, "  - path: `{path}`");
         }
         if let Some(w) = find_violation_witness(spec, 4, 1 << 22) {
             let _ = writeln!(md, "\n### Shortest executable violation\n");

@@ -100,6 +100,24 @@ fn verify_buggy_protocol_exits_one_with_counterexample() {
 }
 
 #[test]
+fn buggy_verify_and_report_output_is_pinned() {
+    // Both outputs render counterexample paths; neither carries a
+    // timing, so each is compared byte for byte.
+    let o = ccv(&["verify", "illinois-missing-invalidation"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert_eq!(
+        stdout(&o),
+        include_str!("golden/verify_illinois_missing_invalidation.txt")
+    );
+    let o = ccv(&["report", "illinois-missing-invalidation"]);
+    assert_eq!(o.status.code(), Some(0));
+    assert_eq!(
+        stdout(&o),
+        include_str!("golden/report_illinois_missing_invalidation.txt")
+    );
+}
+
+#[test]
 fn verify_unknown_protocol_exits_2() {
     let o = ccv(&["verify", "nonesuch"]);
     assert_eq!(o.status.code(), Some(2));

@@ -38,13 +38,12 @@
 //! validated first and reported as a well-formed `bad_request` error —
 //! a daemon serving untrusted requests must never fall over.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
 use crate::composite::Composite;
 use crate::crosscheck::crosscheck_with;
-use crate::engine::{expand_with, EngineScratch, Options, Pruning};
+use crate::engine::{expand_with, EngineScratch, Options, PathWriter, Pruning};
 use crate::verify::{verify_with_scratch, Outcome, Verdict, VerificationReport};
 use ccv_enum::{
     enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, SpillConfig, MAX_CACHES,
@@ -807,56 +806,76 @@ impl Response {
         }
     }
 
-    /// Serializes as a `ccv-response-v1` object.
-    pub fn to_json(&self) -> Json {
+    /// The fields a body opens with: the schema and action, and for a
+    /// verify body every field before its errors.
+    fn head_fields(&self) -> Vec<(String, Json)> {
         let mut fields: Vec<(String, Json)> = vec![
             ("schema".into(), Json::str(RESPONSE_SCHEMA)),
             ("action".into(), Json::str(self.action.name())),
         ];
+        let Ok(Payload::Verify(v)) = &self.result else {
+            return fields;
+        };
+        let report = &v.report;
+        fields.extend([
+            ("protocol".into(), Json::str(report.protocol.clone())),
+            ("verdict".into(), Json::str(report.verdict.to_string())),
+            ("visits".into(), Json::int(report.visits() as u64)),
+            (
+                "expansions".into(),
+                Json::int(report.expansion.expanded as u64),
+            ),
+            (
+                "essential_states".into(),
+                Json::int(report.num_essential() as u64),
+            ),
+        ]);
+        if let Outcome::Inconclusive {
+            reason,
+            frontier_size,
+            visits,
+            elapsed,
+        } = &report.outcome
+        {
+            let stop = vec![
+                ("reason".into(), Json::str(reason.clone())),
+                ("frontier".into(), Json::int(*frontier_size as u64)),
+                ("visits".into(), Json::int(*visits as u64)),
+                (
+                    "elapsed_ms".into(),
+                    Json::Num(elapsed.as_secs_f64() * 1000.0),
+                ),
+            ];
+            fields.push(("stop".into(), Json::Obj(stop)));
+        }
+        fields
+    }
+
+    /// Serializes as a `ccv-response-v1` object.
+    pub fn to_json(&self) -> Json {
+        let mut fields = self.head_fields();
         match &self.result {
             Err(e) => fields.push(("error".into(), e.to_json())),
             Ok(Payload::Verify(v)) => {
-                let report = &v.report;
-                fields.push(("protocol".into(), Json::str(report.protocol.clone())));
-                fields.push(("verdict".into(), Json::str(report.verdict.to_string())));
-                fields.push(("visits".into(), Json::int(report.visits() as u64)));
-                fields.push((
-                    "expansions".into(),
-                    Json::int(report.expansion.expanded as u64),
-                ));
-                fields.push((
-                    "essential_states".into(),
-                    Json::int(report.num_essential() as u64),
-                ));
-                if let Some(stop) = verify_stop_json(&report.outcome) {
-                    fields.push(("stop".into(), stop));
+                let (spec, exp) = (&v.spec, &v.report.expansion);
+                if !exp.errors.is_empty() {
+                    let mut paths = PathWriter::new(exp, spec);
+                    let errors = exp.errors.iter().map(|f| {
+                        let mut path = String::new();
+                        paths.write(f.node, &mut path);
+                        Json::Obj(vec![
+                            ("descriptions".into(), str_arr(f.descriptions(spec))),
+                            (
+                                "state".into(),
+                                Json::Str(exp.composite(f.node).render(spec)),
+                            ),
+                            ("path".into(), Json::Str(path)),
+                        ])
+                    });
+                    fields.push(("errors".into(), Json::Arr(errors.collect())));
                 }
-                if !report.reports.is_empty() {
-                    let errors: Vec<Json> = report
-                        .reports
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                (
-                                    "descriptions".into(),
-                                    Json::Arr(
-                                        r.descriptions
-                                            .iter()
-                                            .map(|d| Json::str(d.clone()))
-                                            .collect(),
-                                    ),
-                                ),
-                                ("state".into(), Json::str(r.state.clone())),
-                                ("path".into(), Json::str(r.path.clone())),
-                            ])
-                        })
-                        .collect();
-                    fields.push(("errors".into(), Json::Arr(errors)));
-                }
-                fields.push((
-                    "essential".into(),
-                    Json::Arr(essential_entries(&v.spec, report)),
-                ));
+                let essential = essential_entries(spec, &v.report);
+                fields.push(("essential".into(), Json::Arr(essential)));
             }
             Ok(Payload::Enumerate(e)) => {
                 fields.push(("protocol".into(), Json::str(e.protocol.clone())));
@@ -870,10 +889,7 @@ impl Response {
                 fields.push(("visits".into(), Json::int(e.visits as u64)));
                 fields.push(("truncated".into(), Json::Bool(e.truncated)));
                 if !e.warnings.is_empty() {
-                    fields.push((
-                        "warnings".into(),
-                        Json::Arr(e.warnings.iter().map(|w| Json::str(w.clone())).collect()),
-                    ));
+                    fields.push(("warnings".into(), str_arr(&e.warnings)));
                 }
                 if let Some(info) = &e.stopped {
                     fields.push(("stop".into(), stop_info_json(info)));
@@ -885,15 +901,7 @@ impl Response {
                         .map(|err| {
                             Json::Obj(vec![
                                 ("state".into(), Json::str(err.state.clone())),
-                                (
-                                    "descriptions".into(),
-                                    Json::Arr(
-                                        err.descriptions
-                                            .iter()
-                                            .map(|d| Json::str(d.clone()))
-                                            .collect(),
-                                    ),
-                                ),
+                                ("descriptions".into(), str_arr(&err.descriptions)),
                             ])
                         })
                         .collect();
@@ -928,15 +936,7 @@ impl Response {
                 fields.push(("covered".into(), Json::int(c.covered as u64)));
                 fields.push(("complete".into(), Json::Bool(c.complete)));
                 if !c.uncovered_examples.is_empty() {
-                    fields.push((
-                        "uncovered".into(),
-                        Json::Arr(
-                            c.uncovered_examples
-                                .iter()
-                                .map(|s| Json::str(s.clone()))
-                                .collect(),
-                        ),
-                    ));
+                    fields.push(("uncovered".into(), str_arr(&c.uncovered_examples)));
                 }
                 if let Some(why) = &c.aborted {
                     fields.push(("aborted".into(), Json::str(why.clone())));
@@ -952,95 +952,55 @@ impl Response {
     /// Renders the compact `ccv-response-v1` body: byte-identical to
     /// `self.to_json().render_compact()`, and what `ccv serve` sends.
     ///
-    /// A verify payload is written straight into one buffer. The
-    /// report's descriptions, states and counterexample paths — the
-    /// longest paths run to megabytes — are escaped in place instead of
-    /// being cloned into a [`Json`] tree and copied again on rendering.
-    /// Only the small `stop` and `essential` parts go through [`Json`].
-    /// Other payloads render through [`Response::to_json`], which stays
-    /// the tree form for callers that inspect the document and the
-    /// oracle the direct writer is tested against.
+    /// A verify payload is first written without its counterexample
+    /// paths, which run to megabytes, while a [`PathWriter`] measures
+    /// them. The body is then allocated at its exact size, since a
+    /// cached body keeps its capacity, and filled from that frame, each
+    /// path written from the writer's shared segments. Other payloads
+    /// render through [`Response::to_json`], which stays the tree form
+    /// for callers that inspect the document and the oracle the direct
+    /// writer is tested against.
     pub fn render_compact(&self) -> String {
         let Ok(Payload::Verify(v)) = &self.result else {
             return self.to_json().render_compact();
         };
-        let report = &v.report;
-        let errors_len: usize = report
-            .reports
-            .iter()
-            .map(|r| {
-                let descriptions: usize = r.descriptions.iter().map(|d| d.len() + 3).sum();
-                descriptions + r.state.len() + r.path.len() + 48
-            })
-            .sum();
-        let mut out = String::with_capacity(errors_len + 1024);
-        out.push_str("{\"schema\":");
-        escape_into(&mut out, RESPONSE_SCHEMA);
-        out.push_str(",\"action\":");
-        escape_into(&mut out, self.action.name());
-        out.push_str(",\"protocol\":");
-        escape_into(&mut out, &report.protocol);
-        out.push_str(",\"verdict\":");
-        escape_into(&mut out, &report.verdict.to_string());
-        let _ = write!(
-            out,
-            ",\"visits\":{},\"expansions\":{},\"essential_states\":{}",
-            report.visits(),
-            report.expansion.expanded,
-            report.num_essential()
-        );
-        if let Some(stop) = verify_stop_json(&report.outcome) {
-            out.push_str(",\"stop\":");
-            stop.write_compact(&mut out);
+        let (spec, report) = (&v.spec, &v.report);
+        let errors = &report.expansion.errors;
+        // The head, with the object left open for the rest.
+        let mut frame = Json::Obj(self.head_fields()).render_compact();
+        frame.pop();
+        let mut paths = PathWriter::json(&report.expansion, spec);
+        let (mut cuts, mut paths_len) = (Vec::with_capacity(errors.len()), 0);
+        for (i, f) in errors.iter().enumerate() {
+            frame.push_str(if i == 0 { ",\"errors\":[" } else { "," });
+            frame.push_str("{\"descriptions\":");
+            str_arr(f.descriptions(spec)).write_compact(&mut frame);
+            frame.push_str(",\"state\":");
+            escape_into(&mut frame, &report.expansion.composite(f.node).render(spec));
+            frame.push_str(",\"path\":\"");
+            cuts.push(frame.len());
+            paths_len += paths.len(f.node);
+            frame.push_str(if i + 1 == errors.len() { "\"}]" } else { "\"}" });
         }
-        if !report.reports.is_empty() {
-            out.push_str(",\"errors\":[");
-            for (i, r) in report.reports.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"descriptions\":[");
-                for (j, d) in r.descriptions.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    escape_into(&mut out, d);
-                }
-                out.push_str("],\"state\":");
-                escape_into(&mut out, &r.state);
-                out.push_str(",\"path\":");
-                escape_into(&mut out, &r.path);
-                out.push('}');
-            }
-            out.push(']');
+        frame.push_str(",\"essential\":");
+        Json::Arr(essential_entries(spec, report)).write_compact(&mut frame);
+        frame.push('}');
+
+        let mut out = String::with_capacity(frame.len() + paths_len);
+        let mut start = 0;
+        for (f, &cut) in errors.iter().zip(&cuts) {
+            out.push_str(&frame[start..cut]);
+            paths.write(f.node, &mut out);
+            start = cut;
         }
-        out.push_str(",\"essential\":");
-        Json::Arr(essential_entries(&v.spec, report)).write_compact(&mut out);
-        out.push('}');
+        out.push_str(&frame[start..]);
         out
     }
 }
 
-/// The `stop` object of a verify response, for inconclusive outcomes.
-fn verify_stop_json(outcome: &Outcome) -> Option<Json> {
-    let Outcome::Inconclusive {
-        reason,
-        frontier_size,
-        visits,
-        elapsed,
-    } = outcome
-    else {
-        return None;
-    };
-    Some(Json::Obj(vec![
-        ("reason".into(), Json::str(reason.clone())),
-        ("frontier".into(), Json::int(*frontier_size as u64)),
-        ("visits".into(), Json::int(*visits as u64)),
-        (
-            "elapsed_ms".into(),
-            Json::Num(elapsed.as_secs_f64() * 1000.0),
-        ),
-    ]))
+/// A JSON array of strings.
+fn str_arr<S: Into<String>>(items: impl IntoIterator<Item = S>) -> Json {
+    Json::Arr(items.into_iter().map(Json::str).collect())
 }
 
 fn stop_info_json(info: &StopInfo) -> Json {
@@ -1396,6 +1356,18 @@ mod tests {
     /// One request through a bare runner: no install step, no setup.
     fn run(req: &Request) -> Response {
         SessionRunner::new().run(req, &RunContext::default())
+    }
+
+    #[test]
+    fn verify_bodies_are_allocated_at_their_exact_size() {
+        // A cached body is kept for the life of its entry, so spare
+        // capacity in it would be held that long too.
+        for name in ["illinois", "illinois-missing-invalidation"] {
+            let resp = run(&Request::verify(ProtocolSource::Name(name.into())));
+            let body = resp.render_compact();
+            assert_eq!(body, resp.to_json().render_compact(), "{name}");
+            assert_eq!(body.capacity(), body.len(), "{name}");
+        }
     }
 
     #[test]

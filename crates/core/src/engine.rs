@@ -43,10 +43,12 @@ use crate::expand::{successors_into, ExpandScratch, Label, StepError, Transition
 use crate::index::ContainmentIndex;
 use crate::intern::{CompositeArena, CompositeId};
 use ccv_model::ProtocolSpec;
+use ccv_observe::json::escape_unquoted_into;
 use ccv_observe::{
     CommonOptions, Counter, Gauge, Phase, RuleStat, SpanKind, StopCause, StopInfo, Track,
 };
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Pruning discipline for the worklist.
@@ -214,6 +216,15 @@ pub struct ErrorFinding {
     pub step_errors: Vec<StepError>,
 }
 
+impl ErrorFinding {
+    /// What went wrong, one line per violation and stale access.
+    pub fn descriptions(&self, spec: &ProtocolSpec) -> Vec<String> {
+        let mut lines: Vec<String> = self.violations.iter().map(|v| v.describe(spec)).collect();
+        lines.extend(self.step_errors.iter().map(StepError::to_string));
+        lines
+    }
+}
+
 /// The result of a symbolic expansion run.
 #[derive(Clone, Debug)]
 pub struct Expansion {
@@ -291,45 +302,89 @@ impl Expansion {
         }
         s
     }
+}
 
-    /// Renders the counterexample paths to every node of `ids`, each
-    /// byte-identical to [`Expansion::render_path`] of that node.
-    ///
-    /// Error paths share long prefixes, so each node's segment — the
-    /// ` --label--> ` arrow plus the full composite, or the bare
-    /// composite at the root — is rendered once, memoized by
-    /// [`NodeId`], and every path is assembled from the segments.
-    pub fn render_paths(&self, spec: &ProtocolSpec, ids: &[NodeId]) -> Vec<String> {
-        let mut segments: HashMap<NodeId, String> = HashMap::new();
-        let mut chain: Vec<NodeId> = Vec::new();
-        ids.iter()
-            .map(|&id| {
-                chain.clear();
-                let mut cur = Some(id);
-                while let Some(c) = cur {
-                    chain.push(c);
-                    cur = self.nodes[c.0].parent.map(|(p, _)| p);
-                }
-                let mut len = 0;
-                for &node in &chain {
-                    len += segments
-                        .entry(node)
-                        .or_insert_with(|| {
-                            let full = self.composite(node).render_full(spec);
-                            match self.nodes[node.0].parent {
-                                Some((_, l)) => format!(" --{}--> {full}", l.render(spec)),
-                                None => full,
-                            }
-                        })
-                        .len();
-                }
-                let mut path = String::with_capacity(len);
-                for node in chain.iter().rev() {
-                    path.push_str(&segments[node]);
-                }
-                path
-            })
-            .collect()
+/// Writes counterexample paths straight into a caller's buffer, each
+/// byte-identical to [`Expansion::render_path`] of its node, or to its
+/// JSON-escaped form (without quotes) for [`PathWriter::json`].
+///
+/// Error paths share long prefixes, so each node's segment — the
+/// ` --label--> ` arrow plus the full composite, or the bare composite
+/// at the root — is rendered once, on first use, and kept with the
+/// length of the path it ends: `len(parent) + len(segment)`.
+#[derive(Debug)]
+pub struct PathWriter<'a> {
+    expansion: &'a Expansion,
+    spec: &'a ProtocolSpec,
+    json: bool,
+    /// The rendered segments, back to back.
+    text: String,
+    /// Per rendered node: its segment in `text` and its path's length.
+    segments: HashMap<NodeId, (Range<usize>, usize)>,
+    chain: Vec<NodeId>,
+}
+
+impl<'a> PathWriter<'a> {
+    /// A writer of raw paths.
+    pub fn new(expansion: &'a Expansion, spec: &'a ProtocolSpec) -> PathWriter<'a> {
+        let (text, segments, chain) = Default::default();
+        PathWriter {
+            expansion,
+            spec,
+            json: false,
+            text,
+            segments,
+            chain,
+        }
+    }
+
+    /// A writer of JSON-escaped paths.
+    pub fn json(expansion: &'a Expansion, spec: &'a ProtocolSpec) -> PathWriter<'a> {
+        PathWriter {
+            json: true,
+            ..PathWriter::new(expansion, spec)
+        }
+    }
+
+    /// The length in bytes of the path to `id`.
+    pub fn len(&mut self, id: NodeId) -> usize {
+        // Walk to the root, then render the segments not yet rendered
+        // on the way back down; the path stays in `chain`, root last.
+        self.chain.clear();
+        let mut cur = Some(id);
+        while let Some(c) = cur {
+            self.chain.push(c);
+            cur = self.expansion.nodes[c.0].parent.map(|(p, _)| p);
+        }
+        let mut len = 0;
+        for &node in self.chain.iter().rev() {
+            if let Some(&(_, path_len)) = self.segments.get(&node) {
+                len = path_len;
+                continue;
+            }
+            let mut segment = match self.expansion.nodes[node.0].parent {
+                Some((_, l)) => format!(" --{}--> ", l.render(self.spec)),
+                None => String::new(),
+            };
+            segment.push_str(&self.expansion.composite(node).render_full(self.spec));
+            let start = self.text.len();
+            if self.json {
+                escape_unquoted_into(&mut self.text, &segment);
+            } else {
+                self.text.push_str(&segment);
+            }
+            len += self.text.len() - start;
+            self.segments.insert(node, (start..self.text.len(), len));
+        }
+        len
+    }
+
+    /// Appends the path to `id` to `out`.
+    pub fn write(&mut self, id: NodeId, out: &mut String) {
+        out.reserve(self.len(id));
+        for node in self.chain.iter().rev() {
+            out.push_str(&self.text[self.segments[node].0.clone()]);
+        }
     }
 }
 

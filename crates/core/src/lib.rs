@@ -35,9 +35,11 @@
 //!
 //! // ...and a protocol with a seeded bug is rejected with a
 //! // counterexample path.
-//! let buggy = verify(&protocols::illinois_missing_invalidation());
+//! let spec = protocols::illinois_missing_invalidation();
+//! let buggy = verify(&spec);
 //! assert_eq!(buggy.verdict, Verdict::Erroneous);
-//! assert!(buggy.reports[0].path.contains("-->"));
+//! let first = &buggy.expansion.errors[0];
+//! assert!(buggy.expansion.render_path(&spec, first.node).contains("-->"));
 //! ```
 //!
 //! ## Module map
@@ -116,7 +118,7 @@ pub use crosscheck::{
 };
 pub use engine::{
     expand as run_expansion, expand_from, expand_with, EngineScratch, Expansion, NodeId, Options,
-    Pruning,
+    PathWriter, Pruning,
 };
 pub use expand::{
     successors, successors_into, ExpandScratch, Label, StepError, StepErrors, Transition,
@@ -129,9 +131,7 @@ pub use recovery::{analyze_recovery, RecoveryCase, RecoveryReport, Tolerance};
 pub use reference::{reference_expand, reference_expand_from};
 pub use rep::{Interval, Rep};
 pub use session::{Batch, RunSummary};
-pub use verify::{
-    verify, verify_with, verify_with_scratch, ErrorReport, Outcome, Verdict, VerificationReport,
-};
+pub use verify::{verify, verify_with, verify_with_scratch, Outcome, Verdict, VerificationReport};
 
 // Re-exported so downstream users configure observability without a
 // direct ccv-observe dependency.

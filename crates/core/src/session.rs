@@ -145,7 +145,7 @@ mod tests {
             &Options::default().stop_at_first_error(true),
         );
         assert_eq!(report.verdict, Verdict::Erroneous);
-        assert_eq!(report.reports.len(), 1);
+        assert_eq!(report.expansion.errors.len(), 1);
     }
 
     #[test]

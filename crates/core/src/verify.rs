@@ -4,12 +4,11 @@
 //! single report: run [`verify`] on a [`ProtocolSpec`] and inspect the
 //! [`Verdict`]. The report holds the run, not its views: a caller that
 //! draws the global diagram (Fig. 4) builds it from the report's
-//! expansion with [`global_graph`](crate::global_graph).
+//! expansion with [`global_graph`](crate::global_graph), and one that
+//! prints findings renders those it prints from `expansion.errors`.
 
-use crate::check::Violation;
 use crate::composite::Composite;
-use crate::engine::{expand_with, EngineScratch, Expansion, NodeId, Options};
-use crate::expand::StepError;
+use crate::engine::{expand_with, EngineScratch, Expansion, Options};
 use ccv_model::ProtocolSpec;
 use ccv_observe::Phase;
 use core::fmt;
@@ -118,18 +117,6 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// A rendered error finding: what went wrong and a concrete symbolic
-/// path from the initial state.
-#[derive(Clone, Debug)]
-pub struct ErrorReport {
-    /// Human-readable violation descriptions.
-    pub descriptions: Vec<String>,
-    /// The erroneous state, rendered.
-    pub state: String,
-    /// The counterexample path, rendered.
-    pub path: String,
-}
-
 /// A complete verification report: the run and its verdict, the single
 /// result type shared by `verify`, the request API and the CLI's
 /// report rendering.
@@ -144,8 +131,6 @@ pub struct VerificationReport {
     /// The detailed outcome behind the verdict; for inconclusive runs
     /// this carries the stop reason, frontier size and elapsed time.
     pub outcome: Outcome,
-    /// Rendered error findings (empty iff `verdict == Verified`).
-    pub reports: Vec<ErrorReport>,
 }
 
 impl VerificationReport {
@@ -198,34 +183,12 @@ pub fn verify_with_scratch(
     let expansion = expand_with(spec, Composite::initial(spec), opts, scratch);
     sink.phase_enter(Phase::Check);
     let outcome = Outcome::of_expansion(&expansion);
-    let verdict = outcome.verdict();
-    let nodes: Vec<NodeId> = expansion.errors.iter().map(|f| f.node).collect();
-    let paths = expansion.render_paths(spec, &nodes);
-    let reports = expansion
-        .errors
-        .iter()
-        .zip(paths)
-        .map(|(f, path)| {
-            let mut descriptions: Vec<String> = f
-                .violations
-                .iter()
-                .map(|v: &Violation| v.describe(spec))
-                .collect();
-            descriptions.extend(f.step_errors.iter().map(|e: &StepError| e.to_string()));
-            ErrorReport {
-                descriptions,
-                state: expansion.composite(f.node).render(spec),
-                path,
-            }
-        })
-        .collect();
     sink.phase_exit(Phase::Check);
     VerificationReport {
         protocol: spec.name().to_string(),
         expansion,
-        verdict,
+        verdict: outcome.verdict(),
         outcome,
-        reports,
     }
 }
 
@@ -243,7 +206,7 @@ mod tests {
                 Verdict::Verified,
                 "{} failed: {:?}",
                 spec.name(),
-                v.reports.first().map(|r| (&r.descriptions, &r.path))
+                v.expansion.errors.first().map(|f| f.descriptions(&spec))
             );
             assert!(v.num_essential() >= 2, "{}", spec.name());
         }
@@ -259,10 +222,10 @@ mod tests {
                 "{} should be rejected ({why})",
                 spec.name()
             );
-            assert!(!v.reports.is_empty());
-            let r = &v.reports[0];
-            assert!(!r.descriptions.is_empty(), "{}", spec.name());
-            assert!(r.path.contains("-->"), "{}: {}", spec.name(), r.path);
+            let f = &v.expansion.errors[0];
+            assert!(!f.descriptions(&spec).is_empty(), "{}", spec.name());
+            let path = v.expansion.render_path(&spec, f.node);
+            assert!(path.contains("-->"), "{}: {path}", spec.name());
         }
     }
 

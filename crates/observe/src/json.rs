@@ -224,6 +224,13 @@ fn write_num(out: &mut String, n: f64) {
 pub fn escape_into(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
     out.push('"');
+    escape_unquoted_into(out, s);
+    out.push('"');
+}
+
+/// Appends the escaped contents of `s` to `out`, without the quotes:
+/// a piece of a string literal whose text is written in parts.
+pub fn escape_unquoted_into(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let named = match b {
@@ -246,7 +253,6 @@ pub fn escape_into(out: &mut String, s: &str) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -178,8 +178,9 @@ impl ServerConfig {
     /// Validates a request against the server's caps and returns the
     /// effective request that will actually run: unspecified budgets
     /// filled with server defaults, client budgets clamped to server
-    /// maxima. Clamping happens *before* the cache fingerprint is
-    /// computed, so equal submissions stay equal after it.
+    /// maxima, options no body depends on (`trace`, and `threads`
+    /// outside enumerate) cleared. This happens *before* the cache
+    /// fingerprint is computed, so equal submissions stay equal.
     pub fn admit(&self, req: &Request) -> Result<Request, ApiError> {
         let mut r = req.clone();
         let o = &mut r.options;
@@ -195,7 +196,12 @@ impl ServerConfig {
                 o.n, self.max_n
             )));
         }
-        if o.spill_dir.is_some() {
+        // No body carries the trace, nor does `max_bytes` count it;
+        // verify and crosscheck ignore `threads`.
+        o.record_trace = false;
+        if r.action != Action::Enumerate {
+            o.threads = 0;
+        } else if o.spill_dir.is_some() {
             // Spill-backed runs are sequential; inflating an auto
             // thread request to `max_threads` here would turn it into
             // an explicit spill×threads conflict downstream. Leave 0

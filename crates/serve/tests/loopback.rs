@@ -349,6 +349,28 @@ fn second_identical_submission_is_a_wire_level_cache_hit() {
 }
 
 #[test]
+fn trace_and_verify_threads_do_not_split_the_cache() {
+    // No body carries a trace, and verify ignores `threads`: the
+    // daemon clears both, so this is the same request as a plain one.
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let spec = ccv_model::protocols::illinois_missing_invalidation();
+    let plain = Request::verify(ProtocolSource::Dsl(to_dsl(&spec)));
+    let mut traced = plain.clone();
+    traced.options.record_trace = true;
+    traced.options.threads = 1;
+    let wire = traced.to_json().render_compact();
+    assert!(wire.contains("\"trace\":true") && wire.contains("\"threads\":1"));
+
+    let (first_cached, first) = ndjson_round_trip(addr, &plain.to_json().render_compact());
+    let (second_cached, second) = ndjson_round_trip(addr, &wire);
+    assert!(!first_cached, "first submission must compute");
+    assert!(second_cached, "trace and threads must not change the key");
+    assert_eq!(first, second, "cached replay must be byte-identical");
+    assert_eq!(server.service().cache().hits(), 1);
+}
+
+#[test]
 fn full_admission_gate_answers_busy_over_the_wire() {
     let mut config = ServerConfig::loopback();
     config.workers = 1;

@@ -96,9 +96,10 @@ fn main() {
     println!("\n[2] verifying {} ...", broken.name());
     println!("    verdict: {}", report.verdict);
     assert_eq!(report.verdict, Verdict::Erroneous);
-    let finding = &report.reports[0];
-    println!("    finding: {}", finding.descriptions.join("; "));
-    println!("    counterexample:\n      {}", finding.path);
+    let finding = &report.expansion.errors[0];
+    println!("    finding: {}", finding.descriptions(&broken).join("; "));
+    let path = report.expansion.render_path(&broken, finding.node);
+    println!("    counterexample:\n      {path}");
 
     println!("\nThe verifier caught the stale-copy bug with a concrete scenario.");
 }

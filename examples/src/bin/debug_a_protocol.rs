@@ -29,10 +29,11 @@ fn main() {
     println!("[1] verifying {} ...", broken.name());
     let report = verify(&broken);
     assert_eq!(report.verdict, Verdict::Erroneous);
-    let finding = &report.reports[0];
+    let finding = &report.expansion.errors[0];
     println!("    verdict : {}", report.verdict);
-    println!("    finding : {}", finding.descriptions.join("; "));
-    println!("    path    : {}", finding.path);
+    println!("    finding : {}", finding.descriptions(&broken).join("; "));
+    let path = report.expansion.render_path(&broken, finding.node);
+    println!("    path    : {path}");
 
     // --- 2. Localise -------------------------------------------------------
     println!("\n[2] reading the counterexample:");

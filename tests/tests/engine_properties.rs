@@ -3,11 +3,12 @@
 
 use ccv_core::{
     global_graph, reference_expand, run_expansion, successors, verify_with, Batch, Composite,
-    Expansion, Options, Pruning, Verdict,
+    Expansion, Options, PathWriter, Pruning, Verdict,
 };
 use ccv_model::dsl::parse_protocol;
 use ccv_model::mutate::single_mutants;
 use ccv_model::{protocols, ProcEvent, ProtocolSpec};
+use ccv_observe::json::escape_into;
 
 /// Closure: every successor of every essential state is contained in
 /// an essential state (Theorem 1 fixpoint).
@@ -285,21 +286,53 @@ fn illinois_expansion_is_bit_identical_to_the_reference() {
 
 #[test]
 fn error_reports_render_identically_to_the_reference() {
-    // Regression for the eager error materialisation fix: the lazily
-    // materialised step errors must render exactly the messages the
-    // naive engine produces, for every violating trace.
-    for (spec, _) in protocols::all_buggy() {
-        let v = verify_with(&spec, &Options::default());
-        let naive = reference_expand(&spec, &Options::default());
-        assert_eq!(v.reports.len(), naive.errors.len(), "{}", spec.name());
-        for (r, f) in v.reports.iter().zip(&naive.errors) {
-            let mut descriptions: Vec<String> =
-                f.violations.iter().map(|x| x.describe(&spec)).collect();
-            descriptions.extend(f.step_errors.iter().map(|e| e.to_string()));
-            assert_eq!(r.descriptions, descriptions, "{}", spec.name());
-            assert_eq!(r.path, naive.render_path(&spec, f.node), "{}", spec.name());
+    // Every finding's descriptions and counterexample path, as the
+    // shared `PathWriter` writes them into CLI output and serve bodies,
+    // must equal what the naive engine renders node by node: raw, and
+    // JSON-escaped for the bodies. The corpus is every library mutant
+    // and every erroneous single mutant of Illinois and split-MESI,
+    // `split-mesi#38` (16,437 findings) among them.
+    let mut corpus: Vec<ProtocolSpec> =
+        protocols::all_buggy().into_iter().map(|(s, _)| s).collect();
+    for root in [protocols::illinois(), protocols::split_mesi()] {
+        corpus.extend(single_mutants(&root).into_iter().map(|m| m.spec));
+    }
+    let mut batch = Batch::new();
+    let mut erroneous = 0;
+    for spec in &corpus {
+        let v = batch.verify(spec);
+        if v.verdict != Verdict::Erroneous {
+            continue;
+        }
+        erroneous += 1;
+        let naive = reference_expand(spec, &Options::default());
+        assert_eq!(
+            v.expansion.errors.len(),
+            naive.errors.len(),
+            "{}",
+            spec.name()
+        );
+        let mut raw = PathWriter::new(&v.expansion, spec);
+        let mut json = PathWriter::json(&v.expansion, spec);
+        for (f, g) in v.expansion.errors.iter().zip(&naive.errors) {
+            let mut want: Vec<String> = g.violations.iter().map(|x| x.describe(spec)).collect();
+            want.extend(g.step_errors.iter().map(|e| e.to_string()));
+            assert_eq!(f.descriptions(spec), want, "{}", spec.name());
+            let path = naive.render_path(spec, g.node);
+            let mut got = String::from("x");
+            raw.write(f.node, &mut got);
+            assert_eq!(got[1..], path, "{}", spec.name());
+            assert_eq!(raw.len(f.node), path.len(), "{}", spec.name());
+            let mut escaped = String::new();
+            escape_into(&mut escaped, &path);
+            let mut got = String::new();
+            json.write(f.node, &mut got);
+            assert_eq!(got, escaped[1..escaped.len() - 1], "{}", spec.name());
+            assert_eq!(json.len(f.node), got.len(), "{}", spec.name());
         }
     }
+    // 11 library mutants, 36 Illinois and 45 split-MESI single mutants.
+    assert_eq!(erroneous, 92, "erroneous protocols compared");
 }
 
 #[test]

@@ -27,7 +27,10 @@ fn every_illinois_mutant_gets_a_definite_verdict() {
         );
         if v.verdict == Verdict::Erroneous {
             assert!(
-                !v.reports.is_empty() && v.reports[0].path.contains("-->"),
+                v.expansion
+                    .errors
+                    .first()
+                    .is_some_and(|f| v.expansion.render_path(&m.spec, f.node).contains("-->")),
                 "{}: missing counterexample",
                 m.description
             );
@@ -74,7 +77,10 @@ fn every_split_protocol_mutant_terminates_in_both_engines() {
             );
             if v.verdict == Verdict::Erroneous {
                 assert!(
-                    !v.reports.is_empty() && v.reports[0].path.contains("-->"),
+                    v.expansion
+                        .errors
+                        .first()
+                        .is_some_and(|f| v.expansion.render_path(&m.spec, f.node).contains("-->")),
                     "{}: {} missing counterexample",
                     spec.name(),
                     m.description

@@ -8,7 +8,7 @@ fn every_correct_protocol_is_verified() {
     for spec in all_correct() {
         let v = verify(&spec);
         assert_eq!(v.verdict, Verdict::Verified, "{}", spec.name());
-        assert!(v.reports.is_empty(), "{}", spec.name());
+        assert!(v.expansion.errors.is_empty(), "{}", spec.name());
     }
 }
 
@@ -47,13 +47,13 @@ fn every_buggy_mutant_is_rejected_with_a_counterexample() {
     for (spec, why) in all_buggy() {
         let v = verify(&spec);
         assert_eq!(v.verdict, Verdict::Erroneous, "{} ({why})", spec.name());
-        let r = &v.reports[0];
-        assert!(!r.descriptions.is_empty());
+        let f = &v.expansion.errors[0];
+        assert!(!f.descriptions(&spec).is_empty());
+        let path = v.expansion.render_path(&spec, f.node);
         assert!(
-            r.path.starts_with("(Inv+)"),
-            "{}: counterexample must start at the initial state: {}",
-            spec.name(),
-            r.path
+            path.starts_with("(Inv+)"),
+            "{}: counterexample must start at the initial state: {path}",
+            spec.name()
         );
     }
 }
@@ -118,7 +118,8 @@ fn buggy_counterexamples_are_short() {
     // steps.
     for (spec, _) in all_buggy() {
         let v = verify(&spec);
-        let len = v.reports[0].path.matches("-->").count();
+        let path = v.expansion.render_path(&spec, v.expansion.errors[0].node);
+        let len = path.matches("-->").count();
         assert!(
             len <= 8,
             "{}: counterexample unexpectedly long ({len} steps)",
