@@ -499,13 +499,12 @@ fn metrics_out_writes_metrics_for_verify() {
 
 #[test]
 fn only_commands_that_draw_the_diagram_record_a_graph_phase() {
-    use ccv_core::api::{Action, ProtocolSource, Request, RunContext, SessionRunner};
+    use ccv_core::api::{ProtocolSource, Request, RunContext, SessionRunner};
     use ccv_observe::{CancelToken, EventSink, Metrics, Phase, SinkHandle};
     use std::sync::Arc;
 
     // The request runner returns the run, not its views: neither a
-    // verify nor a crosscheck builds the global diagram, and a
-    // crosscheck runs no verdict check either.
+    // verify nor a crosscheck builds the global diagram.
     let illinois = || ProtocolSource::Name("illinois".into());
     for req in [
         Request::verify(illinois()),
@@ -518,9 +517,6 @@ fn only_commands_that_draw_the_diagram_record_a_graph_phase() {
         let snap = metrics.snapshot();
         assert!(snap.phase_nanos(Phase::Expand) > 0, "{:?}", req.action);
         assert_eq!(snap.phase_nanos(Phase::Graph), 0, "{:?}", req.action);
-        if req.action == Action::Crosscheck {
-            assert_eq!(snap.phase_nanos(Phase::Check), 0);
-        }
     }
 
     // `ccv verify` draws the diagram, and its metrics keep the phase.

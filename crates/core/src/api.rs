@@ -499,9 +499,41 @@ impl Request {
     /// requests with equal fingerprints produce interchangeable
     /// responses — the identity the `ccv serve` verdict cache hashes.
     pub fn semantic_key(&self, spec: &ProtocolSpec) -> String {
+        let dsl = ccv_model::dsl::to_dsl(spec);
+        let mut key = String::with_capacity(KEY_HEAD_CAPACITY + dsl.len());
+        self.write_key_head(&mut key);
+        key.push_str(&dsl);
+        key
+    }
+
+    /// The request as submitted, before its protocol is resolved: the
+    /// action and options [`Request::semantic_key`] holds, then the
+    /// source verbatim (`name:<name>` or `dsl:<text>`). The semantic
+    /// expansion is deterministic, so equal source keys have equal
+    /// semantic keys within one build; `ccv serve` maps one to the
+    /// other to answer a repeat without resolving its protocol.
+    /// `None` for [`ProtocolSource::Spec`], which has no source text.
+    pub fn source_key(&self) -> Option<String> {
+        let (tag, text) = match &self.protocol {
+            ProtocolSource::Name(name) => ("name:", name),
+            ProtocolSource::Dsl(text) => ("dsl:", text),
+            ProtocolSource::Spec(_) => return None,
+        };
+        let mut key = String::with_capacity(KEY_HEAD_CAPACITY + tag.len() + text.len());
+        self.write_key_head(&mut key);
+        key.push_str(tag);
+        key.push_str(text);
+        Some(key)
+    }
+
+    /// Writes the line both keys start with: the action and the
+    /// semantically relevant options, ended by a newline.
+    fn write_key_head(&self, out: &mut String) {
+        use std::fmt::Write as _;
         let o = &self.options;
-        format!(
-            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|sd={:?}|st={:?}|fp={:?}\n{}",
+        let _ = writeln!(
+            out,
+            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|sd={:?}|st={:?}|fp={:?}",
             self.action.name(),
             o.pruning,
             o.record_trace,
@@ -516,10 +548,13 @@ impl Request {
             o.spill_dir,
             o.spill_threshold,
             o.fault_plan,
-            ccv_model::dsl::to_dsl(spec)
-        )
+        );
     }
 }
+
+/// Room reserved for [`Request::write_key_head`]'s line, so building a
+/// key allocates once for typical options.
+const KEY_HEAD_CAPACITY: usize = 192;
 
 /// Runtime companions to a [`Request`] that must not travel over a
 /// wire: the cancellation token the caller may trip and the
@@ -1465,6 +1500,43 @@ mod tests {
         assert_ne!(a.semantic_key(&spec), b.semantic_key(&spec));
         let c = Request::enumerate(ProtocolSource::Spec(spec.clone()), 4);
         assert_ne!(a.semantic_key(&spec), c.semantic_key(&spec));
+
+        // The source key splits on the same options, and on the
+        // source's kind and text, but a spec has none.
+        assert_eq!(a.source_key(), None);
+        let named = |name: &str| Request::verify(ProtocolSource::Name(name.into()));
+        let dsl = ccv_model::dsl::to_dsl(&spec);
+        let by_name = named("illinois");
+        let by_dsl = Request::verify(ProtocolSource::Dsl(dsl.clone()));
+        let mut budgeted = by_name.clone();
+        budgeted.options.budget = Some(10);
+        let keys = [
+            by_name.source_key().unwrap(),
+            by_dsl.source_key().unwrap(),
+            named("msi").source_key().unwrap(),
+            budgeted.source_key().unwrap(),
+            Request::enumerate(ProtocolSource::Name("illinois".into()), 4)
+                .source_key()
+                .unwrap(),
+            Request::verify(ProtocolSource::Dsl(format!("{dsl} ")))
+                .source_key()
+                .unwrap(),
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            for other in &keys[i + 1..] {
+                assert_ne!(k, other);
+            }
+        }
+        // One head for both keys: the keys of one request differ only
+        // after the options line.
+        let head = |k: &str| k.split_once('\n').unwrap().0.to_string();
+        assert_eq!(head(&keys[0]), head(&by_name.semantic_key(&spec)));
+        assert_eq!(head(&keys[3]), head(&budgeted.semantic_key(&spec)));
+        assert!(keys[0].ends_with("\nname:illinois"));
+        assert!(keys[1].ends_with(&format!("\ndsl:{dsl}")));
+        // A name cannot pose as DSL text that spells it.
+        let spelled = Request::verify(ProtocolSource::Dsl("illinois".into()));
+        assert_ne!(spelled.source_key(), by_name.source_key());
     }
 
     #[test]

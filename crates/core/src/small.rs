@@ -93,6 +93,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     ///
     /// # Panics
     /// Panics if `index > len()`.
+    #[inline]
     pub fn insert(&mut self, index: usize, value: T) {
         match &mut self.repr {
             Repr::Inline { buf, len } => {
@@ -118,6 +119,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     ///
     /// # Panics
     /// Panics if `index >= len()`.
+    #[inline]
     pub fn remove(&mut self, index: usize) -> T {
         match &mut self.repr {
             Repr::Inline { buf, len } => {

@@ -10,7 +10,6 @@
 use crate::composite::Composite;
 use crate::engine::{expand_with, EngineScratch, Expansion, Options};
 use ccv_model::ProtocolSpec;
-use ccv_observe::Phase;
 use core::fmt;
 use std::time::Duration;
 
@@ -179,11 +178,8 @@ pub fn verify_with_scratch(
     opts: &Options,
     scratch: &mut EngineScratch,
 ) -> VerificationReport {
-    let sink = &opts.common.sink;
     let expansion = expand_with(spec, Composite::initial(spec), opts, scratch);
-    sink.phase_enter(Phase::Check);
     let outcome = Outcome::of_expansion(&expansion);
-    sink.phase_exit(Phase::Check);
     VerificationReport {
         protocol: spec.name().to_string(),
         expansion,

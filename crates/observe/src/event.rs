@@ -14,8 +14,6 @@ pub enum Phase {
     Expand,
     /// Reachability-graph construction over essential states.
     Graph,
-    /// Coherence condition checking on the expansion result.
-    Check,
     /// Explicit-state enumeration (ccv-enum).
     Enumerate,
     /// Trace simulation against the memory oracle (ccv-sim).
@@ -26,10 +24,9 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::Expand,
         Phase::Graph,
-        Phase::Check,
         Phase::Enumerate,
         Phase::Simulate,
         Phase::Crosscheck,
@@ -40,7 +37,6 @@ impl Phase {
         match self {
             Phase::Expand => "expand",
             Phase::Graph => "graph",
-            Phase::Check => "check",
             Phase::Enumerate => "enumerate",
             Phase::Simulate => "simulate",
             Phase::Crosscheck => "crosscheck",

@@ -357,8 +357,8 @@ mod tests {
         let buf = SharedBuf::default();
         {
             let sink = TraceSink::new(buf.clone());
-            sink.phase_enter(Phase::Check);
-            sink.phase_exit(Phase::Check);
+            sink.phase_enter(Phase::Expand);
+            sink.phase_exit(Phase::Expand);
         }
         let doc = Json::parse(&trace_text(&buf)).unwrap();
         assert!(doc.get("traceEvents").unwrap().as_arr().is_some());

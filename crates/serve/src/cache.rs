@@ -1,5 +1,5 @@
 //! Sharded verdict cache: canonical request fingerprint → rendered
-//! response body.
+//! response body, with a source alias index in front of it.
 //!
 //! The key is the [`Request::semantic_key`] string — action, the
 //! semantically relevant options and the protocol's canonical DSL
@@ -8,10 +8,23 @@
 //! *resolved* spec, a protocol submitted by name and the same protocol
 //! submitted as DSL text hit the same entry.
 //!
+//! Building that key means resolving the protocol: looking up a name,
+//! or tokenizing, parsing and lowering a DSL text, then printing the
+//! spec back. The alias index spares a repeat that work. It maps a
+//! [`Request::source_key`] — the admitted request as submitted — to the
+//! semantic key its protocol resolved to, so [`VerdictCache::lookup_source`]
+//! finds a repeated request's body from its text alone. An alias holds
+//! a key, never a body: bodies stay owned by the entries, an alias
+//! whose entry was evicted is a miss that falls through to resolving,
+//! and the index is FIFO-bounded at the entries' capacity. Aliases are
+//! memory-only: a library name may mean another protocol in another
+//! build, so they are never persisted or reloaded.
+//!
 //! Entries store the compact-rendered response body verbatim, so a
 //! cache hit replays byte-identical output. Each shard evicts FIFO at
 //! capacity; hit/miss/insertion/eviction counters feed the server's
-//! `/v1/metrics` endpoint.
+//! `/v1/metrics` endpoint. Both levels compare full keys, so a 64-bit
+//! hash collision is a miss, never a wrong body.
 //!
 //! With [`VerdictCache::attach_dir`] the cache also persists: every
 //! insertion writes one `ccv-cache-entry-v1` file (`<hash>.ccvc`,
@@ -21,13 +34,14 @@
 //! therefore replays warm verdicts byte-identically.
 //!
 //! [`Request::semantic_key`]: ccv_core::api::Request::semantic_key
+//! [`Request::source_key`]: ccv_core::api::Request::source_key
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ccv_enum::{FxHashMap, FxHasher};
 use ccv_observe::{persist, FaultHandle, Json};
@@ -103,13 +117,26 @@ fn take_str(doc: &mut Json, name: &str) -> Option<String> {
     }
 }
 
+/// A recorded source: its full source key, and the hash and full
+/// semantic key of the entry it resolved to.
+struct Alias {
+    source: String,
+    hash: u64,
+    key: Arc<str>,
+}
+
 #[derive(Default)]
 struct Shard {
     /// hash → (full key, stored body). The full key is kept so a
     /// 64-bit collision degrades to a miss, never to a wrong body.
-    entries: FxHashMap<u64, (String, Arc<String>)>,
+    entries: FxHashMap<u64, (Arc<str>, Arc<String>)>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u64>,
+    /// source-key hash → the semantic key it resolved to, sharing the
+    /// entry's key string.
+    aliases: FxHashMap<u64, Alias>,
+    /// Alias insertion order for FIFO eviction.
+    alias_order: VecDeque<u64>,
 }
 
 /// What reloading a persisted cache directory found.
@@ -203,23 +230,73 @@ impl VerdictCache {
             .map(|d| d.join(format!("{hash:016x}.{CACHE_ENTRY_EXT}")))
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash as usize) % self.shards.len()]
+    /// Locks the shard that holds `hash`.
+    fn lock(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        let shard = &self.shards[(hash as usize) % self.shards.len()];
+        shard.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The body stored under the full key `seed` and its `hash`.
+    fn body(&self, hash: u64, seed: &str) -> Option<Arc<String>> {
+        match self.lock(hash).entries.get(&hash) {
+            Some((key, body)) if **key == *seed => Some(Arc::clone(body)),
+            _ => None,
+        }
     }
 
     /// Returns the stored body for `seed` (a shared reference, not a
     /// copy), counting a hit or a miss.
     pub fn lookup(&self, seed: &str) -> Option<Arc<String>> {
-        let hash = key_hash(seed);
-        let shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
-        match shard.entries.get(&hash) {
-            Some((key, body)) if key == seed => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(body))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        let found = self.body(key_hash(seed), seed);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Returns the body of the entry `source` was last recorded to
+    /// resolve to (see [`VerdictCache::alias`]), counting a hit when
+    /// there is one. No alias, or an alias whose entry is gone, counts
+    /// nothing: the caller resolves the protocol and counts the
+    /// request through [`VerdictCache::lookup`].
+    pub fn lookup_source(&self, source: &str) -> Option<Arc<String>> {
+        let hash = key_hash(source);
+        let (seed_hash, seed) = match self.lock(hash).aliases.get(&hash) {
+            Some(a) if a.source == source => (a.hash, Arc::clone(&a.key)),
+            _ => return None,
+        };
+        let found = self.body(seed_hash, &seed)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(found)
+    }
+
+    /// Records that the request with source key `source` resolved to
+    /// the semantic key `seed`, so the next [`VerdictCache::lookup_source`]
+    /// of it finds `seed`'s entry without resolving. Records nothing
+    /// when `seed` holds no entry. The shard forgets its oldest alias
+    /// past capacity; aliases are never persisted.
+    pub fn alias(&self, source: String, seed: &str) {
+        let seed_hash = key_hash(seed);
+        let key = match self.lock(seed_hash).entries.get(&seed_hash) {
+            Some((key, _)) if **key == *seed => Arc::clone(key),
+            _ => return,
+        };
+        let hash = key_hash(&source);
+        let alias = Alias {
+            source,
+            hash: seed_hash,
+            key,
+        };
+        let mut shard = self.lock(hash);
+        if shard.aliases.insert(hash, alias).is_none() {
+            shard.alias_order.push_back(hash);
+            if shard.alias_order.len() > self.per_shard {
+                if let Some(oldest) = shard.alias_order.pop_front() {
+                    shard.aliases.remove(&oldest);
+                }
             }
         }
     }
@@ -248,10 +325,10 @@ impl VerdictCache {
     fn store(&self, seed: &str, body: Arc<String>) -> (u64, Option<u64>) {
         let hash = key_hash(seed);
         let mut evicted = None;
-        let mut shard = self.shard(hash).lock().unwrap_or_else(|p| p.into_inner());
+        let mut shard = self.lock(hash);
         if shard
             .entries
-            .insert(hash, (seed.to_string(), body))
+            .insert(hash, (Arc::from(seed), body))
             .is_none()
         {
             shard.order.push_back(hash);
@@ -429,6 +506,44 @@ mod tests {
             .count();
         assert_eq!(count, 2, "evicted entry file must be removed");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_alias_finds_its_entry_and_counts_one_hit() {
+        let cache = VerdictCache::new(2, 4);
+        // Nothing to alias yet: no entry, no alias, no count.
+        cache.alias("name:a".into(), "k");
+        assert_eq!(cache.lookup_source("name:a"), None);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        cache.insert("k", body("1"));
+        cache.alias("name:a".into(), "k");
+        assert_eq!(
+            cache.lookup_source("name:a").as_deref().map(|b| b.as_str()),
+            Some("1")
+        );
+        assert_eq!(cache.lookup_source("name:b"), None);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+    }
+
+    #[test]
+    fn aliases_are_bounded_and_dangle_to_a_miss() {
+        // One shard, capacity 1: a second entry evicts the first, and
+        // a second alias forgets the first.
+        let cache = VerdictCache::new(1, 1);
+        cache.insert("k1", body("1"));
+        cache.alias("s1".into(), "k1");
+        cache.insert("k2", body("2"));
+        assert_eq!(cache.lookup_source("s1"), None, "its entry was evicted");
+        cache.alias("s2".into(), "k2");
+        assert_eq!(stored(&cache, "k2").as_deref(), Some("2"));
+        assert_eq!(
+            cache.lookup_source("s2").as_deref().map(|b| b.as_str()),
+            Some("2")
+        );
+        // Re-inserting k1 does not revive s1: its alias was dropped.
+        cache.insert("k1", body("1"));
+        assert_eq!(cache.lookup_source("s1"), None);
+        assert_eq!(cache.lookup_source("s2"), None);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! * conclusive responses are cached in a sharded verdict cache
 //!   ([`cache::VerdictCache`]) keyed by the canonical request
 //!   fingerprint, so repeated submissions of the same protocol replay
-//!   byte-identical bodies without re-running the engine;
+//!   byte-identical bodies without re-running the engine, and a repeat
+//!   of the same request text without even resolving its protocol;
 //! * malformed requests — up to and including fuzzed garbage — always
 //!   produce a well-formed error body, never a panic (the engines'
 //!   panic paths are themselves governed).
@@ -340,7 +341,8 @@ impl Service {
     }
 
     /// Handles one parsed request end to end: cap validation, cache
-    /// lookup, admission, engine run, cache fill.
+    /// lookup (by source key, then by the resolved protocol's semantic
+    /// key), admission, engine run, cache fill.
     pub fn process(&self, req: &Request, ctx: &RunContext) -> Outcome {
         self.process_with(req, ctx, || {})
     }
@@ -363,25 +365,27 @@ impl Service {
             Ok(r) => r,
             Err(e) => return self.rejection(action, e),
         };
+        // Fault-injection runs are for testing the failure paths;
+        // replaying them from cache would defeat the point.
+        let cacheable =
+            effective.options.fault_plan.is_none() && !effective.options.touches_files();
+        // A repeat of an answered request finds its verdict by the
+        // source key alone, without resolving the protocol.
+        let source = cacheable.then(|| effective.source_key()).flatten();
+        if let Some(body) = source.as_deref().and_then(|s| self.cache.lookup_source(s)) {
+            return self.hit(body);
+        }
         let spec = match effective.protocol.resolve() {
             Ok(spec) => spec,
             Err(e) => return self.rejection(action, e),
         };
         let seed = effective.semantic_key(&spec);
-        // Fault-injection runs are for testing the failure paths;
-        // replaying them from cache would defeat the point.
-        let cacheable =
-            effective.options.fault_plan.is_none() && !effective.options.touches_files();
         if cacheable {
             if let Some(body) = self.cache.lookup(&seed) {
-                self.ok.fetch_add(1, Ordering::Relaxed);
-                return Outcome {
-                    body,
-                    cached: true,
-                    code: None,
-                    disconnected: false,
-                    retry_after_ms: None,
-                };
+                if let Some(source) = source {
+                    self.cache.alias(source, &seed);
+                }
+                return self.hit(body);
             }
         }
         on_miss();
@@ -427,12 +431,27 @@ impl Service {
         drop(resp);
         if cacheable && !disconnected && conclusive {
             self.cache.insert(&seed, Arc::clone(&body));
+            if let Some(source) = source {
+                self.cache.alias(source, &seed);
+            }
         }
         Outcome {
             body,
             cached: false,
             code,
             disconnected,
+            retry_after_ms: None,
+        }
+    }
+
+    /// The outcome of a request answered from the verdict cache.
+    fn hit(&self, body: Arc<String>) -> Outcome {
+        self.ok.fetch_add(1, Ordering::Relaxed);
+        Outcome {
+            body,
+            cached: true,
+            code: None,
+            disconnected: false,
             retry_after_ms: None,
         }
     }
@@ -767,6 +786,163 @@ mod tests {
         );
         assert!(by_dsl.cached);
         assert_eq!(by_dsl.body, first.body);
+    }
+
+    /// Illinois three ways: by name, as the checked-in file, and as
+    /// that file with a comment and extra whitespace.
+    fn illinois_sources() -> [ProtocolSource; 3] {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../protocols/illinois.ccv");
+        let file = std::fs::read_to_string(path).expect("corpus file");
+        let padded = format!(
+            "# the same protocol, padded\n\n{}\n\n",
+            file.replace(';', " ;")
+        );
+        [
+            ProtocolSource::Name("illinois".into()),
+            ProtocolSource::Dsl(file),
+            ProtocolSource::Dsl(padded),
+        ]
+    }
+
+    #[test]
+    fn every_spelling_of_a_protocol_is_one_engine_run_then_hits() {
+        let s = service();
+        let ctx = RunContext::default();
+        let reqs = illinois_sources().map(Request::verify);
+        let first = s.process(&reqs[0], &ctx);
+        assert!(!first.cached);
+        // The first request of each other spelling resolves to the
+        // same semantic key and hits; every later one hits by source.
+        for round in 0..3 {
+            for req in &reqs {
+                let out = s.process(req, &ctx);
+                assert!(out.cached, "round {round}: {:?}", req.protocol);
+                assert_eq!(out.body, first.body);
+            }
+        }
+        assert_eq!(s.admission().admitted(), 1, "one engine run");
+        assert_eq!((s.cache().hits(), s.cache().misses()), (9, 1));
+        assert_eq!(s.cache().insertions(), 1);
+    }
+
+    #[test]
+    fn trace_and_threads_reuse_the_plain_request_alias() {
+        let s = service();
+        let ctx = RunContext::default();
+        let [_, file, _] = illinois_sources();
+        let plain = Request::verify(file);
+        let mut traced = plain.clone();
+        traced.options.record_trace = true;
+        traced.options.threads = 1;
+        let wire = traced.to_json().render_compact();
+        assert!(wire.contains("\"trace\":true") && wire.contains("\"threads\":1"));
+        let first = s.process(&plain, &ctx);
+        assert!(!first.cached);
+        // Aliases are built from admitted options, which clear both:
+        // the traced request's source key is the plain one's.
+        let source = |r: &Request| s.config().admit(r).unwrap().source_key().unwrap();
+        assert_eq!(source(&traced), source(&plain));
+        assert!(s.cache().lookup_source(&source(&traced)).is_some());
+        let again = s.process_text(&wire, &ctx);
+        assert!(again.cached);
+        assert_eq!(again.body, first.body);
+        assert_eq!(s.admission().admitted(), 1);
+    }
+
+    #[test]
+    fn a_dangling_alias_falls_through_and_never_serves_another_body() {
+        let s = Service::new(ServerConfig {
+            cache_capacity: 1,
+            ..ServerConfig::loopback()
+        });
+        let ctx = RunContext::default();
+        let a = Request::verify(ProtocolSource::Name("illinois".into()));
+        // Capacity 1 is one entry per shard: B is the first library
+        // protocol whose verdict lands in A's shard.
+        let shard = |req: &Request, spec: &ccv_model::ProtocolSpec| {
+            let seed = s.config().admit(req).unwrap().semantic_key(spec);
+            cache::key_hash(&seed) as usize % CACHE_SHARDS
+        };
+        let a_shard = shard(&a, &ccv_model::protocols::illinois());
+        let library = ccv_model::protocols::all_correct().into_iter();
+        let b = library
+            .chain(
+                ccv_model::protocols::all_buggy()
+                    .into_iter()
+                    .map(|(p, _)| p),
+            )
+            .filter(|spec| spec.name() != "Illinois")
+            .find_map(|spec| {
+                let b = Request::verify(ProtocolSource::Dsl(ccv_model::dsl::to_dsl(&spec)));
+                (shard(&b, &spec) == a_shard).then_some(b)
+            })
+            .expect("some library protocol shares A's shard");
+        let first_a = s.process(&a, &ctx);
+        let first_b = s.process(&b, &ctx);
+        assert!(!first_a.cached && !first_b.cached);
+        assert_eq!(s.cache().evictions(), 1);
+        assert_ne!(first_a.body, first_b.body);
+        // A's alias names an evicted entry: A is recomputed, correctly.
+        let runs = s.admission().admitted();
+        let again = s.process(&a, &ctx);
+        assert!(!again.cached, "an evicted verdict is recomputed");
+        assert_eq!(again.body, first_a.body);
+        assert_eq!(s.admission().admitted(), runs + 1);
+        // ...and A is an alias again: its repeat hits, while B's
+        // alias now dangles in turn.
+        let repeat = s.process(&a, &ctx);
+        assert!(repeat.cached);
+        assert_eq!(repeat.body, first_a.body);
+        let b_again = s.process(&b, &ctx);
+        assert!(!b_again.cached);
+        assert_eq!(b_again.body, first_b.body);
+        let requests = s.requests.load(Ordering::Relaxed);
+        assert_eq!(s.cache().hits() + s.cache().misses(), requests);
+    }
+
+    #[test]
+    fn persisted_entries_are_semantic_and_a_restart_answers_dsl() {
+        let dir = std::env::temp_dir().join(format!("ccv-serve-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::loopback()
+        };
+        let reqs = illinois_sources().map(Request::verify);
+        let ctx = RunContext::default();
+        let first = {
+            let s = Service::new(cfg.clone());
+            let first = s.process(&reqs[0], &ctx);
+            for req in reqs.iter().chain(&reqs) {
+                assert!(s.process(req, &ctx).cached);
+            }
+            assert_eq!(s.cache().insertions(), 1);
+            first
+        };
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "one file per semantic entry: {files:?}");
+        let text = std::fs::read_to_string(&files[0]).unwrap();
+        assert!(text.contains(cache::CACHE_ENTRY_SCHEMA));
+        assert!(!text.contains("name:illinois"), "no alias is persisted");
+
+        // A restarted service has no aliases; its first DSL request
+        // resolves, hits the reloaded entry and records one.
+        let s = Service::new(cfg);
+        assert_eq!(s.cache_recovery().map(|r| r.loaded), Some(1));
+        let [_, file, _] = illinois_sources();
+        let admitted = s.config().admit(&Request::verify(file.clone())).unwrap();
+        let source = admitted.source_key().unwrap();
+        assert_eq!(s.cache().lookup_source(&source), None);
+        for _ in 0..2 {
+            let out = s.process(&Request::verify(file.clone()), &ctx);
+            assert!(out.cached);
+            assert_eq!(out.body, first.body);
+        }
+        assert_eq!(s.admission().admitted(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Pins the heap allocations of a verdict-cache hit.
 //!
-//! A `ccv serve` hit parses the request, resolves the protocol, builds
-//! its fingerprint and hands back the stored body; no engine runs. The
-//! allocation count of that path is deterministic where its wall time
-//! on a shared host is not, so this test installs a counting
-//! `GlobalAlloc` and bounds the allocations per hit of
-//! [`Service::process_text`] for name and DSL requests of Illinois and
-//! split-MESI. Only the allocations of the thread running the hits are
-//! counted.
+//! A repeated `ccv serve` request is parsed and admitted, then found by
+//! its source key (the admitted request as submitted) in the verdict
+//! cache's alias index, which hands back the stored body; the protocol
+//! is not resolved, fingerprinted or run. The allocation count of that
+//! path is deterministic where its wall time on a shared host is not,
+//! so this test installs a counting `GlobalAlloc` and bounds the
+//! allocations per hit of [`Service::process_text`] for name and DSL
+//! requests of Illinois and split-MESI. Only the allocations of the
+//! thread running the hits are counted.
 //!
 //! (This lives in its own test binary because a `#[global_allocator]`
 //! applies to everything linked into it.)
@@ -86,10 +87,10 @@ fn a_cache_hit_allocates_at_most_its_pinned_count() {
     // its bound with it.
     let name = |name: &str| ProtocolSource::Name(name.into());
     let cases = [
-        ("name illinois", name("illinois"), 115),
-        ("name split-mesi", name("split-mesi"), 149),
-        ("DSL illinois.ccv", dsl("illinois.ccv"), 394),
-        ("DSL split-mesi.ccv", dsl("split-mesi.ccv"), 558),
+        ("name illinois", name("illinois"), 13),
+        ("name split-mesi", name("split-mesi"), 13),
+        ("DSL illinois.ccv", dsl("illinois.ccv"), 18),
+        ("DSL split-mesi.ccv", dsl("split-mesi.ccv"), 18),
     ];
     let mut over = Vec::new();
     for (what, source, bound) in cases {

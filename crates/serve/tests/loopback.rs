@@ -579,6 +579,63 @@ fn http_body(response: &str) -> &str {
 }
 
 #[test]
+fn metrics_count_one_hit_or_miss_per_cacheable_request() {
+    // Illinois by name, as its file and as the file re-spaced with a
+    // comment, then MSI as DSL: each asked three times over HTTP. The
+    // first spelling of Illinois runs the engine and the other two
+    // resolve to its entry; after that every repeat is a hit by
+    // source. A fault-plan request is not cacheable and counts neither.
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let files = corpus();
+    let file = |name: &str| files.iter().find(|(n, _)| n == name).unwrap().1.clone();
+    let illinois = file("illinois.ccv");
+    let padded = format!("# re-spaced\n{}", illinois.replace('\n', "\n\n"));
+    let sources = [
+        ProtocolSource::Name("illinois".into()),
+        ProtocolSource::Dsl(illinois),
+        ProtocolSource::Dsl(padded),
+        ProtocolSource::Dsl(file("msi.ccv")),
+    ];
+    let mut bodies: Vec<Option<String>> = vec![None; sources.len()];
+    for round in 0..3 {
+        for (i, source) in sources.iter().enumerate() {
+            let wire = Request::verify(source.clone()).to_json().render_compact();
+            let resp = http_exchange(addr, "POST", "/v1/requests", Some(&wire));
+            assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
+            let cached = resp.contains("x-ccv-cache: hit");
+            assert_eq!(
+                cached,
+                round > 0 || i == 1 || i == 2,
+                "round {round}, source {i}"
+            );
+            let body = http_body(&resp).to_string();
+            match &bodies[i] {
+                None => bodies[i] = Some(body),
+                Some(first) => assert_eq!(*first, body, "byte-identical replay"),
+            }
+        }
+    }
+    assert_eq!(bodies[0], bodies[1]);
+    assert_eq!(bodies[0], bodies[2]);
+    let mut faulty = Request::verify(ProtocolSource::Name("msi".into()));
+    faulty.options.fault_plan = Some("enum.worker:slow@1".into());
+    let wire = faulty.to_json().render_compact();
+    http_exchange(addr, "POST", "/v1/requests", Some(&wire));
+
+    let metrics = http_exchange(addr, "GET", "/v1/metrics", None);
+    let doc = Json::parse(http_body(&metrics)).expect("metrics JSON");
+    let cache = doc.get("cache").expect("cache group");
+    let count = |name: &str| cache.get(name).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("hits") + count("misses"), 12, "{metrics}");
+    assert_eq!((count("hits"), count("misses")), (10, 2));
+    assert_eq!(count("insertions"), 2);
+    let admitted = doc.get("admission").and_then(|a| a.get("admitted"));
+    assert_eq!(admitted.and_then(Json::as_u64), Some(3), "{metrics}");
+    assert_eq!(doc.get("requests").and_then(Json::as_u64), Some(13));
+}
+
+#[test]
 fn shutdown_is_prompt_when_idle_and_after_cache_hits() {
     // The accept loop blocks in `accept`; shutdown must wake it rather
     // than wait for a connection that never comes.
