@@ -42,7 +42,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::composite::Composite;
-use crate::crosscheck::crosscheck_with;
+use crate::crosscheck::{crosscheck_enumerated, CrossCheck};
 use crate::engine::{expand_with, EngineScratch, Options, PathWriter, Pruning};
 use crate::verify::{verify_with_scratch, Outcome, Verdict, VerificationReport};
 use ccv_enum::{
@@ -50,7 +50,7 @@ use ccv_enum::{
 };
 use ccv_model::ProtocolSpec;
 use ccv_observe::json::escape_into;
-use ccv_observe::{CancelToken, Json, SinkHandle, StopInfo};
+use ccv_observe::{CancelToken, CommonOptions, Json, SinkHandle, StopInfo};
 
 /// Schema identifier stamped on every serialized request.
 pub const REQUEST_SCHEMA: &str = "ccv-request-v1";
@@ -178,10 +178,13 @@ pub struct RequestOptions {
     pub exact: bool,
     /// Worker threads for enumerate; 0 = one per available core.
     /// Verify and crosscheck accept the field but ignore it: the
-    /// symbolic engine is sequential.
+    /// symbolic engine and the crosscheck's enumeration leg are
+    /// sequential.
     pub threads: usize,
-    /// Distinct-state cap for enumerate (also the concrete-state
-    /// budget of the crosscheck's enumeration leg).
+    /// Distinct-state cap for enumerate and for the crosscheck's
+    /// enumeration leg. It counts what the enumerator claims:
+    /// representatives of permutation orbits, or concrete tuples
+    /// when `exact` is set.
     pub max_states: Option<usize>,
     /// Write a resumable checkpoint here if the run stops early
     /// (server deployments may refuse file-touching options).
@@ -1138,14 +1141,27 @@ fn check_limits(spec: &ProtocolSpec, n: usize) -> Result<(), ApiError> {
     Ok(())
 }
 
+/// Sets the governor every engine run of every action stops by:
+/// `budget` when the request states one (verify's visits, the
+/// enumerator's states), its deadline and memory cap, and the caller's
+/// cancel token.
+fn govern(common: &mut CommonOptions, budget: Option<usize>, o: &RequestOptions, ctx: &RunContext) {
+    if let Some(budget) = budget {
+        common.budget = budget;
+    }
+    common.deadline = o.deadline;
+    common.max_bytes = o.max_bytes;
+    common.cancel = ctx.cancel.clone();
+}
+
 /// Builds the enumerator options a request asks for.
 fn enum_options(req: &Request, ctx: &RunContext) -> Result<EnumOptions, ApiError> {
     let o = &req.options;
     let mut opts = EnumOptions::new(o.n)
         .sink(ctx.sink.clone())
         .rule_stats(o.rule_stats)
-        .stop_at_first_error(o.stop_at_first_error)
-        .cancel(ctx.cancel.clone());
+        .stop_at_first_error(o.stop_at_first_error);
+    govern(&mut opts.common, o.max_states, o, ctx);
     if let Some(plan) = &o.fault_plan {
         let fault = ccv_observe::FaultHandle::from_spec(plan)
             .map_err(|e| ApiError::bad_request(format!("invalid fault_plan: {e}")))?;
@@ -1153,15 +1169,6 @@ fn enum_options(req: &Request, ctx: &RunContext) -> Result<EnumOptions, ApiError
     }
     if o.exact {
         opts = opts.exact();
-    }
-    if let Some(max) = o.max_states {
-        opts = opts.max_states(max);
-    }
-    if let Some(deadline) = o.deadline {
-        opts = opts.deadline(deadline);
-    }
-    if let Some(max_bytes) = o.max_bytes {
-        opts = opts.max_bytes(max_bytes);
     }
     if o.checkpoint_out.is_some() {
         opts = opts.capture_snapshot(true);
@@ -1217,17 +1224,8 @@ impl SessionRunner {
             .pruning(o.pruning)
             .record_trace(o.record_trace)
             .rule_stats(o.rule_stats)
-            .stop_at_first_error(o.stop_at_first_error)
-            .cancel(ctx.cancel.clone());
-        if let Some(budget) = o.budget {
-            opts = opts.max_visits(budget);
-        }
-        if let Some(deadline) = o.deadline {
-            opts = opts.deadline(deadline);
-        }
-        if let Some(max_bytes) = o.max_bytes {
-            opts = opts.max_bytes(max_bytes);
-        }
+            .stop_at_first_error(o.stop_at_first_error);
+        govern(&mut opts.common, o.budget, o, ctx);
         if ctx.sink.is_enabled() {
             opts = opts.sink(ctx.sink.clone());
         }
@@ -1350,21 +1348,26 @@ impl SessionRunner {
     ) -> Result<CrosscheckResponse, ApiError> {
         let o = &req.options;
         check_limits(spec, o.n)?;
-        let opts = Options::default()
-            .sink(ctx.sink.clone())
-            .cancel(ctx.cancel.clone());
+        let started = std::time::Instant::now();
+        let mut enum_opts = enum_options(req, ctx)?;
+        let mut opts = Options::default().sink(ctx.sink.clone());
+        govern(&mut opts.common, o.budget, o, ctx);
         // Only the essential states are read, so the symbolic leg is a
         // bare expansion whose arena goes back to the scratch pool.
         let expansion = expand_with(spec, Composite::initial(spec), &opts, &mut self.scratch);
-        let budget = o.max_states.unwrap_or(1 << 24);
-        let cc = crosscheck_with(
-            spec,
-            o.n,
-            &expansion.essential_states(),
-            budget,
-            o.stop_at_first_error,
-            &ctx.sink,
-        );
+        let cc = if expansion.truncated {
+            // A partial essential set covers nothing reliably: the
+            // crosscheck stops with its symbolic leg.
+            CrossCheck {
+                n: o.n,
+                stopped: expansion.stopped.clone(),
+                ..CrossCheck::default()
+            }
+        } else {
+            // One deadline covers both legs.
+            enum_opts.common.deadline = o.deadline.map(|d| d.saturating_sub(started.elapsed()));
+            crosscheck_enumerated(spec, &expansion.essential_states(), enum_opts, &ctx.sink)
+        };
         let essential = expansion.essential.len();
         self.scratch.recycle(expansion);
         Ok(CrosscheckResponse {
@@ -1779,6 +1782,57 @@ mod tests {
                 assert!(c.aborted.is_none());
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cancelled_crosscheck_is_inconclusive_not_a_theorem_1_failure() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let req = Request::crosscheck(ProtocolSource::Spec(illinois()), 4);
+        let resp = SessionRunner::new().run(&req, &RunContext::new(cancel, SinkHandle::disabled()));
+        assert!(!resp.is_conclusive());
+        match resp.result {
+            Ok(Payload::Crosscheck(c)) => {
+                assert!(!c.complete);
+                assert!(
+                    c.uncovered_examples.is_empty(),
+                    "{:?}",
+                    c.uncovered_examples
+                );
+                let cause = c.stopped.map(|info| info.cause);
+                assert_eq!(cause, Some(ccv_observe::StopCause::Cancelled));
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crosscheck_dedup_follows_exact_and_keeps_the_totals() {
+        for exact in [false, true] {
+            let req =
+                Request::crosscheck(ProtocolSource::Spec(split_msi()), 4).options(RequestOptions {
+                    n: 4,
+                    exact,
+                    max_states: Some(200),
+                    ..RequestOptions::default()
+                });
+            match run(&req).result {
+                // Counting claims a few dozen representatives; exact
+                // outgrows the same state budget.
+                Ok(Payload::Crosscheck(c)) if !exact => {
+                    assert!(c.complete, "{c:?}");
+                    assert!(c.total_concrete > 200, "{c:?}");
+                }
+                Ok(Payload::Crosscheck(c)) => {
+                    let info = c.stopped.expect("exact tuples exceed the budget");
+                    assert_eq!(
+                        info.detail.as_deref(),
+                        Some("reachable set exceeded 200 states")
+                    );
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
         }
     }
 

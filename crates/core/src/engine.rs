@@ -136,25 +136,6 @@ impl Options {
         self
     }
 
-    /// Stops the run once this much wall-clock time has elapsed.
-    pub fn deadline(mut self, deadline: std::time::Duration) -> Options {
-        self.common.deadline = Some(deadline);
-        self
-    }
-
-    /// Stops the run once the arena plus visited index exceed roughly
-    /// this many bytes.
-    pub fn max_bytes(mut self, max_bytes: u64) -> Options {
-        self.common.max_bytes = Some(max_bytes);
-        self
-    }
-
-    /// Uses `cancel` as the run's cooperative cancellation token.
-    pub fn cancel(mut self, cancel: ccv_observe::CancelToken) -> Options {
-        self.common.cancel = cancel;
-        self
-    }
-
     /// Replaces the embedded common settings wholesale.
     pub fn common(mut self, common: CommonOptions) -> Options {
         self.common = common;

@@ -101,7 +101,7 @@ impl Checkpoint {
         opts: &EnumOptions,
         r: &EnumResult,
     ) -> Option<Checkpoint> {
-        let snapshot = r.snapshot.as_ref()?;
+        let snapshot = r.snapshot.as_ref().filter(|_| r.truncated)?;
         Some(Checkpoint {
             protocol: spec.name().to_string(),
             protocol_hash: protocol_hash(spec),

@@ -75,8 +75,10 @@ pub struct EnumOptions {
     /// Settings shared by every engine (budget = max distinct states).
     pub common: CommonOptions,
     /// Capture the visited set and frontier into
-    /// [`EnumResult::snapshot`] when the run stops early, so it can be
-    /// checkpointed and resumed.
+    /// [`EnumResult::snapshot`] at the end of the run: a stopped run's
+    /// snapshot can be checkpointed and resumed, a complete run's is
+    /// its whole reachable set (one representative per orbit under
+    /// [`Dedup::Counting`]) with an empty frontier.
     pub capture_snapshot: bool,
     /// Spill the visited table to disk segments past a resident-byte
     /// budget (out-of-core enumeration). Sequential engine only; the
@@ -152,7 +154,7 @@ impl EnumOptions {
         self
     }
 
-    /// Captures the visited set + frontier on an early stop (see
+    /// Captures the visited set + frontier at the end of the run (see
     /// [`EnumResult::snapshot`]).
     pub fn capture_snapshot(mut self, on: bool) -> EnumOptions {
         self.capture_snapshot = on;
@@ -188,8 +190,9 @@ pub struct ResumeSeed {
     pub errors: Vec<EnumError>,
 }
 
-/// The visited set and frontier of an early-stopped run, captured when
-/// [`EnumOptions::capture_snapshot`] is set.
+/// The visited set and frontier of a run, captured when
+/// [`EnumOptions::capture_snapshot`] is set. The frontier is empty
+/// unless the run stopped early.
 #[derive(Clone, Debug)]
 pub struct EnumSnapshot {
     /// Every claimed state.
@@ -224,8 +227,8 @@ pub struct EnumResult {
     /// Why and in what state the run stopped early; always `Some`
     /// when `truncated` is true.
     pub stopped: Option<StopInfo>,
-    /// Visited set + frontier for checkpointing, when the run stopped
-    /// early and [`EnumOptions::capture_snapshot`] was set.
+    /// Visited set + frontier, when [`EnumOptions::capture_snapshot`]
+    /// was set (and, for a spilling run, its segments read back).
     pub snapshot: Option<EnumSnapshot>,
     /// The spill table's first I/O error, when a spilling run
     /// degraded to in-RAM operation. The run stays exact — no
@@ -769,7 +772,8 @@ pub fn enumerate_resumed(
     }
     sink.phase_exit(Phase::Enumerate);
 
-    let snapshot = (opts.capture_snapshot && truncated)
+    let snapshot = opts
+        .capture_snapshot
         .then(|| visited.states())
         .flatten()
         .map(|all| EnumSnapshot {
@@ -788,16 +792,14 @@ pub fn enumerate_resumed(
     }
 }
 
-/// Collects the full reachable set (used by the Theorem 1 cross-check).
-/// Always uses exact dedup so that every concrete state is present.
+/// Collects the full reachable set under exact dedup: a plain
+/// breadth-first search with none of the enumerator's machinery, kept
+/// as the independent oracle the enumerators are tested against.
 ///
-/// Stops once the set outgrows `max_states`, returning `Err` with the
-/// number of states still queued.
-pub fn reachable_states_within(
-    spec: &ProtocolSpec,
-    n: usize,
-    max_states: usize,
-) -> Result<Vec<PackedState>, usize> {
+/// # Panics
+///
+/// If the reachable set outgrows `max_states`.
+pub fn reachable_states(spec: &ProtocolSpec, n: usize, max_states: usize) -> Vec<PackedState> {
     assert!((1..=MAX_CACHES).contains(&n));
     let mut visited: FxHashSet<PackedState> = FxHashSet::default();
     let mut work: VecDeque<PackedState> = VecDeque::new();
@@ -809,25 +811,15 @@ pub fn reachable_states_within(
         successors_into(spec, current, n, &mut succ_buf);
         for s in &succ_buf {
             if visited.insert(s.to) {
-                if visited.len() > max_states {
-                    return Err(work.len());
-                }
+                assert!(
+                    visited.len() <= max_states,
+                    "reachable set exceeded {max_states} states"
+                );
                 work.push_back(s.to);
             }
         }
     }
-    Ok(visited.into_iter().collect())
-}
-
-/// [`reachable_states_within`] for callers whose bound is a safety
-/// net rather than a budget.
-///
-/// # Panics
-///
-/// If the reachable set outgrows `max_states`.
-pub fn reachable_states(spec: &ProtocolSpec, n: usize, max_states: usize) -> Vec<PackedState> {
-    reachable_states_within(spec, n, max_states)
-        .unwrap_or_else(|_| panic!("reachable set exceeded {max_states} states"))
+    visited.into_iter().collect()
 }
 
 /// Upper bound `mⁿ` on the raw state space of §3.1 (protocol states
@@ -975,12 +967,16 @@ mod tests {
     }
 
     #[test]
-    fn untruncated_runs_capture_no_snapshot() {
+    fn untruncated_runs_capture_every_state_and_no_frontier() {
         let spec = illinois();
         let r = enumerate(&spec, &EnumOptions::new(2).capture_snapshot(true));
         assert!(!r.truncated);
         assert!(r.stopped.is_none());
-        assert!(r.snapshot.is_none());
+        let snap = r.snapshot.expect("snapshot captured");
+        assert_eq!(snap.visited.len(), r.distinct);
+        assert!(snap.frontier.is_empty());
+        // Without the option nothing is captured.
+        assert!(enumerate(&spec, &EnumOptions::new(2)).snapshot.is_none());
     }
 
     #[test]

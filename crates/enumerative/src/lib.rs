@@ -55,8 +55,8 @@ pub mod witness;
 
 pub use checkpoint::{protocol_hash, Checkpoint, CHECKPOINT_SCHEMA};
 pub use explicit::{
-    enumerate, enumerate_resumed, naive_visit_estimate, raw_state_space, reachable_states,
-    reachable_states_within, Dedup, EnumError, EnumOptions, EnumResult, EnumSnapshot, ResumeSeed,
+    enumerate, enumerate_resumed, naive_visit_estimate, raw_state_space, reachable_states, Dedup,
+    EnumError, EnumOptions, EnumResult, EnumSnapshot, ResumeSeed,
 };
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use packed::{PackedState, MAX_CACHES};

@@ -434,7 +434,7 @@ pub fn enumerate_parallel_resumed(
     sink.gauge(Gauge::VisitedBytes, sh.visited.approx_bytes());
     sink.phase_exit(Phase::Enumerate);
 
-    let snapshot = (opts.capture_snapshot && truncated).then(|| EnumSnapshot {
+    let snapshot = opts.capture_snapshot.then(|| EnumSnapshot {
         visited: sh.visited.states(),
         frontier,
     });

@@ -768,6 +768,28 @@ mod tests {
     }
 
     #[test]
+    fn crosscheck_past_its_deadline_stops_promptly_and_is_never_cached() {
+        let s = service();
+        let text = r#"{"schema":"ccv-request-v1","action":"crosscheck","protocol":{"name":"split-mesi"},"options":{"n":8,"exact":true,"deadline_ms":1}}"#;
+        for _ in 0..2 {
+            let started = std::time::Instant::now();
+            let out = s.process_text(text, &RunContext::default());
+            let took = started.elapsed();
+            assert!(took < Duration::from_millis(500), "took {took:?}");
+            assert_eq!(out.code, None, "{}", out.body);
+            assert!(!out.cached, "an inconclusive body is never cached");
+            let doc = Json::parse(&out.body).expect("body is valid JSON");
+            assert_eq!(doc.get("complete"), Some(&Json::Bool(false)));
+            let stop = doc.get("stop").expect("stop object");
+            assert_eq!(
+                stop.get("cause").and_then(Json::as_str),
+                Some("deadline_expired")
+            );
+        }
+        assert_eq!(s.cache().hits(), 0);
+    }
+
+    #[test]
     fn second_identical_submission_is_a_byte_identical_cache_hit() {
         let s = service();
         let req = Request::verify(ProtocolSource::Name("illinois".into()));
