@@ -18,10 +18,11 @@ use ccv_core::{
     essential_states_json, global_graph, Batch, Outcome, Payload, ProtocolSource, Pruning, Request,
     RunContext, SessionRunner, Verdict,
 };
+use ccv_enum::{EnumOptions, WitnessSearch, MAX_CACHES};
 use ccv_model::{protocols, ProtocolSpec};
 use ccv_observe::{
     CancelToken, EventSink, FlightRecorder, Metrics, NdjsonSink, Phase, PostmortemGuard,
-    SinkHandle, Tee, TraceSink,
+    SinkHandle, StopInfo, Tee, TraceSink,
 };
 use ccv_sim::{workload, Machine, MachineConfig, Trace, WorkloadParams};
 
@@ -609,9 +610,22 @@ pub fn compare(args: &[String]) -> CmdResult {
     Ok(CmdStatus::Success)
 }
 
+/// Prints the line every governed command ends with when its run
+/// stopped early.
+fn print_inconclusive(info: &StopInfo) {
+    println!(
+        "inconclusive: {} ({} states still pending, {:.3}s elapsed)",
+        info.describe(),
+        info.frontier,
+        info.elapsed.as_secs_f64()
+    );
+}
+
 const WITNESS_SPEC: ArgSpec = ArgSpec {
     cmd: "witness",
-    summary: "find the shortest concrete violation scenario, if any",
+    summary: "find the shortest concrete violation scenario, if any\n\n\
+exit codes: 0 no scenario up to MAX caches, 1 scenario found, 3 search\n\
+stopped (state budget or Ctrl-C) before it could tell",
     positionals: &[PROTOCOL_POS],
     flags: &[Flag {
         name: "-n",
@@ -627,8 +641,14 @@ pub fn witness(args: &[String]) -> CmdResult {
     };
     let spec = resolve_spec(p.require_pos(0, "protocol name")?)?;
     let max_n: usize = p.value_or("-n", 4)?;
-    match ccv_enum::find_violation_witness(&spec, max_n, 1 << 22) {
-        Some(w) => {
+    if !(1..=MAX_CACHES).contains(&max_n) {
+        return Err(format!("n must be in 1..={MAX_CACHES} (got {max_n})"));
+    }
+    let opts = EnumOptions::new(max_n)
+        .max_states(1 << 22)
+        .cancel(CancelToken::global());
+    match ccv_enum::find_violation_witness(&spec, &opts) {
+        WitnessSearch::Found(w) => {
             print!("{}", w.render(&spec));
             println!(
                 "\nthe protocol is incoherent; scenario above is minimal for {} caches.",
@@ -636,11 +656,16 @@ pub fn witness(args: &[String]) -> CmdResult {
             );
             Ok(CmdStatus::Failure)
         }
-        None => {
+        WitnessSearch::NotFound => {
             println!(
                 "no violation scenario with up to {max_n} caches; `ccv verify` proves it for any number."
             );
             Ok(CmdStatus::Success)
+        }
+        WitnessSearch::Stopped { n, info } => {
+            print_inconclusive(&info);
+            println!("{}", crate::report::witness_stopped(n, &info));
+            Ok(CmdStatus::Inconclusive)
         }
     }
 }
@@ -838,12 +863,7 @@ pub fn enumerate(args: &[String]) -> CmdResult {
         r.distinct, r.visits, r.truncated
     );
     if let Some(info) = &r.stopped {
-        println!(
-            "inconclusive: {} ({} states still pending, {:.3}s elapsed)",
-            info.describe(),
-            info.frontier,
-            info.elapsed.as_secs_f64()
-        );
+        print_inconclusive(info);
     }
     if let Some(ck) = &r.checkpoint {
         if ck.written {
@@ -917,12 +937,7 @@ pub fn crosscheck(args: &[String]) -> CmdResult {
         return Ok(CmdStatus::Failure);
     }
     if let Some(info) = &c.stopped {
-        println!(
-            "inconclusive: {} ({} states still pending, {:.3}s elapsed)",
-            info.describe(),
-            info.frontier,
-            info.elapsed.as_secs_f64()
-        );
+        print_inconclusive(info);
         obs.finish()?;
         return Ok(CmdStatus::Inconclusive);
     }

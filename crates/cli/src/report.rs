@@ -11,10 +11,23 @@
 use ccv_core::{
     analyze_recovery, find_state_witness, global_graph, Tolerance, Verdict, VerificationReport,
 };
-use ccv_enum::find_violation_witness;
+use ccv_enum::{find_violation_witness, EnumOptions, WitnessSearch};
 use ccv_model::{CData, GlobalCtx, ProcEvent, ProtocolSpec};
-use ccv_observe::{Counter, MetricsSnapshot};
+use ccv_observe::{CancelToken, Counter, MetricsSnapshot, StopInfo};
 use std::fmt::Write as _;
+
+/// The line a stopped witness search prints: where it stopped and why.
+pub fn witness_stopped(n: usize, info: &StopInfo) -> String {
+    let fewer = if n > 1 {
+        "; none with fewer caches"
+    } else {
+        ""
+    };
+    format!(
+        "witness search stopped at {n} caches ({}){fewer}",
+        info.describe()
+    )
+}
 
 /// Renders the per-rule heat table from a metrics snapshot: one row
 /// per rule that fired, sorted by firings, with each rule's share of
@@ -270,9 +283,16 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
             let path = v.expansion.render_path(spec, f.node);
             let _ = writeln!(md, "  - path: `{path}`");
         }
-        if let Some(w) = find_violation_witness(spec, 4, 1 << 22) {
-            let _ = writeln!(md, "\n### Shortest executable violation\n");
-            let _ = writeln!(md, "```text\n{}```", w.render(spec));
+        let opts = EnumOptions::new(4)
+            .max_states(1 << 22)
+            .cancel(CancelToken::global());
+        let shortest = match find_violation_witness(spec, &opts) {
+            WitnessSearch::Found(w) => format!("```text\n{}```", w.render(spec)),
+            WitnessSearch::Stopped { n, info } => witness_stopped(n, &info),
+            WitnessSearch::NotFound => String::new(),
+        };
+        if !shortest.is_empty() {
+            let _ = writeln!(md, "\n### Shortest executable violation\n\n{shortest}");
         }
     } else {
         // --- Witnesses per essential state -----------------------------------
@@ -281,36 +301,24 @@ pub fn protocol_report(spec: &ProtocolSpec, v: &VerificationReport) -> String {
             md,
             "Each essential family instantiated by a concrete scenario:\n"
         );
+        let opts = EnumOptions::new(3)
+            .max_states(1 << 20)
+            .cancel(CancelToken::global());
         for (i, s) in graph.states.iter().enumerate() {
-            if let Some(w) = find_state_witness(spec, s, 3, 1 << 20) {
-                let script: Vec<String> = w
-                    .steps
-                    .iter()
-                    .map(|st| {
-                        format!(
-                            "P{} {}",
-                            st.cache,
-                            match st.event {
-                                ProcEvent::Read => "R",
-                                ProcEvent::Write => "W",
-                                ProcEvent::Replace => "Z",
-                                ProcEvent::Complete => "C",
-                            }
-                        )
-                    })
-                    .collect();
-                let _ = writeln!(
-                    md,
-                    "- s{i} {} — {} caches: `{}`",
-                    s.render(spec),
-                    w.n,
-                    if script.is_empty() {
-                        "initial state".to_string()
-                    } else {
-                        script.join(", ")
-                    }
-                );
-            }
+            let witness = match find_state_witness(spec, s, &opts) {
+                WitnessSearch::Found(w) if w.steps.is_empty() => {
+                    format!("{} caches: `initial state`", w.n)
+                }
+                WitnessSearch::Found(w) => {
+                    let script: Vec<String> = (w.steps.iter())
+                        .map(|st| format!("P{} {}", st.cache, st.event))
+                        .collect();
+                    format!("{} caches: `{}`", w.n, script.join(", "))
+                }
+                WitnessSearch::Stopped { n, info } => witness_stopped(n, &info),
+                WitnessSearch::NotFound => continue,
+            };
+            let _ = writeln!(md, "- s{i} {} — {witness}", s.render(spec));
         }
     }
 

@@ -263,6 +263,11 @@ fn witness_prints_a_scenario_for_mutants() {
     let out = stdout(&o);
     assert!(out.contains("witness with"), "{out}");
     assert!(out.contains("P0"), "{out}");
+    // Stale accesses read as prose, not as Rust debug text.
+    assert!(
+        out.contains("!! cache 0: miss filled from an obsolete source;"),
+        "{out}"
+    );
 }
 
 #[test]
@@ -270,6 +275,31 @@ fn witness_on_correct_protocol_exits_zero() {
     let o = ccv(&["witness", "msi", "-n", "3"]);
     assert_eq!(o.status.code(), Some(0));
     assert!(stdout(&o).contains("no violation scenario"));
+}
+
+#[test]
+fn witness_searches_ten_caches_to_the_end() {
+    // Split-MESI has 10,159,285 exact states at n=10, past the
+    // 2^22-state budget; its orbit representatives fit well inside it,
+    // so the search finishes and its "no violation" is proven.
+    let start = std::time::Instant::now();
+    let o = ccv(&["witness", "split-mesi", "-n", "10"]);
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert!(
+        stdout(&o).contains("no violation scenario with up to 10 caches"),
+        "{}",
+        stdout(&o)
+    );
+    assert!(start.elapsed().as_secs() < 10, "took {:?}", start.elapsed());
+}
+
+#[test]
+fn witness_rejects_cache_counts_outside_the_packed_range() {
+    for n in ["0", "17"] {
+        let o = ccv(&["witness", "msi", "-n", n]);
+        assert_eq!(o.status.code(), Some(2), "-n {n}: {}", stdout(&o));
+        assert!(stderr(&o).contains("n must be in 1..=16"), "-n {n}");
+    }
 }
 
 #[test]

@@ -23,7 +23,7 @@
 use crate::composite::{ClassKey, Composite};
 use crate::fval::FVal;
 use crate::rep::Rep;
-use ccv_enum::{bfs_witness, enumerate, Dedup, EnumOptions, PackedState, Witness};
+use ccv_enum::{enumerate, find_witness, Dedup, EnumOptions, PackedState, WitnessSearch};
 use ccv_model::{ProtocolSpec, StateId};
 use ccv_observe::{Counter, Phase, SinkHandle, SpanKind, StopCause, StopInfo};
 
@@ -276,18 +276,19 @@ fn orbit_size(gs: PackedState, n: usize) -> usize {
 }
 
 /// Finds the shortest concrete path into the family of `target`
-/// (a symbolic composite state), trying sizes `1..=max_n`.
+/// (a symbolic composite state), trying sizes `1..=opts.n` under the
+/// enumerator options `opts`. Membership reads only class counts, so
+/// the search runs over counting representatives.
 pub fn find_state_witness(
     spec: &ProtocolSpec,
     target: &Composite,
-    max_n: usize,
-    max_states: usize,
-) -> Option<Witness> {
-    (1..=max_n).find_map(|n| {
-        bfs_witness(spec, n, max_states, |s, _| {
-            concrete_covered_by(spec, s.to, n, target)
-        })
-    })
+    opts: &EnumOptions,
+) -> WitnessSearch {
+    find_witness(
+        spec,
+        opts,
+        Some(&|gs, n| concrete_covered_by(spec, gs, n, target)),
+    )
 }
 
 #[cfg(test)]
@@ -413,10 +414,25 @@ mod tests {
         let spec = illinois();
         let exp = run_expansion(&spec, &Options::default());
         for target in exp.essential_states() {
-            let w = find_state_witness(&spec, target, 3, 1 << 20)
-                .unwrap_or_else(|| panic!("{} unreachable", target.render(&spec)));
-            // Path found; final state is in the family by construction.
-            assert!(w.steps.len() <= 6 || !w.steps.is_empty());
+            let at = target.render(&spec);
+            let w = match find_state_witness(&spec, target, &EnumOptions::new(3)) {
+                WitnessSearch::Found(w) => w,
+                other => panic!("{at}: {other:?}"),
+            };
+            // Each step is a concrete successor of the state before it,
+            // and the path ends inside the family.
+            let mut state = PackedState::INITIAL;
+            for step in &w.steps {
+                let mut buf = Vec::new();
+                ccv_enum::successors_into(&spec, state, w.n, &mut buf);
+                assert!(
+                    buf.iter()
+                        .any(|s| (s.cache, s.event, s.to) == (step.cache, step.event, step.after)),
+                    "{at}: step {step:?} does not replay"
+                );
+                state = step.after;
+            }
+            assert!(concrete_covered_by(&spec, state, w.n, target), "{at}");
         }
     }
 

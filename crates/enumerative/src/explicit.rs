@@ -18,9 +18,10 @@
 //! engine in experiments E4 and E7.
 //!
 //! The per-state expansion step itself (`Search`) is shared with the
-//! work-stealing engine in [`crate::parallel`]; this module's
-//! scheduler contributes only the FIFO worklist, the (optionally
-//! spilling) visited table and the BFS-level tracking.
+//! work-stealing engine in [`crate::parallel`] and the witness search
+//! in [`crate::witness`]; this module's scheduler contributes only the
+//! FIFO worklist, the (optionally spilling) visited table and the
+//! BFS-level tracking.
 
 use crate::fxhash::FxHashSet;
 use crate::packed::{PackedState, MAX_CACHES};
@@ -374,11 +375,12 @@ impl Tally {
     }
 }
 
-/// The expansion step both schedulers share: seeding, the per-state
-/// gate (governor, budget, fault site `enum.worker`), successor
-/// generation, the per-successor bookkeeping and the end-of-run
-/// report. A scheduler supplies only its frontier and its visited
-/// table, through the `claim` and `push` closures.
+/// The expansion step every scheduler shares (sequential, work-stealing
+/// and witness): seeding, the per-state gate (governor, budget, fault
+/// site `enum.worker`), successor generation, the per-successor
+/// bookkeeping and the end-of-run report. A scheduler supplies only
+/// its frontier and its visited table, through the `claim` and `push`
+/// closures.
 pub(crate) struct Search<'a> {
     spec: &'a ProtocolSpec,
     opts: &'a EnumOptions,
@@ -572,7 +574,7 @@ impl<'a> Search<'a> {
             let descriptions = s
                 .errors
                 .iter()
-                .map(|e| format!("{e:?} via cache {} {}", s.cache, s.event))
+                .map(|e| format!("{e} via cache {} {}", s.cache, s.event))
                 .collect();
             tally.errors.push(EnumError {
                 state: s.to,

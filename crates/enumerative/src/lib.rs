@@ -12,9 +12,9 @@
 //!   parallel search (persistent worker pool + the [`visited`]
 //!   claim-once set) producing identical reachable sets, visit counts
 //!   and violation sets for any thread count;
-//! * [`witness`] — breadth-first searches for the shortest concrete
-//!   scenario that ends in a violation or satisfies any other
-//!   predicate on a step.
+//! * [`witness`] — the sequential search again, under a scheduler that
+//!   records parents, for the shortest concrete scenario that ends in
+//!   a violation or lands in a chosen family of states.
 //!
 //! These engines exist to *measure* the state-space explosion the
 //! symbolic method avoids (experiment E4) and to cross-validate the
@@ -66,4 +66,4 @@ pub use step::{
     describe_violations, is_violating, successors_into, ConcreteError, ConcreteStep, ErrorMask,
 };
 pub use visited::{AtomicVisited, ClaimStats};
-pub use witness::{bfs_witness, find_violation_witness, Witness, WitnessStep};
+pub use witness::{find_violation_witness, find_witness, Witness, WitnessSearch, WitnessStep};

@@ -187,6 +187,21 @@ pub enum ConcreteError {
     },
 }
 
+/// The symbolic engine's wording, prefixed with the offending cache:
+/// `cache 0: miss filled from an obsolete source`.
+impl fmt::Display for ConcreteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConcreteError::StaleReadHit { cache } => {
+                write!(f, "cache {cache}: processor read an obsolete local copy")
+            }
+            ConcreteError::StaleFill { cache } => {
+                write!(f, "cache {cache}: miss filled from an obsolete source")
+            }
+        }
+    }
+}
+
 /// Maximum cache index representable by an [`ErrorMask`].
 pub const ERROR_MASK_MAX_CACHES: usize = 16;
 

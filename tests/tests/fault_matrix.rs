@@ -231,3 +231,35 @@ fn socket_fault_matrix_is_survivable_by_retry() {
         handle.shutdown();
     }
 }
+
+/// Fault site `enum.worker` crossed with every kind, on a witness
+/// search: the race-lost mutant's scenario needs two caches, so the
+/// search at one cache must finish first. A fault may stop the search
+/// (a contained worker panic) or leave the scenario unchanged; it may
+/// never turn into "no violation".
+#[test]
+fn enum_worker_faults_never_turn_a_witness_search_into_no_violation() {
+    use ccv_enum::{find_violation_witness, EnumOptions, WitnessSearch};
+    use ccv_observe::{FaultHandle, StopCause};
+
+    let spec = ccv_model::protocols::split_msi_upgrade_race_lost();
+    let shape = |r: WitnessSearch| match r {
+        WitnessSearch::Found(w) => Ok((w.n, w.steps.len())),
+        other => Err(other),
+    };
+    let baseline = shape(find_violation_witness(&spec, &EnumOptions::new(4)))
+        .expect("the mutant has a witness");
+    for kind in KINDS {
+        let plan = format!("enum.worker:{kind}@1");
+        let mut opts = EnumOptions::new(4);
+        opts.common.fault = FaultHandle::from_spec(&plan).expect("plan parses");
+        match shape(find_violation_witness(&spec, &opts)) {
+            Ok(found) => assert_eq!(found, baseline, "{plan}: witness changed"),
+            Err(WitnessSearch::Stopped { n, info }) => {
+                assert_eq!(n, 1, "{plan}");
+                assert_eq!(info.cause, StopCause::WorkerPanic, "{plan}");
+            }
+            Err(other) => panic!("{plan}: {other:?}"),
+        }
+    }
+}
