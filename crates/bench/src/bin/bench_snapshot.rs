@@ -2,14 +2,12 @@
 //! regression gate.
 //!
 //! Runs a fixed matrix of exact enumeration workloads — Illinois and
-//! Dragon at n = 12, once per thread count — plus a `spill` row
-//! (Illinois n = 12 through the spill-backed visited table), and
-//! writes a machine-readable JSON snapshot (schema
-//! `ccv-bench-snapshot-v6`) with throughput (states/s and visits/s),
-//! peak pending-work depth and the `ccv-observe` phase wall time per
-//! row. A `symbolic` section adds one row per protocol through a warm
-//! batch session, plus the Illinois single-mutant sweep measured twice
-//! — through the batch API (`sym-sweep/batch`) and through the
+//! Dragon at n = 12, once per thread count — and writes a
+//! machine-readable JSON snapshot (schema `ccv-bench-snapshot-v6`)
+//! with throughput (states/s and visits/s), peak pending-work depth
+//! and the `ccv-observe` phase wall time per row. A `symbolic` section
+//! adds one row per protocol through a warm batch session, plus the
+//! Illinois single-mutant sweep measured twice — through the batch API (`sym-sweep/batch`) and through the
 //! retained naive reference engine (`sym-sweep/reference`) — so the
 //! batch speedup is computable from a single snapshot on a single
 //! machine. The checked-in `BENCH_PR7.json` at the repository root is
@@ -41,7 +39,7 @@
 //!   the median ratio of alternating timing rounds.
 
 use ccv_core::{reference_expand, Batch, Options};
-use ccv_enum::{enumerate, enumerate_parallel, EnumOptions, EnumResult, SpillConfig};
+use ccv_enum::{enumerate, enumerate_parallel, EnumOptions, EnumResult};
 use ccv_model::mutate::single_mutants;
 use ccv_model::{protocols, ProtocolSpec};
 use ccv_observe::{EventSink, Gauge, Json, Metrics, Phase};
@@ -79,21 +77,6 @@ fn run_once(spec: &ProtocolSpec, opts: &EnumOptions, threads: usize) -> EnumResu
     } else {
         enumerate(spec, opts)
     }
-}
-
-/// Illinois n=12 through the spill-backed visited table, at a
-/// threshold low enough that segments are actually written. The key
-/// rides the same normalised CI gate as the in-RAM rows, so an
-/// accidental slowdown of the out-of-core path is caught.
-fn measure_spill() -> Row {
-    let dir = std::env::temp_dir().join(format!("ccv-bench-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = EnumOptions::new(N)
-        .exact()
-        .spill(SpillConfig::new(&dir, Some(256 * 1024)));
-    let row = measure("spill".to_string(), "illinois", 1, opts);
-    let _ = std::fs::remove_dir_all(&dir);
-    row
 }
 
 /// Times one configuration: repeat until [`MIN_SAMPLE_MS`] of wall
@@ -480,14 +463,6 @@ fn main() {
         }
     }
 
-    eprintln!("measuring spill workload (out-of-core visited table)...");
-    let spill = measure_spill();
-    eprintln!(
-        "{:<22} {:>9} distinct {:>10} visits  {:>9.1} ms  {:>11.0} visits/s",
-        spill.key, spill.distinct, spill.visits, spill.wall_ms, spill.visits_per_sec
-    );
-    rows.push(spill);
-
     eprintln!("measuring symbolic workloads...");
     let (sym_rows, sweep_speedup) = measure_symbolic();
     for r in &sym_rows {
@@ -659,9 +634,9 @@ mod tests {
 
     #[test]
     fn keys_on_one_side_only_are_skipped() {
-        let base = [("spill", 100.0), ("dragon/n12/t4", 100.0)];
-        let now = [("spill", 100.0), ("dragon/n12/t2", 1.0)];
-        assert_eq!(gate(&base, &now).unwrap(), ["spill ok"]);
+        let base = [("illinois/n12/t1", 100.0), ("dragon/n12/t4", 100.0)];
+        let now = [("illinois/n12/t1", 100.0), ("dragon/n12/t2", 1.0)];
+        assert_eq!(gate(&base, &now).unwrap(), ["illinois/n12/t1 ok"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | `table_recovery` | E12 | recovery analysis / invariant strength |
 //!
 //! `bench_snapshot` is not an experiment: it is the CI throughput
-//! regression gate against `BENCH_PR7.json` (`docs/perf.md` §6).
+//! regression gate against `BENCH_PR7.json` (`docs/perf.md` §5).
 //!
 //! This library crate holds the small shared helpers: an aligned text
 //! table printer and the paper's reference data (the 22 transitions of

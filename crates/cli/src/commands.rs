@@ -46,7 +46,6 @@ usage:
   ccv enumerate  <protocol> -n N [--exact] [--threads T] [--max-states N]
                  [--deadline SECS] [--max-bytes BYTES]
                  [--checkpoint-out FILE] [--resume FILE]
-                 [--spill-dir DIR] [--spill-threshold BYTES]
   ccv crosscheck <protocol> -n N [--stop-at-first-error]
                                             Theorem 1 check at size N
   ccv serve      [--addr ADDR] [--workers N] [--queue N]
@@ -781,19 +780,9 @@ const ENUMERATE_SPEC: ArgSpec = ArgSpec {
             help: "continue from a checkpoint written by --checkpoint-out",
         },
         Flag {
-            name: "--spill-dir",
-            value: Some("DIR"),
-            help: "spill the visited table to segment files in DIR (forces --threads 1)",
-        },
-        Flag {
-            name: "--spill-threshold",
-            value: Some("BYTES"),
-            help: "resident visited-table bytes before spilling (default 256 MiB)",
-        },
-        Flag {
             name: "--fault-plan",
             value: Some("SPEC"),
-            help: "deterministic fault injection, e.g. 'spill.flush:io@2' (see docs/robustness.md)",
+            help: "deterministic fault injection, e.g. 'enum.worker:slow' (see docs/robustness.md)",
         },
         METRICS_OUT_FLAG,
         TRACE_OUT_FLAG,
@@ -804,8 +793,7 @@ const ENUMERATE_SPEC: ArgSpec = ArgSpec {
 
 /// `ccv enumerate <protocol> -n N [--exact] [--threads T]
 /// [--max-states N] [--deadline SECS] [--max-bytes BYTES]
-/// [--checkpoint-out FILE] [--resume FILE] [--spill-dir DIR]
-/// [--spill-threshold BYTES] [--metrics-out FILE]
+/// [--checkpoint-out FILE] [--resume FILE] [--metrics-out FILE]
 /// [--trace-out FILE] [--flight-recorder[=N]] [--rule-stats]`
 pub fn enumerate(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&ENUMERATE_SPEC, args)? else {
@@ -828,8 +816,6 @@ pub fn enumerate(args: &[String]) -> CmdResult {
     req.options.fault_plan = p.value("--fault-plan")?;
     req.options.checkpoint_out = p.value("--checkpoint-out")?;
     req.options.resume = p.value("--resume")?;
-    req.options.spill_dir = p.value("--spill-dir")?;
-    req.options.spill_threshold = p.value::<u64>("--spill-threshold")?;
     // 0 = auto: one worker per core the scheduler grants this process.
     req.options.threads = p.value_or("--threads", 0)?;
     let ctx = RunContext::new(
@@ -841,9 +827,6 @@ pub fn enumerate(args: &[String]) -> CmdResult {
         Ok(_) => return Err("unexpected response payload".into()),
         Err(e) => return Err(e.message),
     };
-    for w in &r.warnings {
-        println!("warning: {w}");
-    }
     if let Some(info) = &r.resumed {
         println!(
             "resuming from {}: {} distinct states, {} frontier states, {} visits so far",

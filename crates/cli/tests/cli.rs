@@ -1148,46 +1148,36 @@ fn enumerate_worker_panic_reports_inconclusive_without_hanging() {
 }
 
 #[test]
-fn spill_with_explicit_threads_is_rejected_up_front() {
-    let dir = std::env::temp_dir().join("ccv-cli-spill-conflict");
+fn removed_spill_dir_flag_is_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("ccv-cli-spill-gone-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let o = ccv(&[
         "enumerate",
         "illinois",
         "-n",
-        "4",
+        "3",
         "--spill-dir",
         dir.to_str().unwrap(),
-        "--threads",
-        "2",
     ]);
     assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
-    assert!(stderr(&o).contains("sequential"), "{}", stderr(&o));
-    assert!(!dir.exists(), "rejected before any spill file is created");
+    assert!(stderr(&o).contains("--spill-dir"), "{}", stderr(&o));
+    assert!(!dir.exists(), "a refused flag creates nothing");
 }
 
 #[test]
-fn spill_with_auto_threads_warns_and_runs_sequentially() {
-    let dir = std::env::temp_dir().join(format!("ccv-cli-spill-warn-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn misspelt_fault_site_is_refused_not_ignored() {
     let o = ccv(&[
         "enumerate",
         "illinois",
         "-n",
-        "4",
-        "--spill-dir",
-        dir.to_str().unwrap(),
-        "--spill-threshold",
-        "256",
+        "3",
+        "--threads",
+        "1",
+        "--fault-plan",
+        "enum.wroker:panic",
     ]);
-    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
-    let out = stdout(&o);
-    assert!(
-        out.contains("warning: --spill-dir forces a sequential run"),
-        "{out}"
-    );
-    assert!(out.contains("threads=1"), "{out}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(o.status.code(), Some(2), "{}", stdout(&o));
+    assert!(stderr(&o).contains("enum.wroker"), "{}", stderr(&o));
 }
 
 #[test]

@@ -46,7 +46,7 @@ use crate::crosscheck::{crosscheck_enumerated, CrossCheck};
 use crate::engine::{expand_with, EngineScratch, Options, PathWriter, Pruning};
 use crate::verify::{verify_with_scratch, Outcome, Verdict, VerificationReport};
 use ccv_enum::{
-    enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, SpillConfig, MAX_CACHES,
+    enumerate_parallel_resumed, enumerate_resumed, Checkpoint, EnumOptions, MAX_CACHES,
 };
 use ccv_model::ProtocolSpec;
 use ccv_observe::json::escape_into;
@@ -191,14 +191,6 @@ pub struct RequestOptions {
     pub checkpoint_out: Option<String>,
     /// Resume an enumeration from this checkpoint file.
     pub resume: Option<String>,
-    /// Directory for the enumerator's spill-to-disk visited table;
-    /// unset keeps the table fully in RAM. Spill runs are routed to
-    /// the sequential enumeration engine.
-    pub spill_dir: Option<String>,
-    /// Total resident bytes the spill table holds before shards are
-    /// flushed to disk segments (`None` = backend default of 256 MiB;
-    /// only meaningful with `spill_dir`).
-    pub spill_threshold: Option<u64>,
     /// Deterministic fault-injection plan for the run, in the
     /// [`ccv_observe::fault`] spec grammar
     /// (`site:kind[@after][xtimes],…`). Robustness testing only:
@@ -222,8 +214,6 @@ impl Default for RequestOptions {
             max_states: None,
             checkpoint_out: None,
             resume: None,
-            spill_dir: None,
-            spill_threshold: None,
             fault_plan: None,
         }
     }
@@ -233,7 +223,7 @@ impl RequestOptions {
     /// True if the request asks for anything that reads or writes
     /// server-local files — refused by daemons serving remote clients.
     pub fn touches_files(&self) -> bool {
-        self.checkpoint_out.is_some() || self.resume.is_some() || self.spill_dir.is_some()
+        self.checkpoint_out.is_some() || self.resume.is_some()
     }
 
     fn to_json(&self) -> Json {
@@ -277,12 +267,6 @@ impl RequestOptions {
         }
         if let Some(p) = &self.resume {
             fields.push(("resume".into(), Json::str(p.clone())));
-        }
-        if let Some(p) = &self.spill_dir {
-            fields.push(("spill_dir".into(), Json::str(p.clone())));
-        }
-        if let Some(t) = self.spill_threshold {
-            fields.push(("spill_threshold".into(), Json::int(t)));
         }
         if let Some(p) = &self.fault_plan {
             fields.push(("fault_plan".into(), Json::str(p.clone())));
@@ -333,8 +317,6 @@ impl RequestOptions {
                 "max_states" => opts.max_states = Some(expect_uint(key, value)? as usize),
                 "checkpoint_out" => opts.checkpoint_out = Some(expect_str(key, value)?),
                 "resume" => opts.resume = Some(expect_str(key, value)?),
-                "spill_dir" => opts.spill_dir = Some(expect_str(key, value)?),
-                "spill_threshold" => opts.spill_threshold = Some(expect_uint(key, value)?),
                 "fault_plan" => opts.fault_plan = Some(expect_str(key, value)?),
                 other => {
                     return Err(ApiError::bad_request(format!("unknown option '{other}'")));
@@ -536,7 +518,7 @@ impl Request {
         let o = &self.options;
         let _ = writeln!(
             out,
-            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|sd={:?}|st={:?}|fp={:?}",
+            "{}|pr={:?}|tr={}|sf={}|bu={:?}|dl={:?}|mb={:?}|n={}|ex={}|th={}|ms={:?}|fp={:?}",
             self.action.name(),
             o.pruning,
             o.record_trace,
@@ -548,8 +530,6 @@ impl Request {
             o.exact,
             o.threads,
             o.max_states,
-            o.spill_dir,
-            o.spill_threshold,
             o.fault_plan,
         );
     }
@@ -760,10 +740,6 @@ pub struct EnumerateResponse {
     pub resumed: Option<ResumeInfo>,
     /// Set when the request asked for a checkpoint.
     pub checkpoint: Option<CheckpointOutcome>,
-    /// Advisory notes about how the request was executed — e.g. a
-    /// spill directory forcing an auto-threaded run sequential. Never
-    /// affects the verdict; clients may surface them verbatim.
-    pub warnings: Vec<String>,
 }
 
 impl EnumerateResponse {
@@ -926,9 +902,6 @@ impl Response {
                 fields.push(("distinct_states".into(), Json::int(e.distinct as u64)));
                 fields.push(("visits".into(), Json::int(e.visits as u64)));
                 fields.push(("truncated".into(), Json::Bool(e.truncated)));
-                if !e.warnings.is_empty() {
-                    fields.push(("warnings".into(), str_arr(&e.warnings)));
-                }
                 if let Some(info) = &e.stopped {
                     fields.push(("stop".into(), stop_info_json(info)));
                 }
@@ -1173,9 +1146,6 @@ fn enum_options(req: &Request, ctx: &RunContext) -> Result<EnumOptions, ApiError
     if o.checkpoint_out.is_some() {
         opts = opts.capture_snapshot(true);
     }
-    if let Some(dir) = &o.spill_dir {
-        opts = opts.spill(SpillConfig::new(Path::new(dir), o.spill_threshold));
-    }
     Ok(opts)
 }
 
@@ -1260,28 +1230,8 @@ impl SessionRunner {
             None => (None, None),
         };
         let requested = o.threads;
-        // 0 = auto: one worker per core the scheduler grants us. A
-        // spill-backed visited table is owned by the sequential
-        // engine, so spill runs are single-threaded: an explicit
-        // multi-thread request alongside a spill directory is a
-        // contradiction we refuse rather than silently resolve, and
-        // an auto request is resolved to one worker with a warning.
-        let mut warnings: Vec<String> = Vec::new();
-        let threads = if opts.spill.is_some() {
-            if requested > 1 {
-                return Err(ApiError::bad_request(format!(
-                    "--spill-dir runs are sequential (the spill-backed visited \
-                     table is single-owner); drop --threads {requested} or the \
-                     spill directory"
-                )));
-            }
-            if requested == 0 {
-                warnings.push(
-                    "--spill-dir forces a sequential run; --threads auto resolved to 1".to_string(),
-                );
-            }
-            1
-        } else if requested == 0 {
+        // 0 = auto: one worker per core the scheduler grants us.
+        let threads = if requested == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         } else {
             requested
@@ -1291,12 +1241,6 @@ impl SessionRunner {
         } else {
             enumerate_resumed(spec, &opts, seed)
         };
-        if let Some(degraded) = &r.spill_degraded {
-            warnings.push(format!(
-                "spill degraded to in-RAM operation: {degraded} — results are \
-                 exact but the memory bound was lost"
-            ));
-        }
         let checkpoint = match &o.checkpoint_out {
             Some(path) => {
                 let written = match Checkpoint::of_result(spec, &opts, &r) {
@@ -1336,7 +1280,6 @@ impl SessionRunner {
                 .collect(),
             resumed,
             checkpoint,
-            warnings,
         })
     }
 
@@ -1451,6 +1394,18 @@ mod tests {
             let err = Request::parse(text).expect_err(text);
             assert_eq!(err.code, ErrorCode::BadRequest, "{text}");
             assert!(!err.message.is_empty());
+        }
+        // Options the wire no longer carries are unknown, not ignored.
+        for (options, key) in [
+            ("{\"spill_dir\": \"/tmp/x\"}", "spill_dir"),
+            ("{\"spill_threshold\": 1}", "spill_threshold"),
+        ] {
+            let text = format!(
+                "{{\"schema\": \"ccv-request-v1\", \"action\": \"enumerate\", \"protocol\": {{\"name\": \"msi\"}}, \"options\": {options}}}"
+            );
+            let err = Request::parse(&text).expect_err(&text);
+            assert_eq!(err.code, ErrorCode::BadRequest, "{text}");
+            assert_eq!(err.message, format!("unknown option '{key}'"));
         }
     }
 
@@ -1613,124 +1568,29 @@ mod tests {
     }
 
     #[test]
-    fn spill_request_routes_to_the_sequential_engine() {
-        let dir = std::env::temp_dir().join(format!("ccv-api-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 4).options(RequestOptions {
-            n: 4,
-            threads: 0, // auto — spill must still force 1
-            exact: true,
-            spill_dir: Some(dir.to_string_lossy().into_owned()),
-            spill_threshold: Some(256),
-            ..RequestOptions::default()
-        });
-        let resp = run(&req);
-        let direct = enumerate(&illinois(), &EnumOptions::new(4).exact());
-        match resp.result {
-            Ok(Payload::Enumerate(e)) => {
-                assert_eq!(e.threads, 1, "spill runs are sequential");
-                assert_eq!(e.distinct, direct.distinct);
-                assert_eq!(e.visits, direct.visits);
-                assert_eq!(e.warnings.len(), 1, "auto threads + spill warns");
-                assert!(e.warnings[0].contains("sequential"), "{:?}", e.warnings);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(std::fs::read_dir(&dir).unwrap().count() > 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spill_with_explicit_threads_is_a_bad_request() {
-        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
-            n: 3,
-            threads: 4,
-            spill_dir: Some("/tmp/ccv-never-created".into()),
-            ..RequestOptions::default()
-        });
-        let resp = run(&req);
-        match resp.result {
-            Err(e) => {
-                assert_eq!(e.code, ErrorCode::BadRequest);
-                assert!(e.message.contains("sequential"), "{}", e.message);
-            }
-            Ok(_) => panic!("spill + --threads 4 must be rejected"),
-        }
-        assert!(
-            !std::path::Path::new("/tmp/ccv-never-created").exists(),
-            "rejected before the spill directory is created"
-        );
-    }
-
-    #[test]
-    fn spill_with_explicit_single_thread_runs_without_warning() {
-        let dir = std::env::temp_dir().join(format!("ccv-api-spill1-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
-            n: 3,
-            threads: 1, // explicitly sequential: nothing to warn about
-            spill_dir: Some(dir.to_string_lossy().into_owned()),
-            spill_threshold: Some(256),
-            ..RequestOptions::default()
-        });
-        let resp = run(&req);
-        match resp.result {
-            Ok(Payload::Enumerate(e)) => {
-                assert_eq!(e.threads, 1);
-                assert!(e.warnings.is_empty(), "{:?}", e.warnings);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn malformed_fault_plan_is_a_bad_request() {
-        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
-            n: 3,
-            threads: 1,
-            fault_plan: Some("spill.flush:unknownkind".into()),
-            ..RequestOptions::default()
-        });
-        let resp = run(&req);
-        match resp.result {
-            Err(e) => {
-                assert_eq!(e.code, ErrorCode::BadRequest);
-                assert!(e.message.contains("fault_plan"), "{}", e.message);
+        // An unknown kind at a live site, and a misspelt site: neither
+        // may run as if no plan were given.
+        for (plan, named) in [
+            ("enum.worker:unknownkind", "unknownkind"),
+            ("enum.wroker:panic", "enum.wroker"),
+        ] {
+            let req =
+                Request::enumerate(ProtocolSource::Spec(illinois()), 3).options(RequestOptions {
+                    n: 3,
+                    threads: 1,
+                    fault_plan: Some(plan.into()),
+                    ..RequestOptions::default()
+                });
+            match run(&req).result {
+                Err(e) => {
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{plan}");
+                    assert!(e.message.contains("fault_plan"), "{}", e.message);
+                    assert!(e.message.contains(named), "{}", e.message);
+                }
+                Ok(_) => panic!("bad fault plan {plan} must be rejected"),
             }
-            Ok(_) => panic!("bad fault plan must be rejected"),
         }
-    }
-
-    #[test]
-    fn spill_degradation_surfaces_as_a_warning() {
-        let dir = std::env::temp_dir().join(format!("ccv-api-degrade-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let req = Request::enumerate(ProtocolSource::Spec(illinois()), 4).options(RequestOptions {
-            n: 4,
-            threads: 1,
-            exact: true,
-            spill_dir: Some(dir.to_string_lossy().into_owned()),
-            spill_threshold: Some(256),
-            fault_plan: Some("spill.flush:io".into()),
-            ..RequestOptions::default()
-        });
-        let resp = run(&req);
-        let direct = enumerate(&illinois(), &EnumOptions::new(4).exact());
-        match resp.result {
-            Ok(Payload::Enumerate(e)) => {
-                // Degraded, but exact: the verdict is unchanged.
-                assert_eq!(e.distinct, direct.distinct);
-                assert!(e.errors.is_empty());
-                assert!(
-                    e.warnings.iter().any(|w| w.contains("spill degraded")),
-                    "{:?}",
-                    e.warnings
-                );
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -177,9 +177,7 @@ pub(crate) fn crosscheck_enumerated(
     sink: &SinkHandle,
 ) -> CrossCheck {
     let (n, exact) = (opts.n, opts.dedup == Dedup::Exact);
-    let mut opts = opts.sink(SinkHandle::disabled()).capture_snapshot(true);
-    // The scan holds every representative in RAM anyway.
-    opts.spill = None;
+    let opts = opts.sink(SinkHandle::disabled()).capture_snapshot(true);
     // Cached once: the per-state scan below must not re-query the
     // handle for every (state, essential) pair.
     let events = sink.is_enabled();

@@ -22,9 +22,10 @@ pub enum Verdict {
     Verified,
     /// At least one erroneous state or stale access is reachable.
     Erroneous,
-    /// The expansion hit its visit cap before reaching a fixpoint
-    /// (never observed on the shipped protocols; a backstop for
-    /// pathological inputs).
+    /// The run stopped before reaching a fixpoint: its visit budget,
+    /// deadline or memory cap tripped, it was cancelled, or a worker
+    /// panicked (see [`Outcome::Inconclusive`]). Nothing is claimed
+    /// either way.
     Inconclusive,
 }
 

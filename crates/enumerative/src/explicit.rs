@@ -20,12 +20,10 @@
 //! The per-state expansion step itself (`Search`) is shared with the
 //! work-stealing engine in [`crate::parallel`] and the witness search
 //! in [`crate::witness`]; this module's scheduler contributes only the
-//! FIFO worklist, the (optionally spilling) visited table and the
-//! BFS-level tracking.
+//! FIFO worklist, the in-RAM visited set and the BFS-level tracking.
 
 use crate::fxhash::FxHashSet;
 use crate::packed::{PackedState, MAX_CACHES};
-use crate::spill::{SpillConfig, SpillVisited};
 use crate::step::{
     describe_violations, is_violating, successors_attributed, successors_into, ConcreteStep,
 };
@@ -81,10 +79,6 @@ pub struct EnumOptions {
     /// its whole reachable set (one representative per orbit under
     /// [`Dedup::Counting`]) with an empty frontier.
     pub capture_snapshot: bool,
-    /// Spill the visited table to disk segments past a resident-byte
-    /// budget (out-of-core enumeration). Sequential engine only; the
-    /// unified API routes spill requests there.
-    pub spill: Option<SpillConfig>,
 }
 
 impl EnumOptions {
@@ -95,7 +89,6 @@ impl EnumOptions {
             dedup: Dedup::Counting,
             common: CommonOptions::default().budget(50_000_000),
             capture_snapshot: false,
-            spill: None,
         }
     }
 
@@ -161,13 +154,6 @@ impl EnumOptions {
         self.capture_snapshot = on;
         self
     }
-
-    /// Spills the visited table to disk segments under `config`
-    /// (see [`crate::spill`]).
-    pub fn spill(mut self, config: SpillConfig) -> EnumOptions {
-        self.spill = Some(config);
-        self
-    }
 }
 
 /// Search state carried from a stopped run into a resumed one — the
@@ -229,102 +215,14 @@ pub struct EnumResult {
     /// when `truncated` is true.
     pub stopped: Option<StopInfo>,
     /// Visited set + frontier, when [`EnumOptions::capture_snapshot`]
-    /// was set (and, for a spilling run, its segments read back).
+    /// was set.
     pub snapshot: Option<EnumSnapshot>,
-    /// The spill table's first I/O error, when a spilling run
-    /// degraded to in-RAM operation. The run stays exact — no
-    /// reachable state is dropped and the violation set is unchanged
-    /// — but the memory bound is lost and states may be re-expanded.
-    pub spill_degraded: Option<String>,
 }
 
 impl EnumResult {
     /// True iff the full space was explored without violations.
     pub fn is_clean(&self) -> bool {
         self.errors.is_empty() && !self.truncated
-    }
-}
-
-/// The sequential enumerator's visited set: fully resident, or
-/// sharded with disk spill for out-of-core runs (see [`crate::spill`]).
-/// Either backend is an exact set — the reached states, visit counts
-/// and violations are identical; only where the bytes live differs.
-enum VisitedTable {
-    Ram(FxHashSet<PackedState>),
-    Spill(Box<SpillVisited>),
-}
-
-impl VisitedTable {
-    fn new(opts: &EnumOptions) -> VisitedTable {
-        match &opts.spill {
-            None => VisitedTable::Ram(FxHashSet::default()),
-            Some(config) => VisitedTable::Spill(Box::new(SpillVisited::with_fault(
-                config,
-                opts.common.fault.clone(),
-            ))),
-        }
-    }
-
-    fn insert(&mut self, key: PackedState) -> bool {
-        match self {
-            VisitedTable::Ram(set) => set.insert(key),
-            VisitedTable::Spill(table) => table.insert(key),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            VisitedTable::Ram(set) => set.len(),
-            VisitedTable::Spill(table) => table.len(),
-        }
-    }
-
-    /// Resident footprint — what the governor's memory cap polls.
-    /// Deliberately excludes spilled segment bytes: flushing is what
-    /// lets a run proceed under a `max_bytes` budget its full state
-    /// space could never fit in.
-    fn approx_ram_bytes(&self) -> u64 {
-        match self {
-            // Hash-table capacity, one control byte per slot besides
-            // the state.
-            VisitedTable::Ram(set) => {
-                (set.capacity() * (std::mem::size_of::<PackedState>() + 1)) as u64
-            }
-            VisitedTable::Spill(table) => table.approx_ram_bytes(),
-        }
-    }
-
-    /// Full footprint including on-disk segments — what the
-    /// `visited_bytes` gauge reports.
-    fn total_bytes(&self) -> u64 {
-        match self {
-            VisitedTable::Ram(_) => self.approx_ram_bytes(),
-            VisitedTable::Spill(table) => table.total_bytes(),
-        }
-    }
-
-    /// Every admitted state (snapshot capture); `None` if a spill
-    /// segment could not be read back.
-    fn states(&mut self) -> Option<Vec<PackedState>> {
-        match self {
-            VisitedTable::Ram(set) => Some(set.iter().copied().collect()),
-            VisitedTable::Spill(table) => table.states(),
-        }
-    }
-
-    /// `(segments written, bytes spilled)` when spilling is on.
-    fn spill_stats(&self) -> Option<(u64, u64)> {
-        match self {
-            VisitedTable::Ram(_) => None,
-            VisitedTable::Spill(table) => Some((table.segments_written(), table.spilled_bytes())),
-        }
-    }
-
-    fn io_error(&self) -> Option<&str> {
-        match self {
-            VisitedTable::Ram(_) => None,
-            VisitedTable::Spill(table) => table.io_error(),
-        }
     }
 }
 
@@ -658,11 +556,13 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Approximate resident footprint of the sequential search state,
-/// polled by the governor's memory cap: the visited table's RAM
-/// portion plus worklist capacity.
-fn approx_table_bytes(visited: &VisitedTable, work: &VecDeque<PackedState>) -> u64 {
-    visited.approx_ram_bytes() + (work.capacity() * std::mem::size_of::<PackedState>()) as u64
+/// Approximate footprint of the sequential search state, polled by
+/// the governor's memory cap and reported as the `visited_bytes`
+/// gauge: the visited set's hash-table capacity (one control byte per
+/// slot besides the state) plus worklist capacity.
+fn approx_table_bytes(visited: &FxHashSet<PackedState>, work: &VecDeque<PackedState>) -> u64 {
+    let slot = std::mem::size_of::<PackedState>();
+    (visited.capacity() * (slot + 1) + work.capacity() * slot) as u64
 }
 
 /// Runs the exhaustive search from the all-invalid initial state.
@@ -682,7 +582,7 @@ pub fn enumerate_resumed(
     sink.phase_enter(Phase::Enumerate);
     sink.gauge(Gauge::Threads, 1);
 
-    let mut visited = VisitedTable::new(opts);
+    let mut visited: FxHashSet<PackedState> = FxHashSet::default();
     let (mut tally, frontier) = search.seed(seed, |s| {
         visited.insert(s);
     });
@@ -751,19 +651,7 @@ pub fn enumerate_resumed(
     let truncated = stopped.is_some();
     sink.gauge(Gauge::DistinctStates, visited.len() as u64);
     sink.gauge(Gauge::Levels, level as u64);
-    // Unlike the governor's poll, the gauge reports the *full* table
-    // footprint, spilled segments included.
-    sink.gauge(
-        Gauge::VisitedBytes,
-        visited.total_bytes() + (work.capacity() * std::mem::size_of::<PackedState>()) as u64,
-    );
-    if let Some((segments, bytes)) = visited.spill_stats() {
-        sink.count(Counter::SpillSegments, segments);
-        sink.count(Counter::SpillBytes, bytes);
-    }
-    if let Some(err) = visited.io_error() {
-        sink.progress(&format!("spill degraded to in-RAM operation: {err}"));
-    }
+    sink.gauge(Gauge::VisitedBytes, approx_table_bytes(&visited, &work));
     if search.events {
         sink.progress(&format!(
             "enumerate(n={}): {} distinct states, {} visits",
@@ -774,14 +662,10 @@ pub fn enumerate_resumed(
     }
     sink.phase_exit(Phase::Enumerate);
 
-    let snapshot = opts
-        .capture_snapshot
-        .then(|| visited.states())
-        .flatten()
-        .map(|all| EnumSnapshot {
-            visited: all,
-            frontier: work.into(),
-        });
+    let snapshot = opts.capture_snapshot.then(|| EnumSnapshot {
+        visited: visited.iter().copied().collect(),
+        frontier: work.into(),
+    });
     EnumResult {
         n: opts.n,
         distinct: visited.len(),
@@ -790,7 +674,6 @@ pub fn enumerate_resumed(
         truncated,
         stopped,
         snapshot,
-        spill_degraded: visited.io_error().map(str::to_string),
     }
 }
 
@@ -1009,156 +892,6 @@ mod tests {
         assert_eq!(leg2.distinct, full.distinct);
         assert_eq!(leg2.visits, full.visits);
         assert_eq!(leg2.errors.len(), full.errors.len());
-    }
-
-    fn spill_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("ccv-explicit-spill-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn spilled_run_equals_in_ram_run() {
-        let spec = illinois();
-        for (dedup, n) in [(Dedup::Exact, 4), (Dedup::Counting, 5)] {
-            let ram = enumerate(&spec, &EnumOptions::new(n).dedup(dedup));
-            let dir = spill_dir(&format!("eq{n}"));
-            // A few hundred bytes of budget: constant segment churn.
-            let spilled = enumerate(
-                &spec,
-                &EnumOptions::new(n)
-                    .dedup(dedup)
-                    .spill(SpillConfig::new(&dir, Some(512))),
-            );
-            assert_eq!(spilled.distinct, ram.distinct, "n={n} {dedup:?}");
-            assert_eq!(spilled.visits, ram.visits, "n={n} {dedup:?}");
-            assert_eq!(spilled.errors.len(), ram.errors.len());
-            assert!(spilled.is_clean());
-            assert!(
-                std::fs::read_dir(&dir).unwrap().count() > 0,
-                "tiny budget must produce segment files"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn spilled_run_finds_the_same_violations() {
-        let spec = illinois_missing_invalidation();
-        let ram = enumerate(&spec, &EnumOptions::new(3));
-        let dir = spill_dir("bug");
-        let spilled = enumerate(
-            &spec,
-            &EnumOptions::new(3).spill(SpillConfig::new(&dir, Some(256))),
-        );
-        assert_eq!(spilled.errors.len(), ram.errors.len());
-        assert_eq!(spilled.distinct, ram.distinct);
-        let mut a: Vec<_> = spilled.errors.iter().map(|e| e.state).collect();
-        let mut b: Vec<_> = ram.errors.iter().map(|e| e.state).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spilled_run_completes_under_a_budget_that_stops_the_ram_run() {
-        let spec = illinois();
-        // Pick a byte cap between the spill table's bounded resident
-        // footprint and the full in-RAM table. n must be large enough
-        // that the run crosses a governor poll stride (512 expansions)
-        // while the table is big.
-        let cap = 16 * 1024;
-        let ram = enumerate(&spec, &EnumOptions::new(10).exact().max_bytes(cap));
-        assert!(ram.truncated, "cap must stop the in-RAM run");
-        assert_eq!(ram.stopped.unwrap().cause, StopCause::MemoryExhausted);
-
-        let dir = spill_dir("cap");
-        let spilled = enumerate(
-            &spec,
-            &EnumOptions::new(10)
-                .exact()
-                .max_bytes(cap)
-                .spill(SpillConfig::new(&dir, Some(2 * 1024))),
-        );
-        assert!(
-            !spilled.truncated,
-            "spilling must complete under the same cap: {:?}",
-            spilled.stopped
-        );
-        let unconstrained = enumerate(&spec, &EnumOptions::new(10).exact());
-        assert_eq!(spilled.distinct, unconstrained.distinct);
-        assert_eq!(spilled.visits, unconstrained.visits);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn spilled_run_survives_checkpoint_resume() {
-        let spec = illinois();
-        let full = enumerate(&spec, &EnumOptions::new(6).exact());
-
-        let dir1 = spill_dir("ck1");
-        let leg1 = enumerate(
-            &spec,
-            &EnumOptions::new(6)
-                .exact()
-                .max_states(40)
-                .capture_snapshot(true)
-                .spill(SpillConfig::new(&dir1, Some(256))),
-        );
-        assert!(leg1.truncated);
-        let snap = leg1.snapshot.expect("spilled snapshot must read back");
-        assert_eq!(snap.visited.len(), leg1.distinct);
-        let seed = ResumeSeed {
-            visited: snap.visited,
-            frontier: snap.frontier,
-            visits: leg1.visits,
-            errors: leg1.errors,
-        };
-        // Resume into a *fresh* spill directory: the checkpoint is the
-        // hand-off, not the segment files.
-        let dir2 = spill_dir("ck2");
-        let leg2 = enumerate_resumed(
-            &spec,
-            &EnumOptions::new(6)
-                .exact()
-                .spill(SpillConfig::new(&dir2, Some(256))),
-            Some(seed),
-        );
-        assert!(!leg2.truncated);
-        assert_eq!(leg2.distinct, full.distinct);
-        assert_eq!(leg2.visits, full.visits);
-        assert_eq!(leg2.errors.len(), full.errors.len());
-        std::fs::remove_dir_all(&dir1).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
-    }
-
-    #[test]
-    fn spill_metrics_are_reported() {
-        use ccv_observe::Metrics;
-        use std::sync::Arc;
-
-        let spec = illinois();
-        let dir = spill_dir("metrics");
-        let metrics = Arc::new(Metrics::new());
-        let r = enumerate(
-            &spec,
-            &EnumOptions::new(5)
-                .spill(SpillConfig::new(&dir, Some(256)))
-                .sink(metrics.clone() as Arc<_>),
-        );
-        assert!(r.is_clean());
-        let snap = metrics.snapshot();
-        assert!(snap.counter(Counter::SpillSegments) > 0);
-        assert!(snap.counter(Counter::SpillBytes) > 0);
-        // The gauge covers RAM + disk, so it must dominate the bytes
-        // actually spilled.
-        assert!(
-            snap.gauge(Gauge::VisitedBytes).unwrap() >= snap.counter(Counter::SpillBytes),
-            "visited_bytes must include on-disk segments"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

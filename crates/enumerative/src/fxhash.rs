@@ -74,8 +74,8 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Digest guarding a persisted file body: the Fx hash of the bytes
 /// plus the length (so truncation to a zero-padded prefix cannot
-/// collide). Both the checkpoint and spill-segment formats append it
-/// as a final `C <016x>` trailer line.
+/// collide). The checkpoint format appends it as a final `C <016x>`
+/// trailer line.
 pub fn integrity_digest(body: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(body);

@@ -48,7 +48,6 @@ pub mod explicit;
 pub mod fxhash;
 pub mod packed;
 pub mod parallel;
-pub mod spill;
 pub mod step;
 pub mod visited;
 pub mod witness;
@@ -61,7 +60,6 @@ pub use explicit::{
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use packed::{PackedState, MAX_CACHES};
 pub use parallel::{enumerate_parallel, enumerate_parallel_resumed};
-pub use spill::{read_segment, SpillConfig, SpillVisited, DEFAULT_SPILL_THRESHOLD, SPILL_SCHEMA};
 pub use step::{
     describe_violations, is_violating, successors_into, ConcreteError, ConcreteStep, ErrorMask,
 };

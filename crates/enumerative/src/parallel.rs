@@ -446,9 +446,6 @@ pub fn enumerate_parallel_resumed(
         truncated,
         stopped,
         snapshot,
-        // The work-stealing engine never spills (the unified API
-        // routes spill requests to the sequential engine).
-        spill_degraded: None,
     }
 }
 

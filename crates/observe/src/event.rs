@@ -100,12 +100,6 @@ pub enum Counter {
     /// deadline, memory cap, cancellation or worker panic). 0 or 1
     /// per engine run.
     BudgetStops,
-    /// Visited-table shard segments spilled to disk by the out-of-core
-    /// enumerator.
-    SpillSegments,
-    /// Bytes written to on-disk visited-table segments by the
-    /// out-of-core enumerator.
-    SpillBytes,
     /// Nanoseconds the symbolic engine spent generating successors
     /// (`successors_into`). Like the other stage timers, accrued only
     /// while the run's sink is enabled.
@@ -123,7 +117,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 22] = [
         Counter::Visits,
         Counter::Prunes,
         Counter::ContainmentChecks,
@@ -142,8 +136,6 @@ impl Counter {
         Counter::InternHits,
         Counter::BudgetPolls,
         Counter::BudgetStops,
-        Counter::SpillSegments,
-        Counter::SpillBytes,
         Counter::SuccessorsNs,
         Counter::InternNs,
         Counter::ContainNs,
@@ -171,8 +163,6 @@ impl Counter {
             Counter::InternHits => "intern_hits",
             Counter::BudgetPolls => "budget_polls",
             Counter::BudgetStops => "budget_stops",
-            Counter::SpillSegments => "spill_segments",
-            Counter::SpillBytes => "spill_bytes",
             Counter::SuccessorsNs => "successors_ns",
             Counter::InternNs => "intern_ns",
             Counter::ContainNs => "contain_ns",
@@ -204,11 +194,10 @@ pub enum Gauge {
     /// Approximate bytes held by the symbolic engine's interned
     /// composite arena at fixpoint (inline storage plus spill).
     ArenaBytes,
-    /// Approximate bytes held by the enumerator's visited table at
-    /// the end of the run, **including** any on-disk spill segments.
-    /// The `--max-bytes` governor compares its cap against the
-    /// resident (in-RAM) portion only, so a spilling run can complete
-    /// under a budget its in-RAM footprint alone would trip.
+    /// Approximate bytes held by the enumerator's visited table (and,
+    /// for the sequential engine, its worklist) at the end of the run:
+    /// the footprint the `--max-bytes` governor compares its cap
+    /// against.
     VisitedBytes,
 }
 

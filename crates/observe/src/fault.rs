@@ -23,9 +23,11 @@
 //! * `seed=N` — seeds the deterministic delay used by `slow` faults,
 //!   so a plan replays identically across runs.
 //!
-//! Example: `spill.flush:io@2,client.connect:disconnect x0` is
-//! invalid (`x0`), while `spill.flush:io@2,client.connect:io` injects
-//! one I/O error on the second spill flush and one connect failure.
+//! Example: `cache.write:io@2,client.connect:disconnect x0` is
+//! invalid (`x0`), while `cache.write:io@2,client.connect:io` injects
+//! one I/O error on the second verdict-cache write and one connect
+//! failure. A site outside [`SITES`] is refused, so a misspelt plan
+//! cannot pass a drill by injecting nothing.
 //!
 //! Engines hold a [`FaultHandle`] — the same shape as
 //! [`SinkHandle`](crate::event::SinkHandle): a cheap clone wrapping
@@ -37,6 +39,18 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Every site compiled into ccv; [`FaultPlan::parse`] refuses others.
+pub const SITES: &[&str] = &[
+    "checkpoint.write",
+    "enum.worker",
+    "cache.write",
+    "serve.accept",
+    "serve.response",
+    "client.connect",
+    "client.read",
+    "cli.out",
+];
 
 /// What goes wrong when a fault fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,6 +114,12 @@ impl FaultRule {
             .ok_or_else(|| format!("fault rule '{entry}' lacks ':kind'"))?;
         if site.is_empty() {
             return Err(format!("fault rule '{entry}' has an empty site"));
+        }
+        if !SITES.contains(&site) {
+            return Err(format!(
+                "fault rule '{entry}': unknown site '{site}' (expected {})",
+                SITES.join("|")
+            ));
         }
         // rest = kind[@after][xtimes]; kind names contain no '@'/'x'
         // ambiguity because every kind name is letter-only and the
@@ -315,13 +335,16 @@ mod tests {
 
     #[test]
     fn parses_the_full_grammar() {
-        let plan = FaultPlan::parse("a.b:io, c:torn@3 ,d:panic@2x4,e:slow x*,seed=7").unwrap();
+        let plan = FaultPlan::parse(
+            "cache.write:io, checkpoint.write:torn@3 ,enum.worker:panic@2x4,client.read:slow x*,seed=7",
+        )
+        .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.rules.len(), 4);
         assert_eq!(
             plan.rules[0],
             FaultRule {
-                site: "a.b".into(),
+                site: "cache.write".into(),
                 kind: FaultKind::IoError,
                 after: 1,
                 times: Some(1)
@@ -330,7 +353,7 @@ mod tests {
         assert_eq!(
             plan.rules[1],
             FaultRule {
-                site: "c".into(),
+                site: "checkpoint.write".into(),
                 kind: FaultKind::TornWrite,
                 after: 3,
                 times: Some(1)
@@ -339,7 +362,7 @@ mod tests {
         assert_eq!(
             plan.rules[2],
             FaultRule {
-                site: "d".into(),
+                site: "enum.worker".into(),
                 kind: FaultKind::Panic,
                 after: 2,
                 times: Some(4)
@@ -348,7 +371,7 @@ mod tests {
         assert_eq!(
             plan.rules[3],
             FaultRule {
-                site: "e".into(),
+                site: "client.read".into(),
                 kind: FaultKind::SlowRead,
                 after: 1,
                 times: None
@@ -362,10 +385,10 @@ mod tests {
             "",
             "nocolon",
             ":io",
-            "s:unknownkind",
-            "s:io@0",
-            "s:io@x",
-            "s:iox0",
+            "cli.out:unknownkind",
+            "cli.out:io@0",
+            "cli.out:io@x",
+            "cli.out:iox0",
             "seed=abc",
             "seed=1",
         ] {
@@ -377,21 +400,30 @@ mod tests {
     }
 
     #[test]
+    fn unknown_sites_are_named_in_the_refusal() {
+        let err = FaultPlan::parse("cli.out:io,enum.wroker:panic").unwrap_err();
+        assert!(err.contains("unknown site 'enum.wroker'"), "{err}");
+        for site in SITES {
+            assert!(FaultPlan::parse(&format!("{site}:io")).is_ok(), "{site}");
+        }
+    }
+
+    #[test]
     fn fires_inside_the_window_only() {
-        let h = FaultHandle::from_spec("s:io@2x2").unwrap();
-        assert_eq!(h.fire("s"), None);
-        assert_eq!(h.fire("s"), Some(FaultKind::IoError));
-        assert_eq!(h.fire("s"), Some(FaultKind::IoError));
-        assert_eq!(h.fire("s"), None);
-        assert_eq!(h.fire("other"), None);
+        let h = FaultHandle::from_spec("cache.write:io@2x2").unwrap();
+        assert_eq!(h.fire("cache.write"), None);
+        assert_eq!(h.fire("cache.write"), Some(FaultKind::IoError));
+        assert_eq!(h.fire("cache.write"), Some(FaultKind::IoError));
+        assert_eq!(h.fire("cache.write"), None);
+        assert_eq!(h.fire("cli.out"), None);
         assert_eq!(h.injector().unwrap().fired_total(), 2);
     }
 
     #[test]
     fn star_fires_forever() {
-        let h = FaultHandle::from_spec("s:torn x*").unwrap();
+        let h = FaultHandle::from_spec("cache.write:torn x*").unwrap();
         for _ in 0..10 {
-            assert_eq!(h.fire("s"), Some(FaultKind::TornWrite));
+            assert_eq!(h.fire("cache.write"), Some(FaultKind::TornWrite));
         }
     }
 
@@ -405,28 +437,31 @@ mod tests {
 
     #[test]
     fn io_probe_maps_kinds() {
-        let h = FaultHandle::from_spec("r:io").unwrap();
-        let err = h.io("r").unwrap_err();
+        let h = FaultHandle::from_spec("checkpoint.write:io").unwrap();
+        let err = h.io("checkpoint.write").unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
-        assert!(h.io("r").is_ok(), "window exhausted");
+        assert!(h.io("checkpoint.write").is_ok(), "window exhausted");
         // Torn is a writer-side kind; io() ignores it.
-        let h = FaultHandle::from_spec("w:torn").unwrap();
-        assert!(h.io("w").is_ok());
+        let h = FaultHandle::from_spec("cache.write:torn").unwrap();
+        assert!(h.io("cache.write").is_ok());
     }
 
     #[test]
     #[should_panic(expected = "injected fault: panic")]
     fn io_probe_panics_on_panic_kind() {
-        let h = FaultHandle::from_spec("p:panic").unwrap();
-        let _ = h.io("p");
+        let h = FaultHandle::from_spec("cli.out:panic").unwrap();
+        let _ = h.io("cli.out");
     }
 
     #[test]
     fn replay_is_deterministic() {
         let run = |spec: &str| {
             let h = FaultHandle::from_spec(spec).unwrap();
-            (0..6).map(|_| h.fire("s")).collect::<Vec<_>>()
+            (0..6).map(|_| h.fire("cache.write")).collect::<Vec<_>>()
         };
-        assert_eq!(run("s:io@3x2,seed=9"), run("s:io@3x2,seed=9"));
+        assert_eq!(
+            run("cache.write:io@3x2,seed=9"),
+            run("cache.write:io@3x2,seed=9")
+        );
     }
 }

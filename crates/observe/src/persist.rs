@@ -1,11 +1,11 @@
 //! Crash-safe file publication: write-temp + fsync + atomic rename.
 //!
-//! Every artefact ccv persists (checkpoints, spill segments, verdict
-//! cache entries, `--metrics-out` / `--essential-out` files) goes
-//! through [`write_atomic`], so a reader never observes a
-//! half-written file under the final name: a crash — even `kill -9` —
-//! leaves either the previous complete file or the new complete file,
-//! plus possibly an abandoned temp file that readers ignore.
+//! Every artefact ccv persists (checkpoints, verdict cache entries,
+//! `--metrics-out` / `--essential-out` files) goes through
+//! [`write_atomic`], so a reader never observes a half-written file
+//! under the final name: a crash — even `kill -9` — leaves either the
+//! previous complete file or the new complete file, plus possibly an
+//! abandoned temp file that readers ignore.
 //!
 //! Torn content can still reach the final name through the
 //! [`FaultKind::TornWrite`] fault
@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn injected_io_error_leaves_previous_file_intact() {
         let path = tmp_path("ioerr");
-        write_atomic(&path, b"v1", &FaultHandle::disabled(), "t").unwrap();
-        let fault = FaultHandle::from_spec("t:io").unwrap();
-        let err = write_atomic(&path, b"v2", &fault, "t").unwrap_err();
+        write_atomic(&path, b"v1", &FaultHandle::disabled(), "cache.write").unwrap();
+        let fault = FaultHandle::from_spec("cache.write:io").unwrap();
+        let err = write_atomic(&path, b"v2", &fault, "cache.write").unwrap_err();
         assert!(err.to_string().contains("injected fault"));
         assert_eq!(fs::read(&path).unwrap(), b"v1");
         fs::remove_file(&path).unwrap();
@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn torn_write_publishes_truncated_content() {
         let path = tmp_path("torn");
-        let fault = FaultHandle::from_spec("t:torn").unwrap();
-        write_atomic(&path, b"0123456789", &fault, "t").unwrap();
+        let fault = FaultHandle::from_spec("cache.write:torn").unwrap();
+        write_atomic(&path, b"0123456789", &fault, "cache.write").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"01234");
         fs::remove_file(&path).unwrap();
     }

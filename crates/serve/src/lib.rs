@@ -121,8 +121,7 @@ pub struct ServerConfig {
     pub max_n: usize,
     /// Per-request enumeration worker-thread clamp. Requests asking
     /// for more (or for auto-detection via `threads: 0`) get exactly
-    /// this many — except spill-backed runs, where auto stays auto so
-    /// the engine can resolve it to the sequential 1 it requires.
+    /// this many.
     pub max_threads: usize,
     /// Deadline applied to requests that specify none.
     pub default_deadline: Duration,
@@ -187,7 +186,7 @@ impl ServerConfig {
         let o = &mut r.options;
         if o.touches_files() && !self.allow_files {
             return Err(ApiError::unsupported(
-                "checkpoint_out/resume/spill_dir touch server-side files and are \
+                "checkpoint_out/resume touch server-side files and are \
                  disabled (start the server with --allow-files to enable them)",
             ));
         }
@@ -202,14 +201,6 @@ impl ServerConfig {
         o.record_trace = false;
         if r.action != Action::Enumerate {
             o.threads = 0;
-        } else if o.spill_dir.is_some() {
-            // Spill-backed runs are sequential; inflating an auto
-            // thread request to `max_threads` here would turn it into
-            // an explicit spill×threads conflict downstream. Leave 0
-            // (auto) alone and let the engine resolve it to 1 — an
-            // explicit `threads > 1` still reaches the engine and
-            // comes back `bad_request`.
-            o.threads = o.threads.min(self.max_threads);
         } else if o.threads == 0 || o.threads > self.max_threads {
             o.threads = self.max_threads;
         }
@@ -990,32 +981,7 @@ mod tests {
         with_files.options.checkpoint_out = Some("/tmp/x.ccvk".into());
         let out = s.process(&with_files, &RunContext::default());
         assert_eq!(out.code, Some(ErrorCode::Unsupported));
-    }
-
-    #[test]
-    fn spill_requests_keep_auto_threads_instead_of_inflating_them() {
-        // The clamp turns `threads: 0` into `max_threads` — but for a
-        // spill-backed run that would manufacture a spill×threads
-        // conflict the client never asked for. Auto must survive
-        // admission so the engine can resolve it to the sequential 1.
-        let cfg = ServerConfig {
-            allow_files: true,
-            ..ServerConfig::loopback()
-        };
-        let mut req = Request::enumerate(ProtocolSource::Name("illinois".into()), 3);
-        req.options.spill_dir = Some("/tmp/ccv-spill-admit-test".into());
-        let effective = cfg.admit(&req).expect("admitted");
-        assert_eq!(effective.options.threads, 0, "auto must stay auto");
-
-        // An explicit thread count still reaches the engine untouched,
-        // where it is answered with `bad_request`.
-        req.options.threads = 4;
-        let effective = cfg.admit(&req).expect("admitted");
-        assert_eq!(effective.options.threads, 4);
-        let s = Service::new(cfg);
-        let out = s.process(&req, &RunContext::default());
-        assert_eq!(out.code, Some(ErrorCode::BadRequest));
-        assert!(out.body.contains("sequential"), "{}", out.body);
+        assert!(out.body.contains("checkpoint_out/resume"), "{}", out.body);
     }
 
     #[test]
