@@ -138,13 +138,14 @@ pub(crate) fn parse_or_help(spec: &ArgSpec, args: &[String]) -> Result<Option<Pa
 
 /// Writes a CLI output file atomically (sibling temp file + fsync +
 /// rename), so a crash, Ctrl-C or full disk never leaves a torn
-/// half-file where the old contents used to be.
+/// half-file where the old contents used to be. No fault site covers
+/// these writes, so the handle is disabled and the site left unnamed.
 fn write_out(path: &str, bytes: &[u8]) -> Result<(), String> {
     ccv_observe::write_atomic(
         std::path::Path::new(path),
         bytes,
         &ccv_observe::FaultHandle::disabled(),
-        "cli.out",
+        "",
     )
     .map_err(|e| format!("writing {path}: {e}"))
 }
@@ -1117,55 +1118,41 @@ pub fn simulate(args: &[String]) -> CmdResult {
     let obs = Obs::from_args(&p)?;
     let handle = obs.handle(Vec::new());
 
-    let mut params = WorkloadParams::new(procs);
-    params.accesses = accesses;
-    params.seed = seed;
-    if let Some(path) = p.value::<String>("--trace-file")? {
+    let (trace, machine_procs, source) = if let Some(path) = p.value::<String>("--trace-file")? {
         let trace = ccv_sim::load_trace(&path)?;
-        let machine_procs = trace.procs.max(procs);
-        let mut machine = Machine::new(
-            spec.clone(),
-            MachineConfig::small(machine_procs).sink(handle),
-        );
-        let report = machine.run(&trace);
-        println!(
-            "protocol {} trace file {path} ({} accesses, {} procs)",
-            spec.name(),
+        let source = format!(
+            "trace file {path} ({} accesses, {} procs)",
             trace.len(),
             trace.procs
         );
-        println!("{}", report.stats);
-        let coherent = report.is_coherent();
-        if coherent {
-            println!("coherent: every load returned the latest value.");
-        } else {
-            println!(
-                "INCOHERENT: {} oracle violations; first: {:?}",
-                report.violations.len(),
-                report.violations[0]
-            );
-        }
-        obs.finish()?;
-        return Ok(CmdStatus::from_ok(coherent));
-    }
-    let trace: Trace = match which.as_str() {
-        "uniform" => workload::uniform(&params),
-        "hot-block" | "hot_block" => workload::hot_block(&params),
-        "producer-consumer" | "producer_consumer" => workload::producer_consumer(&params),
-        "migratory" => workload::migratory(&params),
-        "mostly-private" | "mostly_private" => workload::mostly_private(&params),
-        other => return Err(format!("unknown workload '{other}'")),
+        let machine_procs = trace.procs.max(procs);
+        (trace, machine_procs, source)
+    } else {
+        let mut params = WorkloadParams::new(procs);
+        params.accesses = accesses;
+        params.seed = seed;
+        let trace: Trace = match which.as_str() {
+            "uniform" => workload::uniform(&params),
+            "hot-block" | "hot_block" => workload::hot_block(&params),
+            "producer-consumer" | "producer_consumer" => workload::producer_consumer(&params),
+            "migratory" => workload::migratory(&params),
+            "mostly-private" | "mostly_private" => workload::mostly_private(&params),
+            other => return Err(format!("unknown workload '{other}'")),
+        };
+        let source = format!(
+            "workload {} ({} accesses, {procs} procs, seed {seed})",
+            trace.name,
+            trace.len()
+        );
+        (trace, procs, source)
     };
 
-    let mut machine = Machine::new(spec.clone(), MachineConfig::small(procs).sink(handle));
-    let report = machine.run(&trace);
-    println!(
-        "protocol {} workload {} ({} accesses, {} procs, seed {seed})",
-        spec.name(),
-        trace.name,
-        trace.len(),
-        procs
+    let mut machine = Machine::new(
+        spec.clone(),
+        MachineConfig::small(machine_procs).sink(handle),
     );
+    let report = machine.run(&trace);
+    println!("protocol {} {source}", spec.name());
     println!("{}", report.stats);
     let coherent = report.is_coherent();
     if coherent {

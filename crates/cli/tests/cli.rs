@@ -118,6 +118,32 @@ fn buggy_verify_and_report_output_is_pinned() {
 }
 
 #[test]
+fn concrete_stale_access_output_is_pinned() {
+    // A missing write-back makes both explicit searches report stale
+    // fills, each prefixed with the originating cache; a sequential
+    // enumeration lists its errors in a fixed order.
+    let o = ccv(&[
+        "enumerate",
+        "illinois-missing-writeback",
+        "-n",
+        "3",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(o.status.code(), Some(1));
+    assert_eq!(
+        stdout(&o),
+        include_str!("golden/enumerate_illinois_missing_writeback_n3.txt")
+    );
+    let o = ccv(&["witness", "illinois-missing-writeback"]);
+    assert_eq!(o.status.code(), Some(1));
+    assert_eq!(
+        stdout(&o),
+        include_str!("golden/witness_illinois_missing_writeback.txt")
+    );
+}
+
+#[test]
 fn verify_unknown_protocol_exits_2() {
     let o = ccv(&["verify", "nonesuch"]);
     assert_eq!(o.status.code(), Some(2));

@@ -39,7 +39,7 @@
 
 use crate::check::{check, Violation};
 use crate::composite::Composite;
-use crate::expand::{successors_into, ExpandScratch, Label, StepError, Transition};
+use crate::expand::{successors_into, ExpandScratch, Label, StepErrors, Transition};
 use crate::index::ContainmentIndex;
 use crate::intern::{CompositeArena, CompositeId};
 use ccv_model::ProtocolSpec;
@@ -155,9 +155,6 @@ pub struct Node {
     pub state: CompositeId,
     /// How the state was first reached (`None` for the initial state).
     pub parent: Option<(NodeId, Label)>,
-    /// State-level violations (structural contradictions, readable
-    /// stale copies).
-    pub violations: Vec<Violation>,
     /// Whether containment pruning later displaced this state.
     pub pruned: bool,
 }
@@ -192,16 +189,15 @@ pub struct ErrorFinding {
     /// State-level violations of the node.
     pub violations: Vec<Violation>,
     /// Transition-level stale accesses observed on the step *into* the
-    /// node, materialised from the transition's error mask when the
-    /// finding is recorded.
-    pub step_errors: Vec<StepError>,
+    /// node.
+    pub step_errors: StepErrors,
 }
 
 impl ErrorFinding {
     /// What went wrong, one line per violation and stale access.
     pub fn descriptions(&self, spec: &ProtocolSpec) -> Vec<String> {
         let mut lines: Vec<String> = self.violations.iter().map(|v| v.describe(spec)).collect();
-        lines.extend(self.step_errors.iter().map(StepError::to_string));
+        lines.extend(self.step_errors.iter().map(|e| e.to_string()));
         lines
     }
 }
@@ -493,7 +489,6 @@ pub fn expand_with(
     nodes.push(Node {
         state: init_id,
         parent: None,
-        violations: init_violations.clone(),
         pruned: false,
     });
     index.insert(NodeId(0), init_id, &initial);
@@ -501,7 +496,7 @@ pub fn expand_with(
         errors.push(ErrorFinding {
             node: NodeId(0),
             violations: init_violations,
-            step_errors: Vec::new(),
+            step_errors: StepErrors::EMPTY,
         });
         sink.violation("initial composite state violates coherence");
     }
@@ -610,13 +605,12 @@ pub fn expand_with(
                     nodes.push(Node {
                         state: tid,
                         parent: Some((current, t.label)),
-                        violations: violations.clone(),
                         pruned: true, // not part of the frontier
                     });
                     errors.push(ErrorFinding {
                         node: id,
                         violations,
-                        step_errors: t.errors.to_vec(),
+                        step_errors: t.errors,
                     });
                     if opts.common.stop_at_first_error {
                         break 'outer;
@@ -649,7 +643,6 @@ pub fn expand_with(
             nodes.push(Node {
                 state: tid,
                 parent: Some((current, t.label)),
-                violations: violations.clone(),
                 pruned: false,
             });
             index.insert(id, tid, &t.to);
@@ -666,7 +659,7 @@ pub fn expand_with(
                 errors.push(ErrorFinding {
                     node: id,
                     violations,
-                    step_errors: t.errors.to_vec(),
+                    step_errors: t.errors,
                 });
                 if opts.common.stop_at_first_error {
                     break 'outer;

@@ -22,9 +22,9 @@
 //! explicit **branches**: each branch conditions the relevant class
 //! nonempty/empty and yields its own successor family. Data-consistency
 //! bookkeeping (Definitions 3–4) is threaded through every branch;
-//! stale accesses are recorded in a copyable [`StepErrors`] mask and
-//! materialised into [`StepError`] values only when a violation is
-//! actually reported.
+//! stale accesses are recorded in a copyable [`StepErrors`] set (shared
+//! with the explicit engine) and rendered only when a finding is
+//! reported.
 //!
 //! The hot entry point is [`successors_into`], which writes transitions
 //! into a caller-owned buffer and keeps every intermediate branch list
@@ -34,6 +34,7 @@
 use crate::composite::{ClassKey, Composite};
 use crate::istate::{emit_into, internalize_into, IState, KeyList};
 use ccv_model::{CData, DataOp, GlobalCtx, MData, Outcome, ProcEvent, ProtocolSpec};
+pub use ccv_model::{StepError, StepErrors};
 use core::fmt;
 
 /// Identifies a symbolic transition: which class originated it, under
@@ -65,91 +66,6 @@ impl Label {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}_q{}", self.event.label(), self.origin.state.0)
-    }
-}
-
-/// A data-consistency error observed while applying a transition
-/// (Definition 3: a load must return the latest stored value).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StepError {
-    /// The local processor read a copy holding an obsolete value.
-    StaleReadHit,
-    /// A miss was filled from an obsolete source (stale memory or a
-    /// stale cached copy).
-    StaleFill,
-}
-
-impl fmt::Display for StepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StepError::StaleReadHit => f.write_str("processor read an obsolete local copy"),
-            StepError::StaleFill => f.write_str("miss filled from an obsolete source"),
-        }
-    }
-}
-
-/// A packed set of [`StepError`]s for one transition.
-///
-/// Almost every transition is error-free, so the error set travels as a
-/// `Copy` bitmask and [`StepError`] values are materialised (via
-/// [`StepErrors::iter`]/[`StepErrors::to_vec`]) only when a violation
-/// is reported — the symbolic mirror of the enumerative engine's
-/// `ErrorMask`.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct StepErrors(u8);
-
-impl StepErrors {
-    /// The empty set.
-    pub const EMPTY: StepErrors = StepErrors(0);
-
-    #[inline]
-    fn bit(err: StepError) -> u8 {
-        match err {
-            StepError::StaleReadHit => 1,
-            StepError::StaleFill => 2,
-        }
-    }
-
-    /// Adds `err` to the set.
-    #[inline]
-    pub fn insert(&mut self, err: StepError) {
-        self.0 |= Self::bit(err);
-    }
-
-    /// True iff `err` is in the set.
-    #[inline]
-    pub fn contains(self, err: StepError) -> bool {
-        self.0 & Self::bit(err) != 0
-    }
-
-    /// True iff no error has been recorded.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of recorded errors.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// Iterates the recorded errors in declaration order.
-    pub fn iter(self) -> impl Iterator<Item = StepError> {
-        [StepError::StaleReadHit, StepError::StaleFill]
-            .into_iter()
-            .filter(move |&e| self.contains(e))
-    }
-
-    /// Materialises the set into owned [`StepError`] values.
-    pub fn to_vec(self) -> Vec<StepError> {
-        self.iter().collect()
-    }
-}
-
-impl fmt::Debug for StepErrors {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -327,25 +243,9 @@ fn context_branches_into(
                 valid.push(k);
             }
         }
-        let mut empty = rest.clone();
-        let mut feasible = true;
-        for &k in &valid {
-            match empty.condition_empty(k) {
-                Some(next) => empty = next,
-                None => {
-                    feasible = false;
-                    break;
-                }
-            }
-        }
-        if feasible {
-            sharing.push((false, empty));
-        }
-        for &k in &valid {
-            if let Some(s) = rest.condition_nonempty(k) {
-                sharing.push((true, s));
-            }
-        }
+        presence_branches(rest, &valid, |holder, s| {
+            sharing.push((holder.is_some(), s))
+        });
     }
 
     // Resolve the ownership predicate within each sharing branch.
@@ -369,25 +269,36 @@ fn context_branches_into(
             out.push((GlobalCtx::SHARED_CLEAN, state));
         } else {
             // Ambiguous and relevant: branch.
-            let mut none = state.clone();
-            let mut feasible = true;
-            for &k in &owners {
-                match none.condition_empty(k) {
-                    Some(next) => none = next,
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-            if feasible {
-                out.push((GlobalCtx::SHARED_CLEAN, none));
-            }
-            for &k in &owners {
-                if let Some(s) = state.condition_nonempty(k) {
-                    out.push((GlobalCtx::OWNED_ELSEWHERE, s));
-                }
-            }
+            presence_branches(&state, &owners, |owner, s| {
+                let ctx = match owner {
+                    Some(_) => GlobalCtx::OWNED_ELSEWHERE,
+                    None => GlobalCtx::SHARED_CLEAN,
+                };
+                out.push((ctx, s));
+            });
+        }
+    }
+}
+
+/// Branches on which of the classes `keys` are nonempty in `state`:
+/// first the branch where every one of them is empty (`None`, when
+/// feasible), then one branch per class that can be nonempty
+/// (`Some(key)`), in `keys` order. Each branch is handed to `push`.
+#[inline]
+fn presence_branches(
+    state: &IState,
+    keys: &KeyList,
+    mut push: impl FnMut(Option<ClassKey>, IState),
+) {
+    if let Some(none) = keys
+        .iter()
+        .try_fold(state.clone(), |s, &k| s.condition_empty(k))
+    {
+        push(None, none);
+    }
+    for &k in keys {
+        if let Some(s) = state.condition_nonempty(k) {
+            push(Some(k), s);
         }
     }
 }
@@ -419,36 +330,18 @@ fn data_branches_into(
                     flushers.push(k);
                 }
             }
-            if flushers.is_empty() {
-                flush.push(rest.clone());
-            } else {
-                // No-flush scenario: every flusher class is empty.
-                let mut none = rest.clone();
-                let mut feasible = true;
-                for &k in &flushers {
-                    match none.condition_empty(k) {
-                        Some(next) => none = next,
-                        None => {
-                            feasible = false;
-                            break;
-                        }
-                    }
+            // A no-flush scenario (every flusher class empty), then one
+            // scenario per flushing class: memory takes its data.
+            presence_branches(rest, &flushers, |flusher, mut s| {
+                if let Some(k) = flusher {
+                    s.mdata = match k.cdata {
+                        CData::Fresh => MData::Fresh,
+                        CData::Obsolete => MData::Obsolete,
+                        CData::NoData => unreachable!("flusher holds a copy"),
+                    };
                 }
-                if feasible {
-                    flush.push(none);
-                }
-                // One scenario per flushing class: memory takes its data.
-                for &k in &flushers {
-                    if let Some(mut s) = rest.condition_nonempty(k) {
-                        s.mdata = match k.cdata {
-                            CData::Fresh => MData::Fresh,
-                            CData::Obsolete => MData::Obsolete,
-                            CData::NoData => unreachable!("flusher holds a copy"),
-                        };
-                        flush.push(s);
-                    }
-                }
-            }
+                flush.push(s);
+            });
         }
     }
 
@@ -472,34 +365,15 @@ fn data_branches_into(
                 suppliers.push(k);
             }
         }
-        // Memory-fill scenario: no supplier present.
-        let mut none = fs.clone();
-        let mut feasible = true;
-        for &k in &suppliers {
-            match none.condition_empty(k) {
-                Some(next) => none = next,
-                None => {
-                    feasible = false;
-                    break;
-                }
-            }
-        }
-        if feasible {
-            let cd = none.mdata.as_cdata();
+        // A memory-fill scenario (no supplier present), then the
+        // cache-supply scenarios ("arbitrarily choose Cj with a copy").
+        presence_branches(fs, &suppliers, |supplier, s| {
+            let cd = supplier.map_or(s.mdata.as_cdata(), |k| k.cdata);
             out.push(DataBranch {
-                rest: none,
+                rest: s,
                 fill_cd: Some(cd),
             });
-        }
-        // Cache-supply scenarios ("arbitrarily choose Cj with a copy").
-        for &k in &suppliers {
-            if let Some(s) = fs.condition_nonempty(k) {
-                out.push(DataBranch {
-                    rest: s,
-                    fill_cd: Some(k.cdata),
-                });
-            }
-        }
+        });
     }
 }
 
@@ -793,23 +667,6 @@ mod tests {
         let reads = find(&succ, &spec, "Inv", ProcEvent::Read);
         assert_eq!(reads.len(), 1);
         assert!(reads[0].errors.contains(StepError::StaleFill));
-    }
-
-    #[test]
-    fn step_errors_mask_roundtrips() {
-        let mut m = StepErrors::EMPTY;
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
-        m.insert(StepError::StaleFill);
-        m.insert(StepError::StaleFill);
-        assert_eq!(m.len(), 1);
-        assert!(m.contains(StepError::StaleFill));
-        assert!(!m.contains(StepError::StaleReadHit));
-        m.insert(StepError::StaleReadHit);
-        assert_eq!(
-            m.to_vec(),
-            vec![StepError::StaleReadHit, StepError::StaleFill]
-        );
     }
 
     #[test]

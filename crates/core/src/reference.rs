@@ -36,7 +36,6 @@ use std::collections::VecDeque;
 struct RefNode {
     state: Composite,
     parent: Option<(NodeId, crate::expand::Label)>,
-    violations: Vec<crate::check::Violation>,
     pruned: bool,
 }
 
@@ -72,14 +71,13 @@ pub fn reference_expand_from(
     nodes.push(RefNode {
         state: initial,
         parent: None,
-        violations: init_violations.clone(),
         pruned: false,
     });
     if !init_violations.is_empty() {
         errors.push(ErrorFinding {
             node: NodeId(0),
             violations: init_violations,
-            step_errors: Vec::new(),
+            step_errors: crate::expand::StepErrors::EMPTY,
         });
     }
     work.push_back(NodeId(0));
@@ -132,13 +130,12 @@ pub fn reference_expand_from(
                     nodes.push(RefNode {
                         state: t.to,
                         parent: Some((current, t.label)),
-                        violations: violations.clone(),
                         pruned: true,
                     });
                     errors.push(ErrorFinding {
                         node: id,
                         violations,
-                        step_errors: t.errors.to_vec(),
+                        step_errors: t.errors,
                     });
                     if opts.common.stop_at_first_error {
                         break 'outer;
@@ -157,14 +154,13 @@ pub fn reference_expand_from(
             nodes.push(RefNode {
                 state: t.to,
                 parent: Some((current, t.label)),
-                violations: violations.clone(),
                 pruned: false,
             });
             if !violations.is_empty() || !t.errors.is_empty() {
                 errors.push(ErrorFinding {
                     node: id,
                     violations,
-                    step_errors: t.errors.to_vec(),
+                    step_errors: t.errors,
                 });
                 if opts.common.stop_at_first_error {
                     break 'outer;
@@ -191,7 +187,6 @@ pub fn reference_expand_from(
         .map(|n| Node {
             state: arena.intern(&n.state),
             parent: n.parent,
-            violations: n.violations,
             pruned: n.pruned,
         })
         .collect();

@@ -472,7 +472,7 @@ impl<'a> Search<'a> {
             let descriptions = s
                 .errors
                 .iter()
-                .map(|e| format!("{e} via cache {} {}", s.cache, s.event))
+                .map(|e| format!("cache {0}: {e} via cache {0} {1}", s.cache, s.event))
                 .collect();
             tally.errors.push(EnumError {
                 state: s.to,

@@ -60,8 +60,6 @@ pub use explicit::{
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use packed::{PackedState, MAX_CACHES};
 pub use parallel::{enumerate_parallel, enumerate_parallel_resumed};
-pub use step::{
-    describe_violations, is_violating, successors_into, ConcreteError, ConcreteStep, ErrorMask,
-};
+pub use step::{describe_violations, is_violating, successors_into, ConcreteStep};
 pub use visited::{AtomicVisited, ClaimStats};
 pub use witness::{find_violation_witness, find_witness, Witness, WitnessSearch, WitnessStep};

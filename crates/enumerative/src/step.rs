@@ -47,9 +47,9 @@
 //! * the per-stimulus successor dedup uses an inline
 //!   `[PackedState; 4]` — 2 memory resolutions × 2 fill sources bound
 //!   the candidates;
-//! * stale accesses are recorded in a packed [`ErrorMask`] (`Copy`,
-//!   one `u32`) instead of a `Vec`, so [`ConcreteStep`] itself is
-//!   `Copy`.
+//! * stale accesses are recorded in a packed [`StepErrors`] (`Copy`,
+//!   one byte, shared with the symbolic engine) instead of a `Vec`, so
+//!   [`ConcreteStep`] itself is `Copy`.
 //!
 //! Violation checking is split the same way: [`is_violating`] is the
 //! branch-only fast path the engines call per state, and
@@ -60,11 +60,11 @@
 //! global allocator.
 
 use crate::packed::{PackedState, MAX_CACHES};
-use ccv_model::{BusOp, CData, DataOp, GlobalCtx, MData, ProcEvent, ProtocolSpec, StateId};
+use ccv_model::{
+    BusOp, CData, DataOp, GlobalCtx, MData, ProcEvent, ProtocolSpec, StateId, StepError, StepErrors,
+};
 use ccv_observe::RuleStat;
 use std::time::Instant;
-
-pub use ccv_model::{ConcreteError, ErrorMask};
 
 /// One concrete successor: the event that produced it, the new state,
 /// and any stale accesses observed on the way.
@@ -76,8 +76,8 @@ pub struct ConcreteStep {
     pub event: ProcEvent,
     /// The successor state.
     pub to: PackedState,
-    /// Stale accesses during the step.
-    pub errors: ErrorMask,
+    /// Stale accesses the originator committed during the step.
+    pub errors: StepErrors,
 }
 
 /// The summary slot of a silent transition; bus op `b` uses slot
@@ -256,7 +256,7 @@ impl<'a> Kernel<'a> {
                 _ => mdata_after_flush,
             };
             for &source in &source_choices[..num_sources] {
-                let mut errors = ErrorMask::EMPTY;
+                let mut errors = StepErrors::EMPTY;
                 let fill_cd = source.unwrap_or(mdata_after_flush.as_cdata());
                 let new_cd = match outcome.data {
                     // A request phase moves no data and reads nothing:
@@ -264,19 +264,19 @@ impl<'a> Kernel<'a> {
                     DataOp::None => held,
                     DataOp::Read { fill: false } => {
                         if held == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleReadHit { cache: i });
+                            errors.insert(StepError::StaleReadHit);
                         }
                         held
                     }
                     DataOp::Read { fill: true } => {
                         if fill_cd == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleFill { cache: i });
+                            errors.insert(StepError::StaleFill);
                         }
                         fill_cd
                     }
                     DataOp::Write { fill, .. } => {
                         if fill && fill_cd == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleFill { cache: i });
+                            errors.insert(StepError::StaleFill);
                         }
                         CData::Fresh
                     }
@@ -565,7 +565,7 @@ mod tests {
         let mut num_emitted = 0usize;
         for &mdata_after_flush in &mdata_choices[..num_mdata] {
             for &source in &source_choices[..num_sources] {
-                let mut errors = ErrorMask::EMPTY;
+                let mut errors = StepErrors::EMPTY;
                 let mut next = gs.with_mdata(mdata_after_flush);
 
                 // Coincident snoop transitions for every other cache.
@@ -624,19 +624,19 @@ mod tests {
                     DataOp::None => gs.cdata(i),
                     DataOp::Read { fill: false } => {
                         if gs.cdata(i) == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleReadHit { cache: i });
+                            errors.insert(StepError::StaleReadHit);
                         }
                         gs.cdata(i)
                     }
                     DataOp::Read { fill: true } => {
                         if fill_cd == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleFill { cache: i });
+                            errors.insert(StepError::StaleFill);
                         }
                         fill_cd
                     }
                     DataOp::Write { fill, .. } => {
                         if fill && fill_cd == CData::Obsolete {
-                            errors.insert(ConcreteError::StaleFill { cache: i });
+                            errors.insert(StepError::StaleFill);
                         }
                         CData::Fresh
                     }
@@ -729,7 +729,7 @@ mod tests {
         spec.state_by_name(name).unwrap()
     }
 
-    fn errors_of(step: &ConcreteStep) -> Vec<ConcreteError> {
+    fn errors_of(step: &ConcreteStep) -> Vec<StepError> {
         step.errors.iter().collect()
     }
 
@@ -818,6 +818,13 @@ mod tests {
     }
 
     #[test]
+    fn concrete_step_is_32_bytes() {
+        // The kernel writes one `ConcreteStep` per successor; the error
+        // set must not widen it past the `u128` state's alignment.
+        assert_eq!(std::mem::size_of::<ConcreteStep>(), 32);
+    }
+
+    #[test]
     fn stale_fill_is_reported() {
         // Memory obsolete, no copies anywhere: a read miss fills stale.
         let spec = illinois();
@@ -825,10 +832,8 @@ mod tests {
         let mut out = Vec::new();
         step_into(&spec, gs, 2, 0, ProcEvent::Read, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(
-            errors_of(&out[0]),
-            vec![ConcreteError::StaleFill { cache: 0 }]
-        );
+        assert_eq!(out[0].cache, 0);
+        assert_eq!(errors_of(&out[0]), vec![StepError::StaleFill]);
     }
 
     #[test]

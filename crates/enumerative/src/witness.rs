@@ -252,7 +252,11 @@ fn replay(
             .expect("steps commute with cache permutations");
         state = s.to;
         // Its stale accesses, then the violations of the state reached.
-        let mut problems: Vec<String> = s.errors.iter().map(|e| e.to_string()).collect();
+        let mut problems: Vec<String> = s
+            .errors
+            .iter()
+            .map(|e| format!("cache {}: {e}", s.cache))
+            .collect();
         problems.extend(describe_violations(spec, s.to, n));
         steps.push(WitnessStep {
             cache: s.cache,

@@ -10,11 +10,13 @@
 //! a processor can read an `obsolete` copy is an *erroneous* state
 //! (Definition 3) and the protocol is incorrect.
 //!
-//! This module defines the value domains and [`DataOp`], the declarative
-//! description of how a transition moves data. The actual update rules
+//! This module defines the value domains, [`DataOp`] (the declarative
+//! description of how a transition moves data) and [`StepError`] (the
+//! stale accesses a transition can commit). The actual update rules
 //! are implemented once, in protocol-independent form, by
 //! `ccv-core::expand` (symbolic) and `ccv-enum::step` (explicit),
-//! both driven by the same `DataOp`.
+//! both driven by the same `DataOp` and reporting the same
+//! [`StepErrors`].
 
 use core::fmt;
 
@@ -170,77 +172,57 @@ impl DataOp {
     }
 }
 
-/// A stale access observed while applying a concrete transition — the
-/// erroneous behaviours of Definition 3, attributed to the cache that
-/// performed them.
+/// A stale access observed while applying a transition — the erroneous
+/// behaviours of Definition 3 (a load must return the latest stored
+/// value). Both engines attribute it to the transition's originator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConcreteError {
-    /// Cache `cache` read its local copy while it was obsolete.
-    StaleReadHit {
-        /// The offending cache index.
-        cache: usize,
-    },
-    /// Cache `cache` filled a miss from an obsolete source.
-    StaleFill {
-        /// The offending cache index.
-        cache: usize,
-    },
+pub enum StepError {
+    /// The local processor read a copy holding an obsolete value.
+    StaleReadHit,
+    /// A miss was filled from an obsolete source (stale memory or a
+    /// stale cached copy).
+    StaleFill,
 }
 
-/// The symbolic engine's wording, prefixed with the offending cache:
-/// `cache 0: miss filled from an obsolete source`.
-impl fmt::Display for ConcreteError {
+impl fmt::Display for StepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConcreteError::StaleReadHit { cache } => {
-                write!(f, "cache {cache}: processor read an obsolete local copy")
-            }
-            ConcreteError::StaleFill { cache } => {
-                write!(f, "cache {cache}: miss filled from an obsolete source")
-            }
+            StepError::StaleReadHit => f.write_str("processor read an obsolete local copy"),
+            StepError::StaleFill => f.write_str("miss filled from an obsolete source"),
         }
     }
 }
 
-/// Maximum cache index representable by an [`ErrorMask`].
-pub const ERROR_MASK_MAX_CACHES: usize = 16;
-
-/// A packed set of [`ConcreteError`]s for machines of up to 16 caches.
+/// A packed set of [`StepError`]s for one transition.
 ///
-/// The explicit-state enumeration kernel generates millions of
-/// successors per second; almost none of them carry errors, so the
-/// error set must be `Copy` and allocation-free. Bit `i` records a
-/// stale read hit by cache `i`, bit `16 + i` a stale fill by cache `i`.
+/// Both engines generate far more transitions than they report, and
+/// almost none carry errors, so the set is `Copy` and allocation-free;
+/// [`StepError`] values are materialised only when a violation is
+/// reported.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct ErrorMask(u32);
+pub struct StepErrors(u8);
 
-impl ErrorMask {
+impl StepErrors {
     /// The empty set.
-    pub const EMPTY: ErrorMask = ErrorMask(0);
+    pub const EMPTY: StepErrors = StepErrors(0);
 
     #[inline]
-    fn bit(err: ConcreteError) -> u32 {
+    fn bit(err: StepError) -> u8 {
         match err {
-            ConcreteError::StaleReadHit { cache } => {
-                debug_assert!(cache < ERROR_MASK_MAX_CACHES);
-                1 << cache
-            }
-            ConcreteError::StaleFill { cache } => {
-                debug_assert!(cache < ERROR_MASK_MAX_CACHES);
-                1 << (ERROR_MASK_MAX_CACHES + cache)
-            }
+            StepError::StaleReadHit => 1,
+            StepError::StaleFill => 2,
         }
     }
 
     /// Adds `err` to the set.
     #[inline]
-    pub fn insert(&mut self, err: ConcreteError) {
+    pub fn insert(&mut self, err: StepError) {
         self.0 |= Self::bit(err);
     }
 
     /// True iff `err` is in the set.
     #[inline]
-    pub fn contains(self, err: ConcreteError) -> bool {
+    pub fn contains(self, err: StepError) -> bool {
         self.0 & Self::bit(err) != 0
     }
 
@@ -256,34 +238,17 @@ impl ErrorMask {
         self.0.count_ones() as usize
     }
 
-    /// Iterates the recorded errors, stale read hits first, each group
-    /// in cache order.
-    pub fn iter(self) -> impl Iterator<Item = ConcreteError> {
-        let mask = self.0;
-        (0..ERROR_MASK_MAX_CACHES)
-            .filter(move |i| mask & (1 << i) != 0)
-            .map(|cache| ConcreteError::StaleReadHit { cache })
-            .chain(
-                (0..ERROR_MASK_MAX_CACHES)
-                    .filter(move |i| mask & (1 << (ERROR_MASK_MAX_CACHES + i)) != 0)
-                    .map(|cache| ConcreteError::StaleFill { cache }),
-            )
+    /// Iterates the recorded errors in declaration order.
+    pub fn iter(self) -> impl Iterator<Item = StepError> {
+        [StepError::StaleReadHit, StepError::StaleFill]
+            .into_iter()
+            .filter(move |&e| self.contains(e))
     }
 }
 
-impl fmt::Debug for ErrorMask {
+impl fmt::Debug for StepErrors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<ConcreteError> for ErrorMask {
-    fn from_iter<T: IntoIterator<Item = ConcreteError>>(iter: T) -> ErrorMask {
-        let mut m = ErrorMask::EMPTY;
-        for e in iter {
-            m.insert(e);
-        }
-        m
     }
 }
 
@@ -329,38 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn error_mask_roundtrips_every_error() {
-        let mut m = ErrorMask::EMPTY;
+    fn step_errors_mask_roundtrips() {
+        let mut m = StepErrors::EMPTY;
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
-        for cache in 0..ERROR_MASK_MAX_CACHES {
-            m.insert(ConcreteError::StaleReadHit { cache });
-            m.insert(ConcreteError::StaleFill { cache });
-        }
-        assert_eq!(m.len(), 2 * ERROR_MASK_MAX_CACHES);
-        for cache in 0..ERROR_MASK_MAX_CACHES {
-            assert!(m.contains(ConcreteError::StaleReadHit { cache }));
-            assert!(m.contains(ConcreteError::StaleFill { cache }));
-        }
-        assert_eq!(m.iter().count(), 2 * ERROR_MASK_MAX_CACHES);
-    }
-
-    #[test]
-    fn error_mask_is_idempotent_and_order_stable() {
-        let mut m = ErrorMask::EMPTY;
-        m.insert(ConcreteError::StaleFill { cache: 3 });
-        m.insert(ConcreteError::StaleFill { cache: 3 });
-        m.insert(ConcreteError::StaleReadHit { cache: 1 });
-        assert_eq!(m.len(), 2);
-        let listed: Vec<ConcreteError> = m.iter().collect();
+        m.insert(StepError::StaleFill);
+        m.insert(StepError::StaleFill);
+        assert_eq!(m.len(), 1);
+        assert!(m.contains(StepError::StaleFill));
+        assert!(!m.contains(StepError::StaleReadHit));
+        m.insert(StepError::StaleReadHit);
         assert_eq!(
-            listed,
-            vec![
-                ConcreteError::StaleReadHit { cache: 1 },
-                ConcreteError::StaleFill { cache: 3 },
-            ]
+            m.iter().collect::<Vec<_>>(),
+            vec![StepError::StaleReadHit, StepError::StaleFill]
         );
-        let rebuilt: ErrorMask = listed.into_iter().collect();
-        assert_eq!(rebuilt, m);
     }
 }

@@ -79,7 +79,7 @@ pub mod protocols;
 pub use bus::{BusOp, SnoopOutcome};
 pub use connectivity::strongly_connected;
 pub use context::{Characteristic, GlobalCtx};
-pub use data::{CData, ConcreteError, DataOp, ErrorMask, MData, ERROR_MASK_MAX_CACHES};
+pub use data::{CData, DataOp, MData, StepError, StepErrors};
 pub use event::ProcEvent;
 pub use spec::{Outcome, ProtocolSpec, SpecBuilder, SpecError, TransientInfo};
 pub use state::{StateAttrs, StateId, StateInfo};

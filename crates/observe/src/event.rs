@@ -1,6 +1,7 @@
 //! The event vocabulary and the sink trait engines emit into.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A top-level stage of a verification run.
@@ -435,9 +436,12 @@ pub trait EventSink: Send + Sync {
 
 /// A cheap handle engines hold: either attached to a sink or disabled.
 ///
-/// `SinkHandle::default()` is disabled; every emission through it is a
-/// single branch on `None`, which keeps instrumented hot loops at
-/// their uninstrumented speed. Cloning shares the underlying sink.
+/// The handle derefs to its sink, so events are emitted as
+/// `handle.count(..)`. `SinkHandle::default()` is disabled and derefs
+/// to a sink that drops every event; hot loops read
+/// [`SinkHandle::is_enabled`] once and skip per-state emissions, which
+/// keeps them at their uninstrumented speed. Cloning shares the
+/// underlying sink.
 #[derive(Clone, Default)]
 pub struct SinkHandle(Option<Arc<dyn EventSink>>);
 
@@ -455,129 +459,30 @@ impl SinkHandle {
     /// Whether a sink is attached and wants events.
     #[inline]
     pub fn is_enabled(&self) -> bool {
+        self.0.as_ref().is_some_and(|sink| sink.enabled())
+    }
+}
+
+/// The sink a disabled [`SinkHandle`] derefs to: every event is a no-op
+/// and [`EventSink::enabled`] is `false`.
+struct NoSink;
+
+impl EventSink for NoSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+}
+
+/// Emissions go through the attached sink, or through a no-op sink when
+/// the handle is disabled.
+impl Deref for SinkHandle {
+    type Target = dyn EventSink;
+
+    #[inline]
+    fn deref(&self) -> &(dyn EventSink + 'static) {
         match &self.0 {
-            Some(sink) => sink.enabled(),
-            None => false,
-        }
-    }
-
-    /// See [`EventSink::phase_enter`].
-    #[inline]
-    pub fn phase_enter(&self, phase: Phase) {
-        if let Some(sink) = &self.0 {
-            sink.phase_enter(phase);
-        }
-    }
-
-    /// See [`EventSink::phase_exit`].
-    #[inline]
-    pub fn phase_exit(&self, phase: Phase) {
-        if let Some(sink) = &self.0 {
-            sink.phase_exit(phase);
-        }
-    }
-
-    /// See [`EventSink::count`].
-    #[inline]
-    pub fn count(&self, counter: Counter, delta: u64) {
-        if let Some(sink) = &self.0 {
-            sink.count(counter, delta);
-        }
-    }
-
-    /// See [`EventSink::gauge`].
-    #[inline]
-    pub fn gauge(&self, gauge: Gauge, value: u64) {
-        if let Some(sink) = &self.0 {
-            sink.gauge(gauge, value);
-        }
-    }
-
-    /// See [`EventSink::frontier`].
-    #[inline]
-    pub fn frontier(&self, level: usize, size: usize) {
-        if let Some(sink) = &self.0 {
-            sink.frontier(level, size);
-        }
-    }
-
-    /// See [`EventSink::class_size`].
-    #[inline]
-    pub fn class_size(&self, size: usize) {
-        if let Some(sink) = &self.0 {
-            sink.class_size(size);
-        }
-    }
-
-    /// See [`EventSink::bus_transaction`].
-    #[inline]
-    pub fn bus_transaction(&self, op: &str) {
-        if let Some(sink) = &self.0 {
-            sink.bus_transaction(op);
-        }
-    }
-
-    /// See [`EventSink::worker`].
-    #[inline]
-    pub fn worker(&self, idx: usize, claims: u64) {
-        if let Some(sink) = &self.0 {
-            sink.worker(idx, claims);
-        }
-    }
-
-    /// See [`EventSink::progress`].
-    #[inline]
-    pub fn progress(&self, message: &str) {
-        if let Some(sink) = &self.0 {
-            sink.progress(message);
-        }
-    }
-
-    /// See [`EventSink::span_begin`].
-    #[inline]
-    pub fn span_begin(&self, kind: SpanKind, tid: u32) {
-        if let Some(sink) = &self.0 {
-            sink.span_begin(kind, tid);
-        }
-    }
-
-    /// See [`EventSink::span_end`].
-    #[inline]
-    pub fn span_end(&self, kind: SpanKind, tid: u32) {
-        if let Some(sink) = &self.0 {
-            sink.span_end(kind, tid);
-        }
-    }
-
-    /// See [`EventSink::sample`].
-    #[inline]
-    pub fn sample(&self, track: Track, value: u64) {
-        if let Some(sink) = &self.0 {
-            sink.sample(track, value);
-        }
-    }
-
-    /// See [`EventSink::violation`].
-    #[inline]
-    pub fn violation(&self, description: &str) {
-        if let Some(sink) = &self.0 {
-            sink.violation(description);
-        }
-    }
-
-    /// See [`EventSink::rule_stats`].
-    #[inline]
-    pub fn rule_stats(&self, rule: &str, stat: RuleStat) {
-        if let Some(sink) = &self.0 {
-            sink.rule_stats(rule, stat);
-        }
-    }
-
-    /// See [`EventSink::stopped`].
-    #[inline]
-    pub fn stopped(&self, cause: &str, detail: Option<&str>) {
-        if let Some(sink) = &self.0 {
-            sink.stopped(cause, detail);
+            Some(sink) => &**sink,
+            None => &NoSink,
         }
     }
 }

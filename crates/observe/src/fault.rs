@@ -49,7 +49,6 @@ pub const SITES: &[&str] = &[
     "serve.response",
     "client.connect",
     "client.read",
-    "cli.out",
 ];
 
 /// What goes wrong when a fault fires.
@@ -385,10 +384,10 @@ mod tests {
             "",
             "nocolon",
             ":io",
-            "cli.out:unknownkind",
-            "cli.out:io@0",
-            "cli.out:io@x",
-            "cli.out:iox0",
+            "cache.write:unknownkind",
+            "cache.write:io@0",
+            "cache.write:io@x",
+            "cache.write:iox0",
             "seed=abc",
             "seed=1",
         ] {
@@ -401,8 +400,10 @@ mod tests {
 
     #[test]
     fn unknown_sites_are_named_in_the_refusal() {
-        let err = FaultPlan::parse("cli.out:io,enum.wroker:panic").unwrap_err();
+        let err = FaultPlan::parse("cache.write:io,enum.wroker:panic").unwrap_err();
         assert!(err.contains("unknown site 'enum.wroker'"), "{err}");
+        let err = FaultPlan::parse("cli.out:io").unwrap_err();
+        assert!(err.contains("unknown site 'cli.out'"), "{err}");
         for site in SITES {
             assert!(FaultPlan::parse(&format!("{site}:io")).is_ok(), "{site}");
         }
@@ -415,7 +416,7 @@ mod tests {
         assert_eq!(h.fire("cache.write"), Some(FaultKind::IoError));
         assert_eq!(h.fire("cache.write"), Some(FaultKind::IoError));
         assert_eq!(h.fire("cache.write"), None);
-        assert_eq!(h.fire("cli.out"), None);
+        assert_eq!(h.fire("checkpoint.write"), None);
         assert_eq!(h.injector().unwrap().fired_total(), 2);
     }
 
@@ -449,8 +450,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "injected fault: panic")]
     fn io_probe_panics_on_panic_kind() {
-        let h = FaultHandle::from_spec("cli.out:panic").unwrap();
-        let _ = h.io("cli.out");
+        let h = FaultHandle::from_spec("checkpoint.write:panic").unwrap();
+        let _ = h.io("checkpoint.write");
     }
 
     #[test]

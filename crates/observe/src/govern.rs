@@ -25,7 +25,7 @@
 //! stride.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -285,8 +285,6 @@ pub struct Governor {
     /// Full polls performed (clock + memory checks), for the
     /// `budget_polls` counter.
     polls: AtomicU64,
-    /// Unused; reserves layout room for a future sampled field.
-    _pad: AtomicU32,
 }
 
 impl Governor {
@@ -304,7 +302,6 @@ impl Governor {
             token,
             cause: AtomicU8::new(0),
             polls: AtomicU64::new(0),
-            _pad: AtomicU32::new(0),
         }
     }
 

@@ -155,6 +155,9 @@ pub struct Machine {
     access_index: usize,
     /// Loads compared against the oracle so far.
     oracle_checks: u64,
+    /// Whether the sink wants events; cached once, since the sink is
+    /// fixed at construction.
+    events: bool,
 }
 
 impl Machine {
@@ -176,6 +179,7 @@ impl Machine {
             spec.name()
         );
         Machine {
+            events: cfg.common.sink.is_enabled(),
             caches: (0..cfg.procs)
                 .map(|_| Cache::new(cfg.sets, cfg.assoc))
                 .collect(),
@@ -256,8 +260,7 @@ impl Machine {
             trace.procs,
             self.cfg.procs
         );
-        // Cached once for the whole trace; never re-queried per access.
-        let events = self.cfg.common.sink.is_enabled();
+        let events = self.events;
         self.cfg.common.sink.phase_enter(Phase::Simulate);
         if events {
             self.cfg.common.sink.span_begin(SpanKind::WorkerBusy, 0);
@@ -365,7 +368,9 @@ impl Machine {
         let mut supplier_version: Option<u64> = None;
         if let Some(bus) = outcome.bus {
             self.stats.bus_ops[bus.index()] += 1;
-            self.cfg.common.sink.bus_transaction(bus.mnemonic());
+            if self.events {
+                self.cfg.common.sink.bus_transaction(bus.mnemonic());
+            }
             for j in 0..self.cfg.procs {
                 if j == proc {
                     continue;
@@ -481,7 +486,9 @@ impl Machine {
         let outcome = self.spec.outcome(state, ProcEvent::Replace, ctx);
         if let Some(bus) = outcome.bus {
             self.stats.bus_ops[bus.index()] += 1;
-            self.cfg.common.sink.bus_transaction(bus.mnemonic());
+            if self.events {
+                self.cfg.common.sink.bus_transaction(bus.mnemonic());
+            }
             debug_assert_eq!(bus, BusOp::WriteBack, "replacements only write back");
         }
         if let DataOp::Evict { writeback: true } = outcome.data {
@@ -496,9 +503,8 @@ impl Machine {
         self.oracle_checks += 1;
         let expected = self.latest.get(&access.block).copied().unwrap_or(0);
         if got != expected {
-            let sink = &self.cfg.common.sink;
-            if sink.is_enabled() {
-                sink.violation(&format!(
+            if self.events {
+                self.cfg.common.sink.violation(&format!(
                     "access #{idx}: proc {} read v{got} from block {}, latest write was v{expected}",
                     access.proc, access.block
                 ));
