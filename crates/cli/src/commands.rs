@@ -46,7 +46,8 @@ usage:
   ccv enumerate  <protocol> -n N [--exact] [--threads T] [--max-states N]
                  [--deadline SECS] [--max-bytes BYTES]
                  [--checkpoint-out FILE] [--resume FILE]
-  ccv crosscheck <protocol> -n N [--stop-at-first-error]
+  ccv crosscheck <protocol> -n N [--stop-at-first-error] [--exact]
+                 [--max-states N] [--deadline SECS] [--max-bytes BYTES]
                                             Theorem 1 check at size N
   ccv serve      [--addr ADDR] [--workers N] [--queue N]
                  [--cache-capacity N] [--cache-dir DIR] [--max-n N]
@@ -735,6 +736,28 @@ pub fn report(args: &[String]) -> CmdResult {
     Ok(CmdStatus::Success)
 }
 
+/// The enumeration options `enumerate` and `crosscheck` share.
+const EXACT_FLAG: Flag = Flag {
+    name: "--exact",
+    value: None,
+    help: "exact-duplicate pruning instead of counting equivalence",
+};
+const MAX_STATES_FLAG: Flag = Flag {
+    name: "--max-states",
+    value: Some("N"),
+    help: "stop (inconclusively) after this many distinct states",
+};
+const DEADLINE_FLAG: Flag = Flag {
+    name: "--deadline",
+    value: Some("SECS"),
+    help: "stop (inconclusively) after this much wall-clock time",
+};
+const MAX_BYTES_FLAG: Flag = Flag {
+    name: "--max-bytes",
+    value: Some("BYTES"),
+    help: "stop (inconclusively) past this approximate visited-table footprint",
+};
+
 const ENUMERATE_SPEC: ArgSpec = ArgSpec {
     cmd: "enumerate",
     summary: "exhaustively enumerate the explicit state space for N caches",
@@ -745,31 +768,15 @@ const ENUMERATE_SPEC: ArgSpec = ArgSpec {
             value: Some("N"),
             help: "cache count (default 4)",
         },
-        Flag {
-            name: "--exact",
-            value: None,
-            help: "exact-duplicate pruning instead of counting equivalence",
-        },
+        EXACT_FLAG,
         Flag {
             name: "--threads",
             value: Some("T"),
             help: "parallel workers; 0 = one per available core (default 0)",
         },
-        Flag {
-            name: "--max-states",
-            value: Some("N"),
-            help: "stop (inconclusively) after this many distinct states",
-        },
-        Flag {
-            name: "--deadline",
-            value: Some("SECS"),
-            help: "stop (inconclusively) after this much wall-clock time",
-        },
-        Flag {
-            name: "--max-bytes",
-            value: Some("BYTES"),
-            help: "stop (inconclusively) past this approximate visited-table footprint",
-        },
+        MAX_STATES_FLAG,
+        DEADLINE_FLAG,
+        MAX_BYTES_FLAG,
         Flag {
             name: "--checkpoint-out",
             value: Some("FILE"),
@@ -892,13 +899,18 @@ const CROSSCHECK_SPEC: ArgSpec = ArgSpec {
             value: None,
             help: "skip the coverage scan if the enumeration reaches a violation",
         },
+        EXACT_FLAG,
+        MAX_STATES_FLAG,
+        DEADLINE_FLAG,
+        MAX_BYTES_FLAG,
         METRICS_OUT_FLAG,
         TRACE_OUT_FLAG,
         FLIGHT_FLAG,
     ],
 };
 
-/// `ccv crosscheck <protocol> -n N [--stop-at-first-error]
+/// `ccv crosscheck <protocol> -n N [--stop-at-first-error] [--exact]
+/// [--max-states N] [--deadline SECS] [--max-bytes BYTES]
 /// [--metrics-out FILE] [--trace-out FILE] [--flight-recorder[=N]]`
 pub fn crosscheck(args: &[String]) -> CmdResult {
     let Some(p) = parse_or_help(&CROSSCHECK_SPEC, args)? else {
@@ -909,6 +921,10 @@ pub fn crosscheck(args: &[String]) -> CmdResult {
     let n: usize = p.value_or("-n", 4)?;
     let mut req = Request::crosscheck(ProtocolSource::Spec(spec), n);
     req.options.stop_at_first_error = p.flag("--stop-at-first-error");
+    req.options.exact = p.flag("--exact");
+    req.options.max_states = p.value::<usize>("--max-states")?;
+    req.options.deadline = p.seconds("--deadline")?;
+    req.options.max_bytes = p.value::<u64>("--max-bytes")?;
     let ctx = RunContext::new(CancelToken::global(), obs.handle(Vec::new()));
     let c = match SessionRunner::new().run(&req, &ctx).result {
         Ok(Payload::Crosscheck(c)) => c,

@@ -10,7 +10,9 @@
 //! ccv enumerate <protocol> -n N [--exact] [--threads T] [--max-states N]
 //!                          [--deadline SECS] [--max-bytes BYTES]
 //!                          [--checkpoint-out FILE] [--resume FILE]
-//! ccv crosscheck <protocol> -n N           Theorem 1 check at size N
+//! ccv crosscheck <protocol> -n N [--exact] [--max-states N]
+//!                          [--deadline SECS] [--max-bytes BYTES]
+//!                                          Theorem 1 check at size N
 //! ccv simulate  <protocol> [--workload W] [--accesses N] [--procs P] [--seed S]
 //! ```
 //!
@@ -30,7 +32,8 @@ mod report;
 /// cancel flag. Engines holding [`ccv_observe::CancelToken::global`]
 /// observe it at their next poll, drain cooperatively, and render a
 /// partial (INCONCLUSIVE) result instead of dying mid-search; the
-/// serve daemon stops accepting and drains in-flight requests. Both
+/// serve daemon stops accepting, cancels its in-flight engine runs and
+/// returns once each has written its INCONCLUSIVE response. Both
 /// signals behave identically, so `kill <pid>` (a supervisor's
 /// shutdown) is as graceful as Ctrl-C. The handler body is a single
 /// atomic store, which is async-signal-safe.

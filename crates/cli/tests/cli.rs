@@ -239,6 +239,40 @@ fn crosscheck_confirms_theorem_1() {
 }
 
 #[test]
+fn crosscheck_exact_counts_the_orbit_weighted_total() {
+    // The default run weights each orbit representative by its orbit
+    // size; `--exact` enumerates every concrete tuple. Both must
+    // print the same explicit-state total.
+    let total = |extra: &[&str]| {
+        let mut args = vec!["crosscheck", "split-msi", "-n", "3"];
+        args.extend_from_slice(extra);
+        let o = ccv(&args);
+        assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+        let out = stdout(&o);
+        assert!(out.contains("Theorem 1 holds"), "{out}");
+        let (_, rest) = out.split_once(": ").expect("summary line");
+        rest.split_whitespace().next().unwrap().to_string()
+    };
+    assert_eq!(total(&[]), total(&["--exact"]));
+}
+
+#[test]
+fn crosscheck_past_its_state_budget_is_inconclusive() {
+    // Each governor flag stops the run with its own cause.
+    for (flag, value, cause) in [
+        ("--max-states", "10", "state budget exhausted"),
+        ("--deadline", "0", "wall-clock deadline expired"),
+        ("--max-bytes", "1", "memory cap exceeded"),
+    ] {
+        let o = ccv(&["crosscheck", "split-msi", "-n", "3", flag, value]);
+        assert_eq!(o.status.code(), Some(3), "{flag}");
+        let out = stdout(&o);
+        assert!(out.contains(&format!("inconclusive: {cause}")), "{out}");
+        assert!(!out.contains("Theorem 1 holds"), "{out}");
+    }
+}
+
+#[test]
 fn simulate_reports_coherence() {
     let o = ccv(&[
         "simulate",

@@ -15,12 +15,68 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ccv_core::api::{ApiError, ErrorCode, Request, RunContext};
 use ccv_observe::{CancelToken, FaultKind, Json, LineOut, NdjsonSink, SinkHandle};
 
 use crate::{Service, MAX_REQUEST_BYTES};
+
+/// The most time a client gets to send its whole request, and to
+/// take each response, or each streamed line, once writing starts. A
+/// client that is silent, trickles bytes or stops reading is dropped
+/// after this long, so every handler's I/O ends.
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A connection's socket under one deadline for a whole span of its
+/// I/O, not a timeout per call: each read or write first sets the
+/// socket's timeout to the time left, so a client that sends or takes
+/// a byte at a time cannot stretch the span past the deadline.
+struct Timed<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> Timed<'a> {
+    /// `stream` with [`IO_TIMEOUT`] from now.
+    fn new(stream: &'a TcpStream) -> Timed<'a> {
+        Timed::until(stream, Instant::now() + IO_TIMEOUT)
+    }
+
+    fn until(stream: &'a TcpStream, deadline: Instant) -> Timed<'a> {
+        Timed { stream, deadline }
+    }
+
+    fn left(&self) -> io::Result<Duration> {
+        match self.deadline.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(io::ErrorKind::TimedOut.into()),
+        }
+    }
+}
+
+impl Read for Timed<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Timed<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.left()?))?;
+        self.stream.write_vectored(bufs)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
 
 /// Applies the `serve.response` fault site just before response bytes
 /// go out. `true` means drop the connection without responding — an
@@ -112,15 +168,16 @@ impl WireWriter {
     }
 
     /// Writes one NDJSON line (heartbeats, progress events). A write
-    /// failure means the client is gone: the run is cancelled. Lines
-    /// offered after the response are dropped.
+    /// failure, or a client that takes no line within [`IO_TIMEOUT`],
+    /// means the client is gone: the run is cancelled. Lines offered
+    /// after the response are dropped.
     fn write_line(&self, line: &str) -> bool {
-        let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        let out = self.out.lock().unwrap_or_else(|p| p.into_inner());
         if self.done.load(Ordering::Acquire) {
             return false;
         }
         let r = write_parts(
-            &mut *out,
+            &mut Timed::new(&out),
             &mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")],
         );
         if r.is_err() {
@@ -129,14 +186,15 @@ impl WireWriter {
         r.is_ok()
     }
 
-    /// Writes the final bytes of the connection and marks it done, in
-    /// one critical section — no heartbeat can trail the response.
-    /// Shutting the read half wakes a watchdog blocked reading the
-    /// socket; the condvar wakes one waiting between heartbeats.
+    /// Writes the final bytes of the connection, giving up after
+    /// [`IO_TIMEOUT`], and marks it done, in one critical section — no
+    /// heartbeat can trail the response. Shutting the read half wakes
+    /// a watchdog blocked reading the socket; the condvar wakes one
+    /// waiting between heartbeats.
     fn finish(&self, parts: &mut [IoSlice<'_>]) {
-        let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        let out = self.out.lock().unwrap_or_else(|p| p.into_inner());
         self.done.store(true, Ordering::Release);
-        let _ = write_parts(&mut *out, parts);
+        let _ = write_parts(&mut Timed::new(&out), parts);
         let _ = out.shutdown(Shutdown::Read);
         self.finished.notify_all();
     }
@@ -214,7 +272,8 @@ fn watchdog(mut probe: TcpStream, wire: Arc<WireWriter>, interval: Duration, hea
 }
 
 /// Starts the disconnect watchdog for a request headed for an engine.
-/// `None` if the socket cannot be cloned; the run then goes unwatched.
+/// `None` if the socket cannot be cloned or the OS refuses the thread;
+/// the run then goes unwatched.
 fn spawn_watchdog(
     wire: &Arc<WireWriter>,
     interval: Duration,
@@ -222,9 +281,10 @@ fn spawn_watchdog(
 ) -> Option<JoinHandle<()>> {
     let probe = wire.probe().ok()?;
     let wire = Arc::clone(wire);
-    Some(std::thread::spawn(move || {
-        watchdog(probe, wire, interval, heartbeat)
-    }))
+    std::thread::Builder::new()
+        .name("ccv-serve-watchdog".into())
+        .spawn(move || watchdog(probe, wire, interval, heartbeat))
+        .ok()
 }
 
 /// Sends the final bytes of a connection, or drops it without them on
@@ -247,21 +307,22 @@ fn respond(
 }
 
 /// Entry point for one accepted connection: sniff the dialect off the
-/// first byte and dispatch.
-pub(crate) fn handle_connection(service: Arc<Service>, stream: TcpStream) {
-    // Blocking I/O with a generous idle timeout: a client that
-    // connects and never sends a parseable request gets dropped.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+/// first byte and dispatch. `cancel` is the token an engine run for
+/// this connection polls.
+pub(crate) fn handle_connection(service: &Service, stream: TcpStream, cancel: CancelToken) {
+    // The whole request, first byte to last, must arrive by `read_by`.
+    let read_by = Instant::now() + IO_TIMEOUT;
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let mut first = [0u8; 1];
     match stream.peek(&mut first) {
-        Ok(1) if first[0] == b'{' => handle_ndjson(&service, stream),
-        Ok(1) => handle_http(&service, stream),
+        Ok(1) if first[0] == b'{' => handle_ndjson(service, stream, read_by, cancel),
+        Ok(1) => handle_http(service, stream, read_by, cancel),
         _ => {}
     }
 }
 
 /// Reads one `\n`-terminated line, bounded at `max` bytes.
-fn read_request_line(stream: &TcpStream, max: usize) -> Result<String, ApiError> {
+fn read_request_line(stream: impl Read, max: usize) -> Result<String, ApiError> {
     let mut line = String::new();
     let mut limited = BufReader::new(stream).take(max as u64);
     match limited.read_line(&mut line) {
@@ -276,10 +337,9 @@ fn read_request_line(stream: &TcpStream, max: usize) -> Result<String, ApiError>
 
 /// One NDJSON request: request line in, event stream + response
 /// envelope out.
-fn handle_ndjson(service: &Arc<Service>, stream: TcpStream) {
+fn handle_ndjson(service: &Service, stream: TcpStream, read_by: Instant, cancel: CancelToken) {
     let cfg = service.config();
-    let cancel = CancelToken::new();
-    let line = read_request_line(&stream, MAX_REQUEST_BYTES);
+    let line = read_request_line(Timed::until(&stream, read_by), MAX_REQUEST_BYTES);
     let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
     let mut probe_thread = None;
     let outcome = match line.and_then(|line| Request::parse(line.trim())) {
@@ -379,9 +439,10 @@ fn read_head(stream: &mut impl Read, max: usize) -> io::Result<(String, Vec<u8>)
 
 /// One HTTP exchange: `POST /v1/requests`, `GET /v1/metrics`,
 /// `GET /v1/healthz`.
-fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
+fn handle_http(service: &Service, stream: TcpStream, read_by: Instant, cancel: CancelToken) {
     let cfg = service.config();
-    let Ok((head, mut body)) = read_head(&mut stream, MAX_REQUEST_BYTES) else {
+    let mut request = Timed::until(&stream, read_by);
+    let Ok((head, mut body)) = read_head(&mut request, MAX_REQUEST_BYTES) else {
         return;
     };
     let mut lines = head.lines();
@@ -418,10 +479,9 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
             // started; a short read (EOF, timeout) keeps what came.
             let rest = content_length.saturating_sub(body.len());
             body.reserve(rest);
-            let _ = (&mut stream).take(rest as u64).read_to_end(&mut body);
+            let _ = request.take(rest as u64).read_to_end(&mut body);
             let text = String::from_utf8(body)
                 .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-            let cancel = CancelToken::new();
             let wire = Arc::new(WireWriter::new(stream, cancel.clone()));
             let ctx = RunContext::new(cancel, SinkHandle::disabled());
             let mut probe_thread = None;
@@ -459,7 +519,7 @@ fn handle_http(service: &Arc<Service>, mut stream: TcpStream) {
         IoSlice::new(head.as_bytes()),
         IoSlice::new(reply.as_bytes()),
     ];
-    let _ = write_parts(&mut stream, parts);
+    let _ = write_parts(&mut Timed::new(&stream), parts);
 }
 
 #[cfg(test)]

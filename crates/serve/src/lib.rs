@@ -27,6 +27,10 @@
 //! * admission is a bounded worker pool plus a bounded queue
 //!   ([`admission::Admission`]); excess load is shed with a `busy`
 //!   error (HTTP 429), never buffered without bound;
+//! * connections are served by reused handler threads, at most
+//!   `2 × (workers + queue_depth)` of them; at that cap new
+//!   connections wait in the listen backlog instead of starting a
+//!   thread;
 //! * a client that disappears mid-run is detected (failed heartbeat
 //!   write or reset connection) and its engine run is cancelled
 //!   through [`CancelToken::request_cancel`], recorded as the
@@ -71,6 +75,7 @@
 pub mod admission;
 pub mod cache;
 mod conn;
+mod pool;
 
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -259,6 +264,7 @@ pub struct Service {
     ok: AtomicU64,
     errors: AtomicU64,
     disconnects: AtomicU64,
+    connections: pool::Counters,
 }
 
 impl Service {
@@ -290,6 +296,7 @@ impl Service {
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             disconnects: AtomicU64::new(0),
+            connections: pool::Counters::new(config.workers, config.queue_depth),
             config,
         })
     }
@@ -537,6 +544,7 @@ impl Service {
                     ),
                 ]),
             ),
+            ("connections".into(), self.connections.json()),
         ])
     }
 }
@@ -585,60 +593,83 @@ impl Server {
     }
 
     /// Accepts connections until the shutdown flag is raised (or the
-    /// process-global cancel token trips — Ctrl-C in the CLI), handling
-    /// each on its own thread. In-flight requests finish on their own
-    /// threads; engine runs are bounded by the admission gate, not by
-    /// this loop.
+    /// process-global cancel token trips — Ctrl-C in the CLI), handing
+    /// each to a reused handler thread. At most `2 × (workers +
+    /// queue_depth)` handlers run; at that cap the loop waits for one
+    /// to go idle (see `docs/serve.md`, "Connections"). Engine runs are
+    /// bounded by the admission gate, not by this loop.
     ///
     /// The loop blocks in `accept` and checks both flags each time it
     /// returns. [`ServerHandle::shutdown`] wakes it by connecting to
     /// the listener; for the global token, which a signal handler sets,
     /// a waker thread polls both flags every 50 ms and does the same.
+    ///
+    /// On shutdown the listener closes and in-flight requests drain:
+    /// their engine runs are cancelled and answer INCONCLUSIVE, and
+    /// `run` returns once every handler has written its response and
+    /// exited.
     pub fn run(self) {
-        let shutdown = Arc::clone(&self.shutdown);
+        let Server {
+            service,
+            listener,
+            shutdown,
+        } = self;
         let stopping =
             move || shutdown.load(Ordering::Acquire) || CancelToken::global().is_stopped();
         let addr = wake_addr(
-            self.local_addr()
+            listener
+                .local_addr()
                 .expect("bound listener has a local address"),
         );
         let (exited, exit) = mpsc::channel::<()>();
-        let waker = std::thread::spawn({
-            let stopping = stopping.clone();
-            move || {
-                // Keeps connecting until the loop exits, in case one
-                // connection is lost (a full backlog, say).
-                while let Err(RecvTimeoutError::Timeout) = exit.recv_timeout(WAKE_POLL) {
-                    if stopping() {
-                        let _ = TcpStream::connect(addr);
+        // Without a waker a signal takes effect at the next accepted
+        // connection; `ServerHandle::shutdown` wakes the loop itself.
+        let waker = std::thread::Builder::new()
+            .name("ccv-serve-waker".into())
+            .spawn({
+                let stopping = stopping.clone();
+                move || {
+                    // Keeps connecting until the loop exits, in case one
+                    // connection is lost (a full backlog, say).
+                    while let Err(RecvTimeoutError::Timeout) = exit.recv_timeout(WAKE_POLL) {
+                        if stopping() {
+                            let _ = TcpStream::connect(addr);
+                        }
                     }
                 }
-            }
-        });
+            })
+            .ok();
+        let handlers = pool::Pool::new(Arc::clone(&service));
         loop {
-            let accepted = self.listener.accept();
+            let accepted = listener.accept();
             if stopping() {
                 break;
             }
             match accepted {
                 Ok((stream, _peer)) => {
+                    service.connections.accepted();
                     // Injected accept faults model a connection that
                     // dies between accept and first byte: drop it on
                     // the floor and keep serving.
                     if matches!(
-                        self.service.config.fault.fire("serve.accept"),
+                        service.config.fault.fire("serve.accept"),
                         Some(FaultKind::Disconnect | FaultKind::IoError)
                     ) {
                         continue;
                     }
-                    let service = Arc::clone(&self.service);
-                    std::thread::spawn(move || conn::handle_connection(service, stream));
+                    handlers.dispatch(stream, &stopping);
                 }
                 Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
         drop(exited);
-        waker.join().expect("accept-loop waker does not panic");
+        // New connections are refused from here, not left unanswered
+        // in the backlog while the handlers drain.
+        drop(listener);
+        if let Some(waker) = waker {
+            let _ = waker.join();
+        }
+        handlers.drain();
     }
 
     /// Runs the accept loop on a background thread and returns a
@@ -691,8 +722,8 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Stops accepting and joins the accept loop. In-flight request
-    /// threads are left to finish on their own.
+    /// Stops accepting and joins the accept loop, which returns once
+    /// in-flight requests have drained (see [`Server::run`]).
     pub fn shutdown(mut self) {
         self.stop();
     }

@@ -758,3 +758,273 @@ fn half_closed_ndjson_client_gets_its_envelope_and_a_prompt_close() {
     assert_eq!(bodies[0], bodies[1], "cached replay must be byte-identical");
     assert!(bodies[0].contains("\"verdict\":\"VERIFIED\""));
 }
+
+/// One counter of the `connections` group of `/v1/metrics`.
+fn connections(service: &Service, key: &str) -> u64 {
+    let doc = service.metrics_json();
+    let group = doc.get("connections").expect("connections group");
+    group.get(key).and_then(Json::as_u64).expect(key)
+}
+
+/// Polls `done` every millisecond; fails the test after 10 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn sequential_hits_reuse_a_few_handlers() {
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let service = server.service();
+    assert_eq!(
+        connections(service, "cap"),
+        24,
+        "2 × (4 workers + 8 queued)"
+    );
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let (_, first) = ndjson_round_trip(addr, &wire);
+    for _ in 0..200 {
+        assert_eq!(ndjson_round_trip(addr, &wire), (true, first.clone()));
+    }
+    assert_eq!(connections(service, "accepted"), 201);
+    let handlers = connections(service, "handlers");
+    assert!((1..=4).contains(&handlers), "{handlers} handlers started");
+    assert_eq!(connections(service, "cap_waits"), 0);
+}
+
+#[test]
+fn silent_clients_at_the_cap_make_a_request_wait_for_a_handler() {
+    // One worker and no queue: the cap is two handlers. Two clients
+    // that connect and say nothing hold both, so a third connection
+    // waits in the backlog until one of them leaves.
+    let mut config = ServerConfig::loopback();
+    config.workers = 1;
+    config.queue_depth = 0;
+    let server = spawn_server(config);
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    assert_eq!(connections(&service, "cap"), 2);
+    let silent: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    wait_until("both silent clients hold a handler", || {
+        connections(&service, "handlers") == 2 && connections(&service, "idle") == 0
+    });
+
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(ndjson_round_trip(addr, &wire));
+    });
+    wait_until("the accept loop waits at the cap", || {
+        connections(&service, "cap_waits") >= 1
+    });
+    assert!(
+        rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "answered with every handler held"
+    );
+    assert_eq!(connections(&service, "handlers"), 2);
+
+    let mut silent = silent.into_iter();
+    drop(silent.next());
+    let (cached, body) = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("answered once a silent client left");
+    client.join().expect("client thread");
+    assert!(!cached);
+    assert!(body.contains("\"verdict\":\"VERIFIED\""), "{body}");
+    assert_eq!(connections(&service, "handlers"), 2);
+    assert_eq!(connections(&service, "accepted"), 3);
+    drop(silent);
+}
+
+#[test]
+fn shutdown_is_prompt_with_parked_handlers() {
+    // Four clients at once start several handlers; all are parked by
+    // the time the burst ends, and shutdown must end each of them
+    // without waiting out a timeout.
+    let server = spawn_server(ServerConfig::loopback());
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    let wire = Request::verify(ProtocolSource::Name("illinois".into()))
+        .to_json()
+        .render_compact();
+    let (_, first) = ndjson_round_trip(addr, &wire);
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let (wire, first) = (wire.clone(), first.clone());
+            std::thread::spawn(move || {
+                for _ in 0..50 {
+                    assert_eq!(ndjson_round_trip(addr, &wire), (true, first.clone()));
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    wait_until("every handler is parked", || {
+        connections(&service, "idle") == connections(&service, "handlers")
+    });
+    assert!(connections(&service, "handlers") >= 1);
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(connections(&service, "handlers"), 0);
+    assert_eq!(connections(&service, "idle"), 0);
+}
+
+#[test]
+fn shutdown_drains_an_in_flight_request() {
+    // A streamed exact enumeration far larger than the test waits for:
+    // shutdown cancels it, and the client still gets its whole
+    // envelope, an inconclusive body, before shutdown returns.
+    let mut config = ServerConfig::loopback();
+    config.max_n = 16;
+    let server = spawn_server(config);
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    let mut req = Request::enumerate(ProtocolSource::Name("dragon".into()), 16);
+    req.options.exact = true;
+    req.options.threads = 1;
+    req.stream = true;
+    let wire = req.to_json().render_compact();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    writeln!(stream, "{wire}").expect("send request");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("first streamed event");
+    assert!(line.starts_with("{\"ev\":"), "{line}");
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert_eq!(connections(&service, "handlers"), 0, "handler not joined");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read to EOF");
+    let envelope = rest
+        .lines()
+        .find(|l| l.starts_with("{\"ev\":\"response\","))
+        .unwrap_or_else(|| panic!("no envelope after shutdown: {rest:?}"));
+    let doc = Json::parse(envelope).expect("envelope is one JSON line");
+    let body = doc.get("body").expect("body");
+    assert_eq!(body.get("truncated"), Some(&Json::Bool(true)), "{envelope}");
+    let cause = body.get("stop").and_then(|s| s.get("cause"));
+    assert_eq!(
+        cause.and_then(Json::as_str),
+        Some("cancelled"),
+        "{envelope}"
+    );
+    assert!(took < Duration::from_secs(5), "drain took {took:?}");
+}
+
+/// With both handlers of a cap-2 daemon held by misbehaving clients, a
+/// health check waits at the cap; returns how long it took to be
+/// answered, which must be within `bound`.
+fn health_check_at_the_cap(
+    service: &Service,
+    addr: std::net::SocketAddr,
+    bound: Duration,
+) -> Duration {
+    let started = Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(http_exchange(addr, "GET", "/v1/healthz", None));
+    });
+    wait_until("the accept loop waits at the cap", || {
+        connections(service, "cap_waits") >= 1
+    });
+    let response = rx
+        .recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("no health check answer within {bound:?}"));
+    let took = started.elapsed();
+    client.join().expect("client thread");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    assert_eq!(http_body(&response), "{\"ok\":true}");
+    assert!(connections(service, "handlers") <= 2);
+    took
+}
+
+#[test]
+fn trickling_clients_are_dropped_at_the_request_deadline() {
+    // Cap 2. One NDJSON and one HTTP client each send a byte a second
+    // and never finish their request. Each byte would reset a timeout
+    // per read; the deadline over the whole request still drops both
+    // 10 s after they connect, and a waiting request gets a handler.
+    let mut config = ServerConfig::loopback();
+    config.workers = 1;
+    config.queue_depth = 0;
+    let server = spawn_server(config);
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    let trickle = |request: &'static [u8]| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        std::thread::spawn(move || {
+            for byte in request {
+                if stream.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        })
+    };
+    let tricklers = [
+        trickle(b"{\"schema\":\"ccv-request-v1\",\"action\":\"verify\""),
+        trickle(b"GET /v1/healthz HTTP/1.1\r\nHost: trickle.example\r\n"),
+    ];
+    wait_until("both tricklers hold a handler", || {
+        connections(&service, "handlers") == 2 && connections(&service, "idle") == 0
+    });
+    let took = health_check_at_the_cap(&service, addr, Duration::from_secs(20));
+    assert!(took >= Duration::from_secs(5), "answered after {took:?}");
+    for t in tricklers {
+        t.join().expect("trickler thread");
+    }
+}
+
+#[test]
+fn clients_that_stop_reading_are_dropped_at_the_write_deadline() {
+    // Cap 2. Two clients ask for a cached 16.5 MB body and never read
+    // it; neither socket's buffers hold it, so both handlers block in
+    // the write until its 10 s deadline, and then serve a waiting
+    // request.
+    let mut config = ServerConfig::loopback();
+    config.workers = 1;
+    config.queue_depth = 0;
+    let server = spawn_server(config);
+    let addr = server.addr();
+    let service = Arc::clone(server.service());
+    let spec = single_mutants(&split_mesi()).swap_remove(38).spec;
+    let req = verify_request(&to_dsl(&spec));
+    let warm = service.process(&req, &RunContext::default());
+    assert!(warm.body.len() > 16_000_000, "{} bytes", warm.body.len());
+    let wire = req.to_json().render_compact();
+    let readers: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            writeln!(stream, "{wire}").expect("send request");
+            stream
+        })
+        .collect();
+    wait_until("both handlers are busy writing", || {
+        connections(&service, "handlers") == 2 && connections(&service, "idle") == 0
+    });
+    let took = health_check_at_the_cap(&service, addr, Duration::from_secs(20));
+    assert!(took >= Duration::from_secs(5), "answered after {took:?}");
+    drop(readers);
+}
